@@ -11,12 +11,15 @@ One training step:
    anchor times and roll each out with the mixed rule: integrate the teacher
    velocity (held constant, one Euler segment) from the sub-interval start
    down to the switching time t_sw = lam * start + (1 - lam) * end, then take
-   the closed-form momentum step for the remainder.  Anchors are recorded as
-   fixed arrays, so gradients never flow through the rollout.
+   the closed-form momentum step for the remainder.  At lam = 1 there is no
+   teacher segment: the rollout is the student's closed-form chain alone,
+   computed in one batched pass.  Anchors are recorded as fixed arrays, so
+   gradients never flow through the rollout.
 5. Match the mixture's instantaneous velocity at every anchor time against
    the teacher's velocity at the anchor state; squared error averaged over
    anchors, batch and coordinates.  Teacher velocities computed during the
-   rollout are reused as targets at the anchors where they were evaluated.
+   rollout are reused as targets at the anchors where they were evaluated;
+   at lam = 1 the rollout evaluates the teacher once, on every anchor state.
 6. Adam step.  lam ramps linearly from 0 (anchors follow the teacher) to 1
    (anchors follow the student's own closed-form rollout) over
    guidance_steps and stays at 1 afterwards.
@@ -28,15 +31,21 @@ form here; the network maps it back to its weights.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIntervalError, InvalidParameterError, NumericError
+from .errors import (
+    ArcFlowError,
+    InvalidIntervalError,
+    InvalidParameterError,
+    NumericError,
+)
 from .momentum import LatentState, MomentumParams
 from .nnet import MomentumParamGrads, NetConfig, StudentNet, adam_step, \
     init_optim_state
-from .solver import sub_interval_displacement
+from .solver import _anchored_chain, sub_interval_displacement
 from .teacher import TrajectoryRecord
 
 
@@ -66,8 +75,15 @@ class DistillConfig:
             )
         if self.guidance_steps < 1:
             raise InvalidParameterError("guidance_steps must be >= 1")
-        if self.total_steps < 0 or self.batch < 1 or self.base_lr <= 0.0:
+        if (self.total_steps < 0 or self.batch < 1
+                or not 0.0 < self.base_lr < math.inf):
             raise InvalidParameterError("bad training config")
+        if len(self.gamma_range) != 2 \
+                or not 0.0 < self.gamma_range[0] < 1.0 < self.gamma_range[1]:
+            raise InvalidParameterError(
+                f"gamma_range must satisfy 0 < lo < 1 < hi, got "
+                f"{self.gamma_range}"
+            )
 
 
 def make_linear_baseline(cfg: DistillConfig) -> DistillConfig:
@@ -135,9 +151,11 @@ class AnchorSet:
     """One shelf's rollout: anchor times/states plus the teacher velocities
     already evaluated at anchors during the rollout.
 
-    teacher_velocities rows at and beyond n_cached are NaN placeholders; the
-    rollout never needs the teacher at the final anchor, so the loss computes
-    that one itself.  All arrays are plain values: nothing here carries
+    teacher_velocities rows at and beyond n_cached are NaN placeholders for
+    the loss to fill itself.  A rollout with a teacher segment (lam < 1)
+    never needs the teacher at the final anchor and caches all rows but that
+    one; the lam = 1 rollout evaluates the teacher on every anchor state and
+    caches all rows.  All arrays are plain values: nothing here carries
     gradients, which is what detaching the anchors means in this codebase.
     """
 
@@ -180,18 +198,26 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     """Roll a batch from t_start through the anchor times with the mixed
     teacher/student rule described in the module docstring.
 
-    lam = 0 reduces every sub-interval to one teacher Euler step; lam = 1
-    skips the teacher segment bitwise and composes pure closed-form steps.
+    lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
+    has no teacher segment: the anchors are the closed-form chain
+    x_j = x_(j-1) - (D(1, t_j) - D(1, t_(j-1))), the steps
+    sub_interval_displacement takes, with D(1, .) at t_start and every
+    anchor time from one batched pass.  The teacher is then evaluated on
+    every anchor state and every row is cached: in one call with per-row
+    times when the teacher computes each row on its own (a true _rowwise
+    attribute, as on AnalyticGmmTeacher), else once per anchor.  Either way
+    the result has the bits of the sequential rule at lam = 1.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise InvalidParameterError(f"lambda {lam} outside [0, 1]")
-    x = np.array(x_start, dtype=float)
-    x_src = x.copy()
+    x_src = x = np.array(x_start, dtype=float)
     t_prev = float(t_start)
     times = np.asarray(anchor_times, dtype=float)
-
     n = times.size
+    if lam == 1.0:
+        return _closed_form_rollout(x_src, t_prev, theta, times, teacher)
+
     anchors = np.empty((n,) + x.shape)
     cache = np.full((n,) + x.shape, np.nan)
     u_prev = teacher.velocity(x, t_prev)
@@ -201,10 +227,7 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
         x = x - u_prev * (t_prev - t_sw)
         x = x - sub_interval_displacement(theta, t_sw, t_next)
         if not np.isfinite(x).all():
-            raise NumericError(
-                f"non-finite state in sub-interval {j} "
-                f"({t_prev:.6f} -> {t_next:.6f})"
-            )
+            raise _non_finite_state(j, t_prev, t_next)
         anchors[j] = x
         if j < n - 1:
             u_prev = teacher.velocity(x, t_next)
@@ -212,6 +235,37 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
         t_prev = t_next
     return AnchorSet(float(t_start), x_src, theta, times, anchors, cache,
                      n_cached=n - 1)
+
+
+def _non_finite_state(j, t_prev, t_next) -> NumericError:
+    return NumericError(
+        f"non-finite state in sub-interval {j} ({t_prev:.6f} -> {t_next:.6f})"
+    )
+
+
+def _closed_form_rollout(x_src, t_start, theta, times, teacher) -> AnchorSet:
+    # The lam = 1 branch of mixed_integration.
+    grid = np.concatenate(([t_start], times))
+    disp = _anchored_chain(theta, grid)                 # (n + 1, ..., D)
+    steps = disp[1:] - disp[:-1]
+    anchors = np.empty((times.size,) + x_src.shape)
+    x = x_src
+    for j, step in enumerate(steps):
+        x = x - step
+        anchors[j] = x
+    if not np.isfinite(anchors).all():
+        j = next(j for j in range(times.size)
+                 if not np.isfinite(anchors[j]).all())
+        raise _non_finite_state(j, grid[j], grid[j + 1])
+    if getattr(teacher, "_rowwise", False):
+        rows = anchors.reshape(-1, anchors.shape[-1])
+        row_times = np.repeat(times, x_src.size // x_src.shape[-1])
+        targets = teacher.velocity(rows, row_times).reshape(anchors.shape)
+    else:
+        targets = np.stack([teacher.velocity(state, float(t))
+                            for state, t in zip(anchors, times)])
+    return AnchorSet(t_start, x_src, theta, times, anchors, targets,
+                     n_cached=times.size)
 
 
 def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet,
@@ -234,11 +288,11 @@ def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet,
     v_student = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
                           theta.base_velocities)
 
-    targets = np.empty_like(states)
-    cached = anchors.n_cached
-    targets[:cached] = anchors.teacher_velocities[:cached]
-    for j in range(cached, n):
-        targets[j] = teacher.velocity(states[j], float(times[j]))
+    targets = anchors.teacher_velocities
+    if anchors.n_cached < n:
+        targets = targets.copy()
+        for j in range(anchors.n_cached, n):
+            targets[j] = teacher.velocity(states[j], float(times[j]))
 
     diff = v_student - targets
     loss = float(np.mean(diff * diff))
@@ -247,9 +301,10 @@ def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet,
 
     up = 2.0 * diff / diff.size                                  # dL/dv
     proj = np.einsum("nbd,bkd->nbk", up, theta.base_velocities)
-    d_gating = (proj * gpow).sum(axis=0)
+    proj_pow = proj * gpow
+    d_gating = proj_pow.sum(axis=0)
     d_base = np.einsum("nbd,nbk->bkd", up, gpow) * theta.gating[..., None]
-    d_logg = (proj * gpow * expo).sum(axis=0) * theta.gating
+    d_logg = (proj_pow * expo).sum(axis=0) * theta.gating
     return loss, MomentumParamGrads(d_gating, d_base, d_logg)
 
 
@@ -258,8 +313,9 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
 
     rng defaults to the training child stream of cfg.seed; pass one
     explicitly to share a stream across paired runs.  Returns the loss log,
-    one (step, lambda, loss, shelf_start) row per step.  Numeric failures
-    abort with the step index attached.
+    one (step, lambda, loss, shelf_start) row per step.  Any ArcFlowError
+    inside a step aborts the run as the same error type with the step index
+    attached.
     """
     if rng is None:
         rng = np.random.default_rng(training_streams(cfg.seed)[1])
@@ -284,8 +340,8 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
             net.zero_grads()
             net.backward(grad)
             adam_step(net, opt, cfg.base_lr)
-        except NumericError as exc:
-            raise NumericError(f"training step {step_idx}: {exc}") from exc
+        except ArcFlowError as exc:
+            raise type(exc)(f"training step {step_idx}: {exc}") from exc
         log.append((step_idx, lam, loss, t_src))
     return log
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,13 +75,18 @@ class TeacherConfig:
             raise InvalidParameterError(
                 "explicit teacher layout needs weights, means and stds"
             )
+        # A mixture the spec would reject fails here, not at build time.
+        self.build_spec()
 
     def build_spec(self) -> GmmTeacherSpec:
         if self.layout == "ring":
             return ring_spec(self.components, self.radius, self.std, self.dim)
-        weights = _parse_vector(self.weights)
-        stds = _parse_vector(self.stds)
-        means = _parse_matrix(self.means)
+        try:
+            weights = _parse_vector(self.weights)
+            stds = _parse_vector(self.stds)
+            means = _parse_matrix(self.means)
+        except ValueError as exc:
+            raise InvalidParameterError(f"explicit teacher layout: {exc}")
         return GmmTeacherSpec(weights, means, stds)
 
 
@@ -138,25 +144,46 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.replace(",", " ").split()])
+    return np.array([_parse_float(v) for v in text.replace(",", " ").split()])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [r for r in (row.strip() for row in text.split(";")) if r]
-    return np.stack([_parse_vector(r) for r in rows])
+    rows = [_parse_vector(r) for r in text.split(";") if r.strip()]
+    if not rows or len({r.size for r in rows}) > 1:
+        raise ValueError(f"expected ';'-separated rows of equal length, "
+                         f"got {text!r}")
+    return np.stack(rows)
+
+
+def _checked(parse):
+    # Schema entry for array text kept verbatim: parsed here only so a
+    # malformed value fails on its own line.
+    def check(text: str) -> str:
+        parse(text)
+        return text
+    return check
 
 
 _SCHEMA = {
     "teacher": {
-        "kind": str, "layout": str, "components": int, "radius": float,
-        "std": float, "dim": int, "weights": str, "means": str, "stds": str,
-        "cfm_steps": int, "cfm_batch": int, "cfm_lr": float,
+        "kind": str, "layout": str, "components": int, "radius": _parse_float,
+        "std": _parse_float, "dim": int, "weights": _checked(_parse_vector),
+        "means": _checked(_parse_matrix), "stds": _checked(_parse_vector),
+        "cfm_steps": int, "cfm_batch": int, "cfm_lr": _parse_float,
     },
     "distill": {
         "nfe": int, "num_modes": int, "n_intermediate": int,
         "guidance_steps": int, "total_steps": int, "batch": int,
-        "base_lr": float, "gamma_lo": float, "gamma_hi": float,
+        "base_lr": _parse_float, "gamma_lo": _parse_float,
+        "gamma_hi": _parse_float,
         "gamma_mode": str, "share_velocity": _parse_bool,
         "share_gamma": _parse_bool, "seed": int,
     },
@@ -169,9 +196,12 @@ _SCHEMA = {
 
 
 def parse_run_config(text: str, path=None) -> RunConfig:
-    """Parse config text; malformed lines, unknown names and duplicate keys
-    raise ConfigError carrying the line number."""
+    """Parse config text; malformed lines, unknown names, duplicate keys and
+    bad values raise ConfigError carrying the line number.  Values that are
+    fine one by one but rejected by their section's config together carry
+    the line of that section's header."""
     sections = {"teacher": {}, "distill": {}, "run": {}}
+    headers = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -182,6 +212,7 @@ def parse_run_config(text: str, path=None) -> RunConfig:
             if name not in sections:
                 raise ConfigError(f"unknown section [{name}]", path, lineno)
             current = name
+            headers.setdefault(name, lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", path, lineno)
@@ -203,16 +234,16 @@ def parse_run_config(text: str, path=None) -> RunConfig:
     lo = dis.pop("gamma_lo", None)
     hi = dis.pop("gamma_hi", None)
     defaults = DistillConfig()
-    gamma_range = (lo if lo is not None else defaults.gamma_range[0],
-                   hi if hi is not None else defaults.gamma_range[1])
-    try:
-        return RunConfig(
-            teacher=TeacherConfig(**sections["teacher"]),
-            distill=DistillConfig(gamma_range=gamma_range, **dis),
-            run=RunOptions(**sections["run"]),
-        )
-    except ArcFlowError as exc:
-        raise ConfigError(str(exc), path)
+    dis["gamma_range"] = (lo if lo is not None else defaults.gamma_range[0],
+                          hi if hi is not None else defaults.gamma_range[1])
+    built = {}
+    for name, kind in (("teacher", TeacherConfig), ("distill", DistillConfig),
+                       ("run", RunOptions)):
+        try:
+            built[name] = kind(**sections[name])
+        except ArcFlowError as exc:
+            raise ConfigError(f"[{name}] {exc}", path, headers.get(name))
+    return RunConfig(**built)
 
 
 def load_run_config(path) -> RunConfig:

@@ -58,6 +58,29 @@ class MomentumParams:
     log_gammas: np.ndarray
     anchor_index: int | None = None
 
+    @classmethod
+    def _trusted(cls, gating, base_velocities, log_gammas, anchor_index):
+        """Bundle over float64 arrays the caller has just built and owns, as
+        StudentNet.forward does.  Shapes, the simplex and the anchor pin hold
+        by construction there (StudentNet.load rejects a checkpoint whose pin
+        does not), so only finiteness is checked; the arrays are frozen in
+        place instead of copied."""
+        bundle = object.__new__(cls)
+        for name, arr in (("gating", gating), ("base_velocities",
+                                                base_velocities),
+                          ("log_gammas", log_gammas)):
+            arr.flags.writeable = False
+            object.__setattr__(bundle, name, arr)
+        object.__setattr__(bundle, "anchor_index", anchor_index)
+        bundle._check_finite()
+        return bundle
+
+    def _check_finite(self):
+        if not (np.isfinite(self.gating).all()
+                and np.isfinite(self.base_velocities).all()
+                and np.isfinite(self.log_gammas).all()):
+            raise InvalidParameterError("momentum parameters must be finite")
+
     def __post_init__(self):
         gating = _as_readonly(self.gating)
         base = _as_readonly(self.base_velocities)
@@ -76,9 +99,7 @@ class MomentumParams:
                 f"inconsistent shapes: gating {gating.shape}, "
                 f"base_velocities {base.shape}, log_gammas {logg.shape}"
             )
-        if not (np.isfinite(gating).all() and np.isfinite(base).all()
-                and np.isfinite(logg).all()):
-            raise InvalidParameterError("momentum parameters must be finite")
+        self._check_finite()
         if (gating < -GATING_TOL).any():
             raise InvalidParameterError("gating weights must be non-negative")
         sums = gating.sum(axis=-1)

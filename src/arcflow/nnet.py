@@ -111,6 +111,8 @@ class StudentNet:
         self._build_layout()
         self.params = np.zeros(self.num_params)
         self.grads = np.zeros(self.num_params)
+        self._bind_views()
+        self._omegas = np.array([2.0 * np.pi * f for f in config.time_freqs])
         self._tape = None
 
         if config.gamma_mode == "frozen_one":
@@ -153,27 +155,41 @@ class StudentNet:
         blocks.append(("vel_b", (cfg.velocity_dim,)))
         blocks.append(("gam_w", (top, cfg.gamma_dim)))
         blocks.append(("gam_b", (cfg.gamma_dim,)))
-        self._layout = []
+        self._blocks = {}
         offset = 0
         for name, shape in blocks:
             size = int(np.prod(shape))
-            self._layout.append((name, offset, shape))
+            self._blocks[name] = (slice(offset, offset + size), shape)
             offset += size
         self.num_params = offset
 
+    def _bind_views(self):
+        # Named views into the two flat buffers, built once; the buffers are
+        # only ever written in place, so the views stay valid.
+        self._p = {name: self.params[sl].reshape(shape)
+                   for name, (sl, shape) in self._blocks.items()}
+        self._g = {name: self.grads[sl].reshape(shape)
+                   for name, (sl, shape) in self._blocks.items()}
+
+    def __getstate__(self):
+        # A pickled or deep-copied view would be a separate array, so copies
+        # rebuild the views over their own buffers instead.
+        state = self.__dict__.copy()
+        del state["_p"], state["_g"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_views()
+
     def slice_of(self, name: str) -> slice:
-        for block, offset, shape in self._layout:
-            if block == name:
-                return slice(offset, offset + int(np.prod(shape)))
-        raise KeyError(name)
+        return self._blocks[name][0]
 
     def view(self, name: str, of: np.ndarray | None = None) -> np.ndarray:
-        target = self.params if of is None else of
-        for block, offset, shape in self._layout:
-            if block == name:
-                size = int(np.prod(shape))
-                return target[offset:offset + size].reshape(shape)
-        raise KeyError(name)
+        if of is None:
+            return self._p[name]
+        sl, shape = self._blocks[name]
+        return of[sl].reshape(shape)
 
     def zero_grads(self):
         self.grads[:] = 0.0
@@ -184,14 +200,15 @@ class StudentNet:
         """Feature rows [x, t, sin/cos ladder]; x (B, D) or (D,), t scalar or
         (B,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        batch = x.shape[0]
+        batch, dim = x.shape
         t_col = np.broadcast_to(np.asarray(t, dtype=float), (batch,))
-        cols = [x, t_col[:, None]]
-        for f in self.config.time_freqs:
-            ang = 2.0 * np.pi * f * t_col
-            cols.append(np.sin(ang)[:, None])
-            cols.append(np.cos(ang)[:, None])
-        return np.concatenate(cols, axis=1)
+        ang = t_col[:, None] * self._omegas
+        feat = np.empty((batch, dim + 1 + 2 * self._omegas.size))
+        feat[:, :dim] = x
+        feat[:, dim] = t_col
+        feat[:, dim + 1::2] = np.sin(ang)
+        feat[:, dim + 2::2] = np.cos(ang)
+        return feat
 
     def forward(self, x, t) -> MomentumParams:
         """Predict mixture parameters at (x, t); records the tape backward
@@ -205,27 +222,28 @@ class StudentNet:
             )
         feat = self.features(x_arr, t)
         batch = feat.shape[0]
+        p = self._p
 
         acts = [feat]
         h = feat
         for i in range(len(cfg.hidden)):
-            h = np.tanh(h @ self.view(f"body{i}_w") + self.view(f"body{i}_b"))
+            h = np.tanh(h @ p[f"body{i}_w"] + p[f"body{i}_b"])
             acts.append(h)
         top = h
 
-        logits = top @ self.view("gate_w") + self.view("gate_b")
+        logits = top @ p["gate_w"] + p["gate_b"]
         logits = logits - logits.max(axis=-1, keepdims=True)
         expl = np.exp(logits)
         gating = expl / expl.sum(axis=-1, keepdims=True)
 
-        vel = top @ self.view("vel_w") + self.view("vel_b")
+        vel = top @ p["vel_w"] + p["vel_b"]
         if cfg.share_velocity:
             base = np.repeat(vel[:, None, :], cfg.num_modes, axis=1)
         else:
             base = vel.reshape(batch, cfg.num_modes, cfg.dim)
 
         if cfg.gamma_mode == "learnable":
-            off = top @ self.view("gam_w") + self.view("gam_b")
+            off = top @ p["gam_w"] + p["gam_b"]
             off = off * self._anchor_mask
             log_g = self.frozen_log_gammas + off
             if cfg.share_gamma:
@@ -234,11 +252,12 @@ class StudentNet:
             log_g = np.broadcast_to(self.frozen_log_gammas,
                                     (batch, cfg.num_modes))
 
+        log_g = np.array(log_g)
         self._tape = {"acts": acts, "gating": gating, "squeeze": squeeze}
         if squeeze:
-            return MomentumParams(gating[0], base[0], np.array(log_g[0]),
-                                  self.anchor_index)
-        return MomentumParams(gating, base, np.array(log_g), self.anchor_index)
+            gating, base, log_g = gating[0], base[0], log_g[0]
+        # Every array here is new, so the bundle takes them without a copy.
+        return MomentumParams._trusted(gating, base, log_g, self.anchor_index)
 
     def backward(self, upstream: MomentumParamGrads) -> np.ndarray:
         """Accumulate parameter gradients for the most recent forward.
@@ -270,28 +289,29 @@ class StudentNet:
         else:
             d_vel = g_vel.reshape(g_vel.shape[0], cfg.num_modes * cfg.dim)
 
+        p, g = self._p, self._g
         top = acts[-1]
-        d_top = d_logits @ self.view("gate_w").T + d_vel @ self.view("vel_w").T
-        self.view("gate_w", self.grads)[...] += top.T @ d_logits
-        self.view("gate_b", self.grads)[...] += d_logits.sum(axis=0)
-        self.view("vel_w", self.grads)[...] += top.T @ d_vel
-        self.view("vel_b", self.grads)[...] += d_vel.sum(axis=0)
+        d_top = d_logits @ p["gate_w"].T + d_vel @ p["vel_w"].T
+        g["gate_w"] += top.T @ d_logits
+        g["gate_b"] += d_logits.sum(axis=0)
+        g["vel_w"] += top.T @ d_vel
+        g["vel_b"] += d_vel.sum(axis=0)
 
         if cfg.gamma_mode == "learnable":
             if cfg.share_gamma:
                 d_off = g_logg.sum(axis=-1, keepdims=True)
             else:
                 d_off = g_logg * self._anchor_mask
-            d_top = d_top + d_off @ self.view("gam_w").T
-            self.view("gam_w", self.grads)[...] += top.T @ d_off
-            self.view("gam_b", self.grads)[...] += d_off.sum(axis=0)
+            d_top = d_top + d_off @ p["gam_w"].T
+            g["gam_w"] += top.T @ d_off
+            g["gam_b"] += d_off.sum(axis=0)
 
         d_h = d_top
         for i in range(len(cfg.hidden) - 1, -1, -1):
             d_z = d_h * (1.0 - acts[i + 1] ** 2)
-            self.view(f"body{i}_w", self.grads)[...] += acts[i].T @ d_z
-            self.view(f"body{i}_b", self.grads)[...] += d_z.sum(axis=0)
-            d_h = d_z @ self.view(f"body{i}_w").T
+            g[f"body{i}_w"] += acts[i].T @ d_z
+            g[f"body{i}_b"] += d_z.sum(axis=0)
+            d_h = d_z @ p[f"body{i}_w"].T
         return self.grads
 
     # -- checkpointing ---------------------------------------------------------
@@ -374,6 +394,16 @@ class StudentNet:
             raise CheckpointFormatError(
                 f"checkpoint {path} inconsistent with its own header"
             )
+        # forward hands out bundles without re-checking the anchor pin, so a
+        # checkpoint must carry a pin the net can keep: an in-range anchor of
+        # a per-mode gamma head whose frozen log gamma is exactly 0.
+        if anchor >= 0 and (cfg.share_gamma or anchor >= cfg.num_modes
+                            or frozen[anchor] != 0.0):
+            raise CheckpointFormatError(
+                f"anchor mode {anchor} in {path} is not a pinned "
+                f"log gamma == 0 mode of this {cfg.num_modes}-mode "
+                f"{'shared' if cfg.share_gamma else 'per-mode'} gamma head"
+            )
         net.params[:] = params
         net.frozen_log_gammas = frozen.astype(float).copy()
         net.anchor_index = None if anchor < 0 else int(anchor)
@@ -415,8 +445,11 @@ def adam_step(net: StudentNet, state: OptimState, base_lr: float):
         bad = int(np.count_nonzero(~np.isfinite(g)))
         raise NumericError(f"{bad} non-finite gradient entries in update")
     state.step_count += 1
-    state.m[:] = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    state.v[:] = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    # In place, in the operation order of m = b1 m + (1 - b1) g.
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
     mhat = state.m / (1.0 - ADAM_BETA1 ** state.step_count)
     vhat = state.v / (1.0 - ADAM_BETA2 ** state.step_count)
     net.params -= base_lr * state.lr_scale * mhat / (np.sqrt(vhat) + ADAM_EPS)

@@ -154,6 +154,25 @@ def sub_interval_displacement(theta: MomentumParams, t_hi, t_lo) -> np.ndarray:
     return displacement(theta, 1.0, t_lo) - displacement(theta, 1.0, t_hi)
 
 
+def _anchored_chain(theta: MomentumParams, grid) -> np.ndarray:
+    """disp(1, t) at every time of a non-increasing grid, stacked on a new
+    leading axis, from one coefficient pass and one einsum.
+
+    Row j equals displacement(theta, 1.0, grid[j]) bit for bit, so
+    differences of consecutive rows are exactly the sub_interval_displacement
+    steps of the chain grid[0] -> grid[1] -> ...
+    """
+    grid = np.asarray(grid, dtype=float)
+    if (grid < 0.0).any() or (grid > 1.0).any() or (np.diff(grid) > 0.0).any():
+        raise InvalidIntervalError(
+            f"need a non-increasing time chain inside [0, 1], got {grid}"
+        )
+    t_end = grid.reshape(grid.shape + (1,) * theta.gating.ndim)
+    coeffs = _coefficients_from_log(theta.log_gammas, 1.0, t_end)
+    weights = theta.gating * coeffs
+    return np.einsum("...k,...kd->...d", weights, theta.base_velocities)
+
+
 def quadrature_displacement(theta: MomentumParams, t_start, t_end,
                             tol=1e-12) -> np.ndarray:
     """Reference displacement via adaptive quadrature of eval_velocity.

@@ -80,6 +80,9 @@ class GmmTeacherSpec:
             raise InvalidProblemError(
                 f"component stds must be >= {STD_FLOOR}"
             )
+        # Constants of gmm_velocity, computed once per spec.
+        object.__setattr__(self, "_log_weights", np.log(w))
+        object.__setattr__(self, "_variances", sd ** 2)
 
     @property
     def num_components(self) -> int:
@@ -127,15 +130,16 @@ def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
     # shapes: append a component axis j
     a_j = a[..., None]
     b_j = b[..., None]
-    var = a_j ** 2 * spec.stds ** 2 + b_j ** 2          # (..., J)
+    sig2 = spec._variances
+    var = a_j ** 2 * sig2 + b_j ** 2                     # (..., J)
     diff = x[..., None, :] - a_j[..., None] * spec.means  # (..., J, D)
     sq = np.einsum("...jd,...jd->...j", diff, diff)
-    log_r = (np.log(spec.weights) - 0.5 * sq / var
+    log_r = (spec._log_weights - 0.5 * sq / var
              - 0.5 * spec.dim * np.log(var))
     log_r = log_r - log_r.max(axis=-1, keepdims=True)
     resp = np.exp(log_r)
     resp /= resp.sum(axis=-1, keepdims=True)
-    coef = (b_j - a_j * spec.stds ** 2) / var           # (..., J)
+    coef = (b_j - a_j * sig2) / var                      # (..., J)
     comp_vel = coef[..., None] * diff - spec.means       # (..., J, D)
     return np.einsum("...j,...jd->...d", resp, comp_vel)
 
@@ -143,6 +147,12 @@ def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
 class AnalyticGmmTeacher:
     """Closed-form teacher: velocity field plus data sampling for a mixture
     spec.  Matches the duck type the distillation loop expects."""
+
+    # gmm_velocity is elementwise along rows, so a row's velocity has the
+    # same bits whichever rows share the call; the distillation rollout
+    # relies on this to stack its anchors into one call.  A matmul-based
+    # field like NeuralTeacher's does not have this property.
+    _rowwise = True
 
     def __init__(self, spec: GmmTeacherSpec):
         self.spec = spec
@@ -231,7 +241,8 @@ class CfmTrainConfig:
     base_lr: float = 1e-3
 
     def __post_init__(self):
-        if self.total_steps < 0 or self.batch < 1 or self.base_lr <= 0:
+        if (self.total_steps < 0 or self.batch < 1
+                or not 0.0 < self.base_lr < np.inf):
             raise InvalidParameterError("bad teacher training config")
 
 

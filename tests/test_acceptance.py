@@ -11,6 +11,7 @@ students and together take a couple of minutes of CPU.
 """
 
 import dataclasses
+import json
 import statistics
 import time
 
@@ -146,23 +147,31 @@ def test_ablation_orderings_hold_on_medians(capsys):
 
 
 def test_repeated_cli_runs_are_byte_identical(tmp_path, capsys):
-    """Two CLI distillation runs from one config file must leave identical
-    bytes in the loss log and the checkpoint."""
+    """Two CLI distillation runs from one config file, written to two
+    directories, must leave identical bytes in the loss log, the checkpoint
+    and the trajectories, and equal metrics apart from wall-clock time and
+    the config hash (which covers the output path).  Separate directories
+    also show that the trained output does not depend on the output path."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("[run]\nexport_svg = false\n")
-    outs = [tmp_path / "a", tmp_path / "b"]
-    for out in outs:
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
         code = main(["distill", "--config", str(cfg_path),
                      "--out", str(out)])
         assert code == 0
-    same_loss = ((outs[0] / "loss.csv").read_bytes()
-                 == (outs[1] / "loss.csv").read_bytes())
-    same_ckpt = ((outs[0] / "student.ckpt").read_bytes()
-                 == (outs[1] / "student.ckpt").read_bytes())
-    tag = "PASS" if same_loss and same_ckpt else "FAIL"
+        files = {name: (out / name).read_bytes()
+                 for name in ("loss.csv", "student.ckpt", "trajectories.csv")}
+        metrics = json.loads((out / "metrics.json").read_text())
+        metrics.pop("wall_time_s")
+        metrics.pop("config_hash")
+        files["metrics.json"] = metrics
+        runs.append(files)
+    same = {name: runs[0][name] == runs[1][name] for name in runs[0]}
+    tag = "PASS" if all(same.values()) else "FAIL"
+    verdicts = ", ".join(f"{name} {'==' if ok else '!='}"
+                         for name, ok in same.items())
     _emit(capsys,
           f"[{tag}] determinism: repeated cli distill runs byte-identical "
-          f"(loss.csv {'==' if same_loss else '!='}, student.ckpt "
-          f"{'==' if same_ckpt else '!='})")
-    assert same_loss
-    assert same_ckpt
+          f"({verdicts}; metrics.json without wall_time_s, config_hash)")
+    for name, ok in same.items():
+        assert ok, name

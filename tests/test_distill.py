@@ -12,6 +12,7 @@ from arcflow import (
     GmmTeacherSpec,
     InvalidIntervalError,
     InvalidParameterError,
+    NeuralTeacher,
     LatentState,
     MomentumParams,
     NetConfig,
@@ -87,6 +88,19 @@ def test_config_validation():
         DistillConfig(batch=0)
     with pytest.raises(InvalidParameterError):
         DistillConfig(base_lr=0.0)
+
+
+@pytest.mark.parametrize("base_lr", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_learning_rate(base_lr):
+    with pytest.raises(InvalidParameterError):
+        DistillConfig(base_lr=base_lr)
+
+
+@pytest.mark.parametrize("gamma_range", [(2.0, 5.0), (0.0, 5.0), (0.4, 1.0),
+                                         (0.4, float("nan")), (0.4,)])
+def test_config_rejects_bad_gamma_range(gamma_range):
+    with pytest.raises(InvalidParameterError):
+        DistillConfig(gamma_range=gamma_range)
 
 
 def test_linear_baseline_strips_momentum_machinery():
@@ -298,6 +312,87 @@ def test_mixed_integration_caches_all_but_last_row():
     assert np.isnan(rolled.teacher_velocities[3]).all()
 
 
+def small_neural_teacher():
+    net = StudentNet(NetConfig(dim=2, num_modes=1, gamma_mode="frozen_one",
+                               hidden=(8,)), seed=4)
+    net.params[:] = np.random.default_rng(5).normal(size=net.num_params)
+    return NeuralTeacher(net, ring_spec())
+
+
+@pytest.mark.parametrize("make_teacher", [
+    ring_teacher,
+    lambda: ConstantTeacher([0.4, -0.6]),
+    small_neural_teacher,
+], ids=["ring", "constant", "neural"])
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
+def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
+    # the lam = 1 rollout (one batched displacement pass, teacher on every
+    # anchor) must give the bits of the sequential route: a chain of
+    # sub_interval_displacement steps and one teacher call per anchor
+    teacher = make_teacher()
+    rng = np.random.default_rng(43)
+    for batch in (1, 5, 64):
+        for t_start in (1.0, 0.5):
+            x = rng.standard_normal((batch, 2))
+            times = sample_anchor_times(rng, t_start, 0.5, 4)
+            gating = rng.dirichlet(np.ones(3), size=batch if batched else None)
+            base = rng.normal(size=gating.shape + (2,))
+            logg = rng.normal(size=gating.shape) * np.array([1.0, 0.0, 3.0])
+            theta = MomentumParams(gating, base, logg)
+            rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
+            assert rolled.n_cached == times.size
+            y, t_prev = x, t_start
+            for j, t_next in enumerate(times):
+                y = y - sub_interval_displacement(theta, t_prev, t_next)
+                assert np.array_equal(rolled.anchor_states[j], y)
+                assert np.array_equal(rolled.teacher_velocities[j],
+                                      teacher.velocity(y, float(t_next)))
+                t_prev = t_next
+
+
+def test_analytic_teacher_rows_do_not_depend_on_their_batch():
+    # what AnalyticGmmTeacher's _rowwise flag promises the rollout: stacking
+    # states of several times into one call with per-row times changes no
+    # bit of any row
+    assert AnalyticGmmTeacher._rowwise
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        comps = int(rng.integers(1, 9))
+        spec = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
+                              rng.normal(size=(comps, 2)) * 2.0,
+                              rng.uniform(0.05, 1.0, comps))
+        teacher = AnalyticGmmTeacher(spec)
+        batch = int(rng.integers(1, 70))
+        states = rng.normal(size=(4, batch, 2)) * 2.0
+        times = rng.uniform(size=4)
+        stacked = teacher.velocity(states.reshape(-1, 2),
+                                   np.repeat(times, batch))
+        single = np.concatenate([teacher.velocity(s, float(t))
+                                 for s, t in zip(states, times)])
+        assert np.array_equal(stacked, single)
+
+
+def test_lambda_one_loss_needs_no_fresh_teacher_call():
+    class CountingTeacher(ConstantTeacher):
+        _rowwise = True
+        calls = 0
+
+        def velocity(self, x, t):
+            CountingTeacher.calls += 1
+            return super().velocity(x, t)
+
+    teacher = CountingTeacher([0.2, 0.1])
+    rng = np.random.default_rng(45)
+    theta = batched_theta([0.5, 0.5], rng.normal(size=(2, 2)), [0.0, 0.5],
+                          batch=6)
+    rolled = mixed_integration(rng.standard_normal((6, 2)), 1.0, theta,
+                               sample_anchor_times(rng, 1.0, 0.5, 4), 1.0,
+                               teacher)
+    assert CountingTeacher.calls == 1
+    velocity_matching_loss(theta, rolled, teacher)
+    assert CountingTeacher.calls == 1
+
+
 def test_mixed_integration_rejects_bad_lambda():
     teacher = ring_teacher()
     theta = single_mode_theta([0.1, 0.1])
@@ -437,6 +532,18 @@ def test_distill_train_rejects_mode_mismatch():
     net = build_student_net(
         DistillConfig(num_modes=4), dim=2)
     with pytest.raises(InvalidParameterError):
+        distill_train(ring_teacher(), net, cfg)
+
+
+def test_distill_train_attaches_step_to_any_arcflow_error():
+    # a non-finite weight surfaces through the forward pass's finiteness
+    # check, which is not a NumericError, and must still name the step
+    cfg = DistillConfig(total_steps=3, batch=8, num_modes=2)
+    net = build_student_net(cfg, dim=2)
+    net.params[0] = np.nan
+    with pytest.raises(InvalidParameterError,
+                       match="^training step 0: momentum parameters must be "
+                             "finite"):
         distill_train(ring_teacher(), net, cfg)
 
 

@@ -155,6 +155,45 @@ def test_invalid_field_value_becomes_config_error():
         parse_run_config("[distill]\nnfe = 0\n")
 
 
+@pytest.mark.parametrize("section,key", [
+    ("teacher", "radius"), ("teacher", "std"), ("teacher", "cfm_lr"),
+    ("distill", "base_lr"), ("distill", "gamma_lo"), ("distill", "gamma_hi"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_reports_line(section, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(f"[{section}]\n# note\n{key} = {value}\n")
+    assert str(err.value).startswith("3:")
+    assert "finite" in str(err.value)
+
+
+EXPLICIT = ("[teacher]\nlayout = explicit\nweights = 0.5 0.5\n"
+            "means = {means}\nstds = 0.3 0.3\n")
+
+
+def test_ragged_explicit_means_reports_line():
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(EXPLICIT.format(means="1 0; 2"))
+    assert str(err.value).startswith("4:")
+    assert "means" in str(err.value)
+
+
+def test_explicit_layout_shape_mismatch_reports_section_line():
+    text = "[run]\nmetric_samples = 64\n" + EXPLICIT.format(
+        means="1 0; 2 1; 3 3")
+    with pytest.raises(ConfigError) as err:
+        parse_run_config(text)
+    assert str(err.value).startswith("3:")
+    assert "[teacher]" in str(err.value)
+
+
+def test_gamma_range_out_of_order_fails_at_parse_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_run_config("# ref\n[distill]\ngamma_lo = 2.0\n")
+    assert str(err.value).startswith("2:")
+    assert "gamma_range" in str(err.value)
+
+
 def test_gamma_range_keys_merge_with_defaults():
     cfg = parse_run_config("[distill]\ngamma_lo = 0.5\n")
     assert cfg.distill.gamma_range == (0.5, 5.0)
@@ -559,6 +598,16 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert ":2:" in captured.err
+
+
+def test_cli_ragged_layout_exits_two_with_line(tmp_path, capsys):
+    path = tmp_path / "ragged.cfg"
+    path.write_text(EXPLICIT.format(means="1 0; 2"))
+    code = main(["distill", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert ":4:" in captured.err
 
 
 def test_cli_missing_checkpoint_exits_two(tmp_path, capsys):

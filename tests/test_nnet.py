@@ -1,5 +1,9 @@
 """Student net: forward structure, reverse-mode gradients, Adam, checkpoints."""
 
+import copy
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -147,6 +151,35 @@ def test_forward_unbatched_squeeze():
     assert theta.gating.shape == (3,)
     assert theta.base_velocities.shape == (3, 2)
     assert theta.log_gammas.shape == (3,)
+
+
+@pytest.mark.parametrize("cfg", ALL_VARIANTS)
+def test_forward_bundles_are_read_only(cfg):
+    # forward hands its fresh arrays to the bundle without a copy, frozen
+    net = StudentNet(cfg, seed=0)
+    x, t = probe_batch(np.random.default_rng(20), cfg.dim)
+    for theta in (net.forward(x, t), net.forward(x[0], t[0])):
+        for arr in (theta.gating, theta.base_velocities, theta.log_gammas):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
+def test_copied_net_views_follow_its_own_params():
+    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    x, t = probe_batch(np.random.default_rng(21), 2)
+    before = net.forward(x, t).base_velocities.copy()
+    for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+        twin.params += 0.5
+        theta = twin.forward(x, t)
+        assert not np.array_equal(theta.base_velocities, before)
+        assert np.shares_memory(twin.view("vel_b"), twin.params)
+        twin.zero_grads()
+        twin.backward(MomentumParamGrads(np.ones_like(theta.gating),
+                                         np.ones_like(theta.base_velocities),
+                                         np.ones_like(theta.log_gammas)))
+        assert (twin.grads != 0.0).any()
+    assert np.array_equal(net.forward(x, t).base_velocities, before)
 
 
 def test_forward_rejects_wrong_input_dim():
@@ -350,6 +383,12 @@ def test_adam_rejects_nonfinite_gradients():
 # -- checkpoints -----------------------------------------------------------------------
 
 
+def _mode_flag_offset(cfg):
+    # magic 8 + dims 8 + hidden header 4 + hidden widths 4 each + freq
+    # header 4 + freqs 8 each
+    return 8 + 8 + 4 + 4 * len(cfg.hidden) + 4 + 8 * len(cfg.time_freqs)
+
+
 @pytest.mark.parametrize("cfg", ALL_VARIANTS,
                          ids=lambda c: (f"{c.gamma_mode}"
                                         f"{'-sv' if c.share_velocity else ''}"
@@ -409,12 +448,36 @@ def test_checkpoint_rejects_unknown_momentum_mode(tmp_path):
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = bytearray(path.read_bytes())
-    # byte offset of the mode flag: magic 8 + dims 8 + hidden header 4 +
-    # hidden widths 4 each + freq header 4 + freqs 8 each
-    off = 8 + 8 + 4 + 4 * len(cfg.hidden) + 4 + 8 * len(cfg.time_freqs)
-    raw[off] = 250
+    raw[_mode_flag_offset(cfg)] = 250
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError):
+        StudentNet.load(path)
+
+
+@pytest.mark.parametrize("cfg, anchor, frozen_at_anchor", [
+    (NetConfig(dim=2, num_modes=4), 5, None),
+    (NetConfig(dim=2, num_modes=4), 3, None),
+    (NetConfig(dim=2, num_modes=4, gamma_mode="fixed"), None, 0.25),
+    (NetConfig(dim=2, num_modes=4, share_gamma=True), 0, None),
+], ids=["anchor-out-of-range", "anchor-on-nonzero-mode",
+        "nonzero-frozen-at-anchor", "anchor-on-shared-gamma"])
+def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
+                                              tmp_path):
+    """forward trusts the anchor pin, so load must refuse a checkpoint whose
+    anchor is out of range, sits on a shared gamma head, or points at a
+    frozen log gamma that is not exactly 0."""
+    net = StudentNet(cfg, seed=0)
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    raw = bytearray(path.read_bytes())
+    anchor_off = _mode_flag_offset(cfg) + 3
+    if anchor is not None:
+        raw[anchor_off:anchor_off + 4] = struct.pack("<i", anchor)
+    if frozen_at_anchor is not None:
+        at = anchor_off + 4 + 16 + 4 + 8 * net.anchor_index
+        raw[at:at + 8] = struct.pack("<d", frozen_at_anchor)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match="anchor mode"):
         StudentNet.load(path)
 
 
