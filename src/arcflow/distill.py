@@ -315,7 +315,10 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
     explicitly to share a stream across paired runs.  Returns the loss log,
     one (step, lambda, loss, shelf_start) row per step.  Any ArcFlowError
     inside a step aborts the run as the same error type with the step index
-    attached.
+    attached.  Overflow and invalid-value warnings are silenced for the
+    loop: every value it computes ends in a finiteness check (bundles,
+    rollout states, loss, gradients, and the parameters after the last
+    update), so a diverging run reports one step-tagged NumericError.
     """
     if rng is None:
         rng = np.random.default_rng(training_streams(cfg.seed)[1])
@@ -327,22 +330,28 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
     opt = init_optim_state(net)
     width = 1.0 / cfg.nfe
     log = []
-    for step_idx in range(cfg.total_steps):
-        lam = lambda_at(step_idx, cfg.guidance_steps)
-        try:
-            t_src, _ = sample_shelf(rng, cfg.nfe)
-            state0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
-            times = sample_anchor_times(rng, t_src, width, cfg.n_intermediate)
-            theta = net.forward(state0.x, t_src)
-            anchors = mixed_integration(state0.x, t_src, theta, times, lam,
-                                        teacher)
-            loss, grad = velocity_matching_loss(theta, anchors, teacher)
-            net.zero_grads()
-            net.backward(grad)
-            adam_step(net, opt, cfg.base_lr)
-        except ArcFlowError as exc:
-            raise type(exc)(f"training step {step_idx}: {exc}") from exc
-        log.append((step_idx, lam, loss, t_src))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step_idx in range(cfg.total_steps):
+            lam = lambda_at(step_idx, cfg.guidance_steps)
+            try:
+                t_src, _ = sample_shelf(rng, cfg.nfe)
+                state0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
+                times = sample_anchor_times(rng, t_src, width,
+                                            cfg.n_intermediate)
+                theta = net.forward(state0.x, t_src)
+                anchors = mixed_integration(state0.x, t_src, theta, times,
+                                            lam, teacher)
+                loss, grad = velocity_matching_loss(theta, anchors, teacher)
+                net.zero_grads()
+                net.backward(grad)
+                adam_step(net, opt, cfg.base_lr)
+            except ArcFlowError as exc:
+                raise type(exc)(f"training step {step_idx}: {exc}") from exc
+            log.append((step_idx, lam, loss, t_src))
+    # earlier updates are checked by the next step's forward pass
+    if log and not np.isfinite(net.params).all():
+        raise NumericError(f"training step {log[-1][0]}: non-finite "
+                           f"parameters after the update")
     return log
 
 

@@ -12,7 +12,9 @@ euclidean gap at t = 0; trajectory_deviation averages the gap along the whole
 path; discretization_floor is the same endpoint gap between the reference and
 a doubled-step reference, which bounds how much of the student gap is just
 reference discretization.  Everything derived from (config, seed) is
-byte-deterministic except wall-clock metadata.
+byte-deterministic except wall-clock metadata.  metrics.json carries
+config_hash, which covers every config key except [run] out, so it names
+the experiment whatever directory the run was written to.
 """
 
 from __future__ import annotations
@@ -298,7 +300,12 @@ def format_run_config(cfg: RunConfig) -> str:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(format_run_config(cfg).encode()).hexdigest()[:16]
+    """SHA-256 prefix of the formatted config without its [run] out line:
+    it covers every setting that shapes the artifacts, so one experiment
+    written to two directories reports one hash."""
+    kept = [line for line in format_run_config(cfg).split("\n")
+            if not line.startswith("out = ")]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()[:16]
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -340,23 +347,49 @@ def trajectory_deviation(student: TrajectoryRecord,
     return float(np.mean(gap))
 
 
-def energy_distance(xs, ys, chunk=2048) -> float:
+def energy_distance(xs, ys, chunk=128) -> float:
     """Squared energy distance 2 E|x-y| - E|x-x'| - E|y-y'| with V-statistic
-    means, accumulated in chunks to bound memory.
+    means over the full x.y, x.x and y.y pair blocks.
 
     Pairwise distances come from the gram expansion |x-y|^2 =
-    |x|^2 + |y|^2 - 2 x.y with a clip against tiny negative round-off."""
+    |x|^2 + |y|^2 - 2 x.y with a clip against tiny negative round-off.
+    Memory is bounded by one float64 buffer of chunk * max(n, m) entries,
+    allocated once per call: every block of at most chunk rows is computed
+    in place in it.  xs (n, D) and ys (m, D) must be finite, with at least
+    one row each; otherwise InvalidParameterError."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or ys.ndim != 2 or not (xs.shape[0] and ys.shape[0]):
+        raise InvalidParameterError(
+            f"energy distance needs two non-empty (rows, dim) sample sets, "
+            f"got shapes {xs.shape} and {ys.shape}")
+    if xs.shape[1] != ys.shape[1]:
+        raise InvalidParameterError(
+            f"energy distance sample dims differ: {xs.shape[1]} vs "
+            f"{ys.shape[1]}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise InvalidParameterError("energy distance samples must be finite")
+    if not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
+        raise InvalidParameterError(f"chunk must be an int >= 1, got {chunk!r}")
+    width = max(xs.shape[0], ys.shape[0])
+    buf = np.empty(min(chunk, width) * width)
 
     def mean_cross(a, b):
+        # -2 a is exact, so scaling the small operand gives the bits of
+        # scaling the block product
+        a_m2 = -2.0 * a
+        a_sq = np.sum(a * a, axis=1)[:, None]
         b_sq = np.sum(b * b, axis=1)
         total = 0.0
         for start in range(0, a.shape[0], chunk):
-            block = a[start:start + chunk]
-            sq = (np.sum(block * block, axis=1)[:, None] + b_sq[None, :]
-                  - 2.0 * block @ b.T)
-            total += float(np.sqrt(np.clip(sq, 0.0, None)).sum())
+            stop = min(start + chunk, a.shape[0])
+            sq = buf[:(stop - start) * b.shape[0]].reshape(stop - start,
+                                                          b.shape[0])
+            np.matmul(a_m2[start:stop], b.T, out=sq)
+            sq += a_sq[start:stop]
+            sq += b_sq
+            np.maximum(sq, 0.0, out=sq)
+            total += float(np.sqrt(sq, out=sq).sum())
         return total / (a.shape[0] * b.shape[0])
 
     return 2.0 * mean_cross(xs, ys) - mean_cross(xs, xs) - mean_cross(ys, ys)

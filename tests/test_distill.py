@@ -1,6 +1,8 @@
 """Distillation loop pieces: shelf sampling, mixed rollouts, the matching
 loss and its closed-form gradient, few-step sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,6 +18,7 @@ from arcflow import (
     LatentState,
     MomentumParams,
     NetConfig,
+    NumericError,
     StudentNet,
     build_student_net,
     distill_train,
@@ -544,6 +547,31 @@ def test_distill_train_attaches_step_to_any_arcflow_error():
     with pytest.raises(InvalidParameterError,
                        match="^training step 0: momentum parameters must be "
                              "finite"):
+        distill_train(ring_teacher(), net, cfg)
+
+
+def test_diverging_run_fails_with_step_and_no_numpy_warning():
+    cfg = DistillConfig(total_steps=3, batch=8, num_modes=2, base_lr=1e300)
+    net = build_student_net(cfg, dim=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="^training step 1: "):
+            distill_train(ring_teacher(), net, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_final_step_divergence_names_its_step(monkeypatch):
+    # no later forward pass sees the last update, so the loop checks it
+    import arcflow.distill as distill_module
+
+    def blow_up(net, opt, base_lr):
+        net.params[0] = np.inf
+
+    monkeypatch.setattr(distill_module, "adam_step", blow_up)
+    cfg = DistillConfig(total_steps=1, batch=8, num_modes=2)
+    net = build_student_net(cfg, dim=2)
+    with pytest.raises(NumericError, match="^training step 0: non-finite "
+                                           "parameters"):
         distill_train(ring_teacher(), net, cfg)
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +224,16 @@ def test_config_hash_stable_and_sensitive():
     int(a, 16)  # hex
 
 
+def test_config_hash_ignores_output_directory():
+    cfg = RunConfig()
+    moved = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run,
+                                                             out="else/where"))
+    assert config_hash(moved) == config_hash(cfg)
+    wider = dataclasses.replace(cfg, run=dataclasses.replace(
+        cfg.run, metric_samples=cfg.run.metric_samples + 1))
+    assert config_hash(wider) != config_hash(cfg)
+
+
 # -- metrics ----------------------------------------------------------------------
 
 
@@ -302,6 +314,53 @@ def test_energy_distance_chunking_invariant():
     ys = rng.normal(size=(90, 2)) + 1.0
     assert_allclose(energy_distance(xs, ys, chunk=7),
                     energy_distance(xs, ys, chunk=4096), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [1, 5, 40])
+def test_energy_distance_matches_naive_across_chunks(dim, chunk):
+    # 23 and 17 rows: chunk 5 divides neither, 40 exceeds both
+    rng = np.random.default_rng(64 + dim)
+    xs = rng.normal(size=(23, dim))
+    ys = rng.normal(size=(17, dim)) + 0.7
+    assert_allclose(energy_distance(xs, ys, chunk=chunk),
+                    naive_energy_distance(xs, ys), rtol=1e-9)
+
+
+def test_energy_distance_repeats_bit_for_bit():
+    rng = np.random.default_rng(65)
+    xs = rng.normal(size=(700, 2))
+    ys = rng.normal(size=(500, 2))
+    first = energy_distance(xs, ys)
+    assert energy_distance(xs, ys).hex() == first.hex()
+
+
+@pytest.mark.parametrize("chunk", [64, 256])
+def test_energy_distance_memory_is_one_block_buffer(chunk):
+    rng = np.random.default_rng(66)
+    xs = rng.normal(size=(4000, 2))
+    ys = rng.normal(size=(4000, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(xs, ys, chunk=chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * chunk * 4000 * 8 + xs.nbytes + ys.nbytes
+
+
+@pytest.mark.parametrize("xs, ys, chunk", [
+    (np.zeros((3, 2)), np.zeros((4, 3)), 8),        # column counts differ
+    (np.zeros((0, 2)), np.zeros((4, 2)), 8),        # empty xs
+    (np.zeros((3, 2)), np.zeros((0, 2)), 8),        # empty ys
+    (np.zeros(3), np.zeros((4, 1)), 8),             # not 2-D
+    (np.array([[0.0, np.nan]]), np.zeros((4, 2)), 8),
+    (np.zeros((3, 2)), np.array([[np.inf, 0.0]]), 8),
+    (np.zeros((3, 2)), np.zeros((4, 2)), 0),
+], ids=["dims", "empty-xs", "empty-ys", "1-d", "nan", "inf", "chunk-0"])
+def test_energy_distance_rejects_bad_input(xs, ys, chunk):
+    with pytest.raises(InvalidParameterError):
+        energy_distance(xs, ys, chunk=chunk)
 
 
 # -- artifact writers ------------------------------------------------------------------
@@ -598,6 +657,21 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert ":2:" in captured.err
+
+
+def test_cli_diverging_run_prints_one_error_line(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path, base_lr=1e300)
+    # a numpy warning would print above the error line outside pytest
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["distill", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: training step ")
 
 
 def test_cli_ragged_layout_exits_two_with_line(tmp_path, capsys):
