@@ -16,18 +16,15 @@ from .momentum import (
     LatentState,
     MomentumParams,
     eval_velocity,
-    extrapolate_velocity,
     init_log_gammas,
 )
 from .solver import (
     LN_GAMMA_EPS,
-    TransitionRequest,
     displacement,
     momentum_coefficient,
     quadrature_displacement,
     step,
     sub_interval_displacement,
-    transition,
 )
 from .interpolation import (
     InterpolationProblem,

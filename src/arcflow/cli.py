@@ -25,7 +25,7 @@ import numpy as np
 
 from . import harness
 from .distill import student_sample
-from .errors import ArcFlowError
+from .errors import ArcFlowError, InvalidParameterError
 from .nnet import StudentNet
 from .svg import trajectory_overlay_svg
 from .teacher import euler_sample
@@ -77,7 +77,11 @@ def cli_ablate(args) -> int:
     cfg = _load_config(args)
     studies = tuple(args.studies.split(",")) if args.studies \
         else harness.ABLATION_STUDIES
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise InvalidParameterError(
+            f"--seeds takes a comma list of integers, got {args.seeds!r}")
     rows = harness.run_ablation(cfg, studies=studies, seeds=seeds)
     out = Path(cfg.run.out)
     out.mkdir(parents=True, exist_ok=True)

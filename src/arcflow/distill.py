@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,6 +85,11 @@ class DistillConfig:
                 f"gamma_range must satisfy 0 < lo < 1 < hi, got "
                 f"{self.gamma_range}"
             )
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise InvalidParameterError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def make_linear_baseline(cfg: DistillConfig) -> DistillConfig:

@@ -418,40 +418,78 @@ def build_teacher(cfg: RunConfig):
     return trained
 
 
-def evaluate_student(net: StudentNet, teacher, cfg: RunConfig,
-                     eval_rng) -> dict:
+@dataclass(frozen=True)
+class EulerReference:
+    """What evaluation reads of the teacher for one seed: the shared noise,
+    the teacher_steps Euler record from it, and the endpoint of the
+    doubled-step run (all discretization_floor needs of it)."""
+
+    seed: int
+    noise: np.ndarray
+    record: TrajectoryRecord
+    doubled_endpoint: np.ndarray
+
+
+def euler_reference(teacher, cfg: RunConfig) -> EulerReference:
+    """Draw the evaluation noise from the evaluation stream of
+    cfg.distill.seed and transport it with the teacher's Euler reference.
+    It depends only on the teacher, that seed and [run], so every cell of a
+    paired-seed grid can share one."""
+    opts = cfg.run
+    eval_rng = np.random.default_rng(training_streams(cfg.distill.seed)[2])
+    noise = eval_rng.standard_normal((opts.metric_samples, teacher.dim))
+    record = euler_sample(teacher.velocity, noise, opts.teacher_steps)
+    doubled = euler_sample(teacher.velocity, noise, 2 * opts.teacher_steps)
+    return EulerReference(cfg.distill.seed, noise, record, doubled.endpoint)
+
+
+def evaluate_student(net: StudentNet, cfg: RunConfig,
+                     reference: EulerReference) -> dict:
     """Shared-noise comparison of the distilled student against the Euler
     reference; returns the raw metric values."""
-    opts = cfg.run
-    dim = teacher.dim
-    noise = eval_rng.standard_normal((opts.metric_samples, dim))
-    reference = euler_sample(teacher.velocity, noise, opts.teacher_steps)
-    doubled = euler_sample(teacher.velocity, noise, 2 * opts.teacher_steps)
-    student = student_sample(net, noise, cfg.distill.nfe,
-                             opts.dense_per_shelf)
+    student = student_sample(net, reference.noise, cfg.distill.nfe,
+                             cfg.run.dense_per_shelf)
     return {
-        "endpoint_mse": endpoint_mse(student.endpoint, reference.endpoint),
-        "trajectory_deviation": trajectory_deviation(student, reference),
-        "discretization_floor": endpoint_mse(doubled.endpoint,
-                                             reference.endpoint),
+        "endpoint_mse": endpoint_mse(student.endpoint,
+                                     reference.record.endpoint),
+        "trajectory_deviation": trajectory_deviation(student,
+                                                     reference.record),
+        "discretization_floor": endpoint_mse(reference.doubled_endpoint,
+                                             reference.record.endpoint),
         "student_record": student,
-        "reference_record": reference,
+        "reference_record": reference.record,
     }
 
 
-def run_distillation(cfg: RunConfig, out_dir=None):
+def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
+                     reference: EulerReference | None = None):
     """Train a student per the config, evaluate it, optionally write
-    artifacts.  Returns (report, net, loss_log)."""
+    artifacts.  Returns (report, net, loss_log).
+
+    teacher and reference default to build_teacher(cfg) and
+    euler_reference(teacher, cfg).  A caller running several configs at one
+    seed may pass in ones it built for that seed, [teacher] and [run]; they
+    must be what those defaults would build, or the report is not that of
+    cfg.  A reference drawn for another seed or sample count is rejected."""
     from .svg import trajectory_overlay_svg  # local import, no cycle
 
     started = time.perf_counter()
-    teacher = build_teacher(cfg)
+    if teacher is None:
+        teacher = build_teacher(cfg)
+    if reference is not None and (
+            reference.seed != cfg.distill.seed
+            or reference.noise.shape != (cfg.run.metric_samples, teacher.dim)):
+        raise InvalidParameterError(
+            f"Euler reference of seed {reference.seed} with noise "
+            f"{reference.noise.shape} does not fit seed {cfg.distill.seed} "
+            f"with {cfg.run.metric_samples} samples")
     streams = training_streams(cfg.distill.seed)
     net = build_student_net(cfg.distill, teacher.dim, init_seed=streams[0])
     log = distill_train(teacher, net, cfg.distill,
                         rng=np.random.default_rng(streams[1]))
-    evaluation = evaluate_student(net, teacher, cfg,
-                                  np.random.default_rng(streams[2]))
+    if reference is None:
+        reference = euler_reference(teacher, cfg)
+    evaluation = evaluate_student(net, cfg, reference)
     report = MetricsReport(
         endpoint_mse=evaluation["endpoint_mse"],
         trajectory_deviation=evaluation["trajectory_deviation"],
@@ -534,19 +572,52 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     """Paired-seed ablation grid.  Every cell at a given seed shares the
     net-init/training/evaluation streams, so differences come from the cell's
     configuration alone.  Returns rows (study, cell, seed, endpoint_mse,
-    final_loss)."""
-    rows = []
-    for study in studies:
-        budget = ablation_budget(study, cfg.distill)
-        for cell_name, dcfg in ablation_cells(study, cfg.distill):
-            for seed in seeds:
-                seeded = dataclasses.replace(dcfg, seed=int(seed),
-                                             total_steps=budget)
-                cell_cfg = RunConfig(cfg.teacher, seeded, cfg.run)
-                report, _, log = run_distillation(cell_cfg, out_dir=None)
-                rows.append((study, cell_name, int(seed),
-                             report.endpoint_mse, float(log[-1][2])))
-    return rows
+    final_loss) in study, cell, seed order.
+
+    Seeds run outermost.  Per seed the teacher and the Euler reference are
+    built once and shared by that seed's cells, and each distinct cell
+    config is trained once through run_distillation: twin cells such as
+    gamma_mode/learnable and sharing/all_per_mode give equal rows by
+    construction.  Unknown or repeated studies and negative, non-integer or
+    repeated seeds raise InvalidParameterError before any training."""
+    studies, seeds = tuple(studies), tuple(seeds)
+    if len(set(studies)) != len(studies):
+        raise InvalidParameterError(f"repeated ablation study in {studies}")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidParameterError(f"repeated ablation seed in {seeds}")
+    cells = [(study, name, dataclasses.replace(
+                  dcfg, total_steps=ablation_budget(study, cfg.distill)))
+             for study in studies
+             for name, dcfg in ablation_cells(study, cfg.distill)]
+    # DistillConfig rejects a bad seed before the first cell trains
+    for seed in seeds:
+        dataclasses.replace(cfg.distill, seed=seed)
+    seeds = tuple(int(seed) for seed in seeds)
+
+    results = {}
+    for seed in seeds:
+        results.update(_ablation_seed(cfg, [dcfg for _, _, dcfg in cells],
+                                      seed))
+    return [(study, name, seed,
+             *results[dataclasses.replace(dcfg, seed=seed)])
+            for study, name, dcfg in cells for seed in seeds]
+
+
+def _ablation_seed(cfg: RunConfig, cell_cfgs, seed: int) -> dict:
+    # The teacher and reference live only for this seed's cells.
+    seed_cfg = RunConfig(cfg.teacher,
+                         dataclasses.replace(cfg.distill, seed=seed), cfg.run)
+    teacher = build_teacher(seed_cfg)
+    reference = euler_reference(teacher, seed_cfg)
+    results = {}
+    for dcfg in cell_cfgs:
+        seeded = dataclasses.replace(dcfg, seed=seed)
+        if seeded not in results:
+            report, _, _ = run_distillation(
+                RunConfig(cfg.teacher, seeded, cfg.run),
+                teacher=teacher, reference=reference)
+            results[seeded] = (report.endpoint_mse, report.final_loss)
+    return results
 
 
 # -- artifact writers -------------------------------------------------------------

@@ -157,23 +157,6 @@ class LatentState:
             raise InvalidParameterError(f"flow time {t} outside [0, 1]")
 
 
-def extrapolate_velocity(v_base, gamma, t_start, t):
-    """Velocity of a single momentum mode at time t, extrapolated from its
-    value v_base at anchor time t_start:
-
-        v(t) = v_base * gamma**(t_start - t)
-
-    v_base has shape (..., D); gamma is a positive scalar or an array
-    broadcastable against the leading dimensions of v_base.
-    """
-    v_base = np.asarray(v_base, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if (gamma <= 0.0).any():
-        raise InvalidParameterError("momentum factor gamma must be positive")
-    factor = np.exp((float(t_start) - float(t)) * np.log(gamma))
-    return v_base * factor
-
-
 def eval_velocity(theta: MomentumParams, t) -> np.ndarray:
     """Instantaneous mixture velocity at time t.
 

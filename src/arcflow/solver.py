@@ -24,8 +24,6 @@ closed-form path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate
 
@@ -40,24 +38,6 @@ from .momentum import LatentState, MomentumParams, eval_velocity
 # Below this |ln gamma| the exponential integral is evaluated in its linear
 # limit.  Keep in sync with the checkpoint docs; changing it changes rollouts.
 LN_GAMMA_EPS = 1e-6
-
-
-@dataclass(frozen=True)
-class TransitionRequest:
-    """A validated request to transport a mixture from t_start down to t_end."""
-
-    theta: MomentumParams
-    t_start: float
-    t_end: float
-
-    def __post_init__(self):
-        t_s, t_e = float(self.t_start), float(self.t_end)
-        object.__setattr__(self, "t_start", t_s)
-        object.__setattr__(self, "t_end", t_e)
-        if not (0.0 <= t_e <= t_s <= 1.0):
-            raise InvalidIntervalError(
-                f"need 0 <= t_end <= t_start <= 1, got ({t_s}, {t_e})"
-            )
 
 
 def _coefficients_from_log(log_gammas, t_start, t_end):
@@ -113,11 +93,6 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
                                     _align_time(t_end, theta))
     weights = theta.gating * coeffs
     return np.einsum("...k,...kd->...d", weights, theta.base_velocities)
-
-
-def transition(request: TransitionRequest) -> np.ndarray:
-    """Displacement for a validated request; x(t_end) = x(t_start) - result."""
-    return displacement(request.theta, request.t_start, request.t_end)
 
 
 def step(state: LatentState, theta: MomentumParams, t_end) -> LatentState:

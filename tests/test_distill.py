@@ -91,6 +91,9 @@ def test_config_validation():
         DistillConfig(batch=0)
     with pytest.raises(InvalidParameterError):
         DistillConfig(base_lr=0.0)
+    for seed in (-3, 1.5, True, "2"):
+        with pytest.raises(InvalidParameterError):
+            DistillConfig(seed=seed)
 
 
 @pytest.mark.parametrize("base_lr", [float("nan"), float("inf")])

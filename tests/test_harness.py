@@ -40,7 +40,9 @@ from arcflow import (
     write_loss_csv,
     write_trajectory_csv,
 )
+from arcflow import harness as harness_module
 from arcflow.cli import main
+from arcflow.harness import euler_reference
 
 
 def tiny_run_config(**distill_overrides):
@@ -447,8 +449,7 @@ def test_evaluate_student_returns_finite_metrics():
     net = build_student_net(cfg.distill, teacher.dim,
                             init_seed=training_streams(0)[0])
     distill_train(teacher, net, cfg.distill)
-    out = evaluate_student(net, teacher, cfg,
-                           np.random.default_rng(training_streams(0)[2]))
+    out = evaluate_student(net, cfg, euler_reference(teacher, cfg))
     for key in ("endpoint_mse", "trajectory_deviation",
                 "discretization_floor"):
         assert np.isfinite(out[key]) and out[key] >= 0.0
@@ -563,6 +564,107 @@ def test_run_ablation_rows():
         assert cell in ("frozen_one", "fixed", "learnable")
         assert seed == 0
         assert np.isfinite(mse) and np.isfinite(final_loss)
+
+
+def _hex_rows(rows):
+    return [(s, c, k, float(m).hex(), float(l).hex())
+            for s, c, k, m, l in rows]
+
+
+def _standalone_rows(cfg, studies, seeds):
+    # one full run_distillation per (study, cell, seed), teacher and
+    # reference built inside each run
+    rows = []
+    for study in studies:
+        budget = ablation_budget(study, cfg.distill)
+        for name, dcfg in ablation_cells(study, cfg.distill):
+            for seed in seeds:
+                seeded = dataclasses.replace(dcfg, seed=seed,
+                                             total_steps=budget)
+                report, _, _ = run_distillation(
+                    RunConfig(cfg.teacher, seeded, cfg.run))
+                rows.append((study, name, seed, report.endpoint_mse,
+                             report.final_loss))
+    return rows
+
+
+def test_run_ablation_rows_equal_standalone_runs():
+    cfg = tiny_run_config()
+    studies, seeds = ("gamma_mode", "sharing"), (0, 1)
+    rows = run_ablation(cfg, studies=studies, seeds=seeds)
+    assert _hex_rows(rows) == _hex_rows(_standalone_rows(cfg, studies, seeds))
+    by_cell = {row[:3]: row[3:] for row in rows}
+    for seed in seeds:
+        assert by_cell[("gamma_mode", "learnable", seed)] == \
+            by_cell[("sharing", "all_per_mode", seed)]
+
+
+def test_run_ablation_rows_equal_standalone_runs_neural_teacher():
+    cfg = dataclasses.replace(
+        tiny_run_config(),
+        teacher=TeacherConfig(kind="neural", cfm_steps=30, cfm_batch=32))
+    studies, seeds = ("gamma_mode",), (0, 2)
+    rows = run_ablation(cfg, studies=studies, seeds=seeds)
+    assert _hex_rows(rows) == _hex_rows(_standalone_rows(cfg, studies, seeds))
+
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(harness_module, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, name, counted)
+    return counts
+
+
+def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
+    counts = _count_calls(monkeypatch, "distill_train", "build_teacher",
+                          "euler_sample")
+    cfg = tiny_run_config()
+    rows = run_ablation(cfg, studies=("gamma_mode", "sharing"), seeds=(0, 1))
+    assert len(rows) == 12
+    # six cells, of which learnable and all_per_mode are one config
+    assert counts["distill_train"] == 5 * 2
+    assert counts["build_teacher"] == 2
+    # the teacher_steps reference and its doubled-step floor, per seed
+    assert counts["euler_sample"] == 2 * 2
+
+
+@pytest.mark.parametrize("studies, seeds", [
+    (("gamma_mode", "bogus"), (0,)),
+    (("gamma_mode", "gamma_mode"), (0,)),
+    (("gamma_mode",), (0, 0)),
+    (("gamma_mode",), (-1,)),
+    (("gamma_mode",), (0, 1.5)),
+    (("gamma_mode",), ("1",)),
+])
+def test_run_ablation_rejects_bad_grid_before_training(monkeypatch, studies,
+                                                       seeds):
+    counts = _count_calls(monkeypatch, "distill_train", "build_teacher")
+    with pytest.raises(InvalidParameterError):
+        run_ablation(tiny_run_config(), studies=studies, seeds=seeds)
+    assert counts == {"distill_train": 0, "build_teacher": 0}
+
+
+def test_run_distillation_rejects_reference_of_another_seed():
+    cfg = tiny_run_config()
+    teacher = build_teacher(cfg)
+    other = dataclasses.replace(
+        cfg, distill=dataclasses.replace(cfg.distill, seed=1))
+    with pytest.raises(InvalidParameterError):
+        run_distillation(cfg, teacher=teacher,
+                         reference=euler_reference(teacher, other))
+
+
+def test_negative_seed_in_config_file_reports_line():
+    with pytest.raises(ConfigError) as err:
+        parse_run_config("[distill]\nnfe = 2\nseed = -3\n")
+    assert str(err.value).startswith("1:")
+    assert "seed" in str(err.value)
 
 
 # -- CLI --------------------------------------------------------------------------------------
@@ -682,6 +784,27 @@ def test_cli_ragged_layout_exits_two_with_line(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert ":4:" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["distill", "--seed", "-1"],
+    ["ablate", "--studies", "gamma_mode,bogus"],
+    ["ablate", "--studies", "gamma_mode,gamma_mode"],
+    ["ablate", "--seeds", "0,x"],
+    ["ablate", "--seeds=-1"],
+    ["ablate", "--seeds", "0,0"],
+])
+def test_cli_bad_seed_or_study_exits_two_before_training(monkeypatch,
+                                                         tmp_path, capsys,
+                                                         argv):
+    counts = _count_calls(monkeypatch, "distill_train")
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert counts["distill_train"] == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_checkpoint_exits_two(tmp_path, capsys):

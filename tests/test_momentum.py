@@ -9,7 +9,6 @@ from arcflow import (
     LatentState,
     MomentumParams,
     eval_velocity,
-    extrapolate_velocity,
     init_log_gammas,
 )
 
@@ -23,53 +22,6 @@ def random_params(rng, batch=(), modes=4, dim=2, anchor=False):
         logg[..., 0] = 0.0
         return MomentumParams(gating, base, logg, anchor_index=0)
     return MomentumParams(gating, base, logg)
-
-
-# -- extrapolate_velocity -----------------------------------------------------
-
-
-def test_extrapolate_gamma_one_is_identity():
-    v = np.array([1.0, 0.0])
-    assert_allclose(extrapolate_velocity(v, 1.0, 1.0, 0.0), v, rtol=0)
-
-
-def test_extrapolate_gamma_four_doubles_over_half_interval():
-    v = np.array([1.0, 0.0])
-    got = extrapolate_velocity(v, 4.0, 1.0, 0.5)
-    assert_allclose(got, [2.0, 0.0], rtol=1e-15)
-
-
-def test_extrapolate_semigroup_composition():
-    # chaining two quarter-interval extrapolations equals one half-interval
-    v = np.array([1.0, 0.0])
-    mid = extrapolate_velocity(v, 4.0, 1.0, 0.75)
-    got = extrapolate_velocity(mid, 4.0, 0.75, 0.5)
-    assert_allclose(got, extrapolate_velocity(v, 4.0, 1.0, 0.5), rtol=1e-15)
-
-
-def test_extrapolate_zero_elapsed_time():
-    v = np.array([3.0, -2.0])
-    for gamma in (0.3, 1.0, 7.5):
-        assert_allclose(extrapolate_velocity(v, gamma, 0.6, 0.6), v, rtol=0)
-
-
-def test_extrapolate_rejects_nonpositive_gamma():
-    with pytest.raises(InvalidParameterError):
-        extrapolate_velocity(np.ones(2), 0.0, 1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        extrapolate_velocity(np.ones(2), -1.0, 1.0, 0.0)
-
-
-def test_extrapolate_semigroup_sweep():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        v = rng.normal(size=3)
-        gamma = float(rng.uniform(0.05, 20.0))
-        t0, t1, t2 = np.sort(rng.uniform(0.0, 1.0, 3))[::-1]
-        direct = extrapolate_velocity(v, gamma, t0, t2)
-        chained = extrapolate_velocity(
-            extrapolate_velocity(v, gamma, t0, t1), gamma, t1, t2)
-        assert_allclose(chained, direct, rtol=1e-12, atol=1e-14)
 
 
 # -- eval_velocity ------------------------------------------------------------
@@ -113,8 +65,8 @@ def test_eval_velocity_matches_per_mode_extrapolation():
         theta = random_params(rng, modes=int(rng.integers(1, 9)), dim=2)
         t = float(rng.uniform())
         per_mode = [
-            theta.gating[k] * extrapolate_velocity(
-                theta.base_velocities[k], np.exp(theta.log_gammas[k]), 1.0, t)
+            theta.gating[k] * theta.base_velocities[k]
+            * np.exp(theta.log_gammas[k]) ** (1.0 - t)
             for k in range(theta.num_modes)
         ]
         assert_allclose(eval_velocity(theta, t), np.sum(per_mode, axis=0),

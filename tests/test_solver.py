@@ -10,13 +10,11 @@ from arcflow import (
     LatentState,
     MomentumParams,
     NumericError,
-    TransitionRequest,
     displacement,
     momentum_coefficient,
     quadrature_displacement,
     step,
     sub_interval_displacement,
-    transition,
 )
 
 
@@ -105,15 +103,14 @@ def test_coefficient_rejects_nonpositive_gamma():
 
 def test_transition_single_linear_mode_is_plain_euler():
     theta = MomentumParams([1.0], [[2.0, -1.0]], [0.0])
-    req = TransitionRequest(theta, 1.0, 0.0)
-    assert_allclose(transition(req), [2.0, -1.0], rtol=1e-15)
+    assert_allclose(displacement(theta, 1.0, 0.0), [2.0, -1.0], rtol=1e-15)
 
 
 def test_transition_two_mode_hand_value():
     # pi = (1/2, 1/2), v1 = (1,0) gamma 1, v2 = (0,1) gamma e, over [0,1]:
     # second coordinate integrates e^(1-t) giving (e - 1), halved by gating
     theta = MomentumParams([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]], [0.0, 1.0])
-    got = transition(TransitionRequest(theta, 1.0, 0.0))
+    got = displacement(theta, 1.0, 0.0)
     assert_allclose(got, [0.5, 0.5 * (np.e - 1.0)], rtol=1e-15)
     assert_allclose(got[1], 0.8591409142295225, rtol=1e-15)
 
@@ -121,18 +118,8 @@ def test_transition_two_mode_hand_value():
 def test_transition_zero_width_interval():
     rng = np.random.default_rng(4)
     theta = random_theta(rng)
-    got = transition(TransitionRequest(theta, 0.6, 0.6))
+    got = displacement(theta, 0.6, 0.6)
     assert_allclose(got, np.zeros(2), atol=0)
-
-
-def test_transition_request_validates_interval():
-    theta = MomentumParams([1.0], [[1.0, 0.0]], [0.0])
-    with pytest.raises(InvalidIntervalError):
-        TransitionRequest(theta, 0.3, 0.8)   # runs backward
-    with pytest.raises(InvalidIntervalError):
-        TransitionRequest(theta, 1.2, 0.0)   # outside the unit interval
-    with pytest.raises(InvalidIntervalError):
-        TransitionRequest(theta, 1.0, -0.1)
 
 
 def test_transition_matches_quadrature_sweep():
@@ -140,7 +127,7 @@ def test_transition_matches_quadrature_sweep():
     for _ in range(50):
         theta = random_theta(rng, modes=int(rng.integers(1, 7)))
         te, ts = np.sort(rng.uniform(0.0, 1.0, 2))
-        closed = transition(TransitionRequest(theta, float(ts), float(te)))
+        closed = displacement(theta, float(ts), float(te))
         quad = quadrature_displacement(theta, float(ts), float(te))
         assert_allclose(closed, quad, rtol=1e-10, atol=1e-12)
 
