@@ -1,10 +1,10 @@
 """Command line entry points.
 
-    arcflow verify  [--seed N]
+    arcflow verify
     arcflow distill --config PATH [--seed N] [--steps N] [--out DIR]
-    arcflow ablate  [--config PATH] [--seed N] [--out DIR] [--studies a,b]
-    arcflow sample  --checkpoint PATH [--config PATH] [--count N] [--nfe N]
-                    [--baseline PATH] [--out DIR]
+    arcflow ablate  [--config PATH] [--out DIR] [--studies a,b] [--seeds a,b]
+    arcflow sample  --checkpoint PATH [--config PATH] [--seed N] [--count N]
+                    [--nfe N] [--baseline PATH] [--out DIR]
 
 Every subcommand accepts --print-defaults, which prints the default config
 text (the desk-scale reference task) and exits.  verify runs the full
@@ -97,11 +97,14 @@ def cli_ablate(args) -> int:
 
 
 def cli_sample(args) -> int:
+    count = args.count
+    if count < 1:
+        raise InvalidParameterError(f"--count must be >= 1, got {count}")
     cfg = _load_config(args)
     net = StudentNet.load(args.checkpoint)
+    base_net = StudentNet.load(args.baseline) if args.baseline else None
     teacher = harness.build_teacher(cfg)
     nfe = args.nfe if args.nfe is not None else cfg.distill.nfe
-    count = args.count
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
     noise = rng.standard_normal((count, teacher.dim))
@@ -112,8 +115,7 @@ def cli_sample(args) -> int:
     harness.write_trajectory_csv(student, out / "student_trajectories.csv")
     harness.write_trajectory_csv(reference, out / "teacher_trajectories.csv")
     records = [("teacher_200", "#888888", reference)]
-    if args.baseline:
-        base_net = StudentNet.load(args.baseline)
+    if base_net is not None:
         baseline = student_sample(base_net, noise, nfe,
                                   cfg.run.dense_per_shelf)
         harness.write_trajectory_csv(baseline,
@@ -127,12 +129,11 @@ def cli_sample(args) -> int:
     return 0
 
 
-def _add_common(parser):
+def _add_run_flags(parser, seed=True):
     parser.add_argument("--config", help="run config file")
-    parser.add_argument("--seed", type=int, help="override the run seed")
+    if seed:
+        parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--print-defaults", action="store_true",
-                        help="print the default config text and exit")
 
 
 def main(argv=None) -> int:
@@ -142,18 +143,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run all invariant suites")
-    _add_common(p_verify)
+    def add_command(name, summary):
+        # no abbreviations: ablate's --seed would silently mean --seeds
+        command = sub.add_parser(name, help=summary, allow_abbrev=False)
+        command.add_argument("--print-defaults", action="store_true",
+                             help="print the default config text and exit")
+        return command
+
+    p_verify = add_command("verify", "run all invariant suites")
     p_verify.set_defaults(func=cli_verify)
 
-    p_distill = sub.add_parser("distill", help="train and evaluate a student")
-    _add_common(p_distill)
+    p_distill = add_command("distill", "train and evaluate a student")
+    _add_run_flags(p_distill)
     p_distill.add_argument("--steps", type=int,
                            help="override total training steps")
     p_distill.set_defaults(func=cli_distill)
 
-    p_ablate = sub.add_parser("ablate", help="paired-seed ablation studies")
-    _add_common(p_ablate)
+    p_ablate = add_command("ablate", "paired-seed ablation studies")
+    # --seeds sets every cell's seed, so ablate takes no --seed
+    _add_run_flags(p_ablate, seed=False)
     p_ablate.add_argument("--studies",
                           help="comma list from: "
                                + ",".join(harness.ABLATION_STUDIES))
@@ -161,10 +169,10 @@ def main(argv=None) -> int:
                           help="comma list of paired seeds")
     p_ablate.set_defaults(func=cli_ablate)
 
-    p_sample = sub.add_parser("sample", help="roll trajectories from a "
-                                             "checkpoint")
-    _add_common(p_sample)
-    p_sample.add_argument("--checkpoint", required=True)
+    p_sample = add_command("sample", "roll trajectories from a checkpoint")
+    _add_run_flags(p_sample)
+    # required unless --print-defaults, which main checks first
+    p_sample.add_argument("--checkpoint")
     p_sample.add_argument("--baseline",
                           help="optional second checkpoint drawn alongside")
     p_sample.add_argument("--count", type=int, default=8)
@@ -172,9 +180,11 @@ def main(argv=None) -> int:
     p_sample.set_defaults(func=cli_sample)
 
     args = parser.parse_args(argv)
-    if getattr(args, "print_defaults", False):
+    if args.print_defaults:
         print(harness.format_run_config(harness.RunConfig()), end="")
         return 0
+    if args.command == "sample" and args.checkpoint is None:
+        p_sample.error("the following arguments are required: --checkpoint")
     try:
         return args.func(args)
     except ArcFlowError as exc:

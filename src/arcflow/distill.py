@@ -61,15 +61,14 @@ class DistillConfig:
     total_steps: int = 3000
     batch: int = 64
     base_lr: float = 1e-4
-    gamma_range: tuple = (0.4, 5.0)
+    gamma_lo: float = 0.4
+    gamma_hi: float = 5.0
     gamma_mode: str = "learnable"
     share_velocity: bool = False
     share_gamma: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma_range",
-                           tuple(float(g) for g in self.gamma_range))
         if self.nfe < 1 or self.num_modes < 1 or self.n_intermediate < 1:
             raise InvalidParameterError(
                 "nfe, num_modes and n_intermediate must be >= 1"
@@ -79,11 +78,10 @@ class DistillConfig:
         if (self.total_steps < 0 or self.batch < 1
                 or not 0.0 < self.base_lr < math.inf):
             raise InvalidParameterError("bad training config")
-        if len(self.gamma_range) != 2 \
-                or not 0.0 < self.gamma_range[0] < 1.0 < self.gamma_range[1]:
+        if not 0.0 < self.gamma_lo < 1.0 < self.gamma_hi:
             raise InvalidParameterError(
                 f"gamma_range must satisfy 0 < lo < 1 < hi, got "
-                f"{self.gamma_range}"
+                f"{(self.gamma_lo, self.gamma_hi)}"
             )
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)
@@ -117,7 +115,7 @@ def build_student_net(cfg: DistillConfig, dim: int,
                         gamma_mode=cfg.gamma_mode,
                         share_velocity=cfg.share_velocity,
                         share_gamma=cfg.share_gamma,
-                        gamma_range=cfg.gamma_range)
+                        gamma_range=(cfg.gamma_lo, cfg.gamma_hi))
     return StudentNet(net_cfg, seed=init_seed)
 
 
@@ -193,10 +191,6 @@ class AnchorSet:
             raise InvalidParameterError(
                 f"n_cached {self.n_cached} out of range for {n} anchors"
             )
-
-    @property
-    def num_anchors(self) -> int:
-        return self.anchor_times.size
 
 
 def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,

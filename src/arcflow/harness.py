@@ -1,8 +1,10 @@
 """Run configuration, metrics and artifact export.
 
 Config files are plain text with [teacher], [distill] and [run] sections of
-key = value lines; full-line # comments are allowed.  Unknown sections or
-keys are hard errors with the offending line number, as are duplicate keys.
+key = value lines; full-line # comments are allowed.  The sections are the
+fields of RunConfig and their keys the fields of each section's dataclass,
+parsed and written by the type of their defaults.  Unknown sections or keys
+are hard errors with the offending line number, as are duplicate keys.
 The default config IS the desk-scale reference task: an eight-component ring
 mixture in 2-D distilled into a two-evaluation student.
 
@@ -49,6 +51,45 @@ from .teacher import (
 )
 
 
+# -- config text format ----------------------------------------------------------
+
+
+def _parse_bool(text: str) -> bool:
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    return np.array([_parse_float(v) for v in text.replace(",", " ").split()])
+
+
+def _parse_matrix(text: str) -> np.ndarray:
+    rows = [_parse_vector(r) for r in text.split(";") if r.strip()]
+    if not rows or len({r.size for r in rows}) > 1:
+        raise ValueError(f"expected ';'-separated rows of equal length, "
+                         f"got {text!r}")
+    return np.stack(rows)
+
+
+def _teacher_key(default, written_when, check=None):
+    """A [teacher] field that only one layout or kind reads: format_run_config
+    writes it only when written_when = (key, value) holds.  check, for array
+    text kept verbatim, parses the text so a malformed value fails on its
+    own line."""
+    return dataclasses.field(default=default, metadata={
+        "written_when": written_when, "check": check})
+
+
 @dataclass(frozen=True)
 class TeacherConfig:
     """[teacher] section: either a ring layout or an explicit mixture, served
@@ -56,16 +97,19 @@ class TeacherConfig:
 
     kind: str = "analytic"        # analytic | neural
     layout: str = "ring"          # ring | explicit
-    components: int = 8
-    radius: float = 2.0
-    std: float = 0.25
-    dim: int = 2
-    weights: str | None = None    # explicit layout only
-    means: str | None = None
-    stds: str | None = None
-    cfm_steps: int = 2000
-    cfm_batch: int = 128
-    cfm_lr: float = 1e-3
+    components: int = _teacher_key(8, ("layout", "ring"))
+    radius: float = _teacher_key(2.0, ("layout", "ring"))
+    std: float = _teacher_key(0.25, ("layout", "ring"))
+    dim: int = _teacher_key(2, ("layout", "ring"))
+    weights: str | None = _teacher_key(None, ("layout", "explicit"),
+                                       _parse_vector)
+    means: str | None = _teacher_key(None, ("layout", "explicit"),
+                                     _parse_matrix)
+    stds: str | None = _teacher_key(None, ("layout", "explicit"),
+                                    _parse_vector)
+    cfm_steps: int = _teacher_key(2000, ("kind", "neural"))
+    cfm_batch: int = _teacher_key(128, ("kind", "neural"))
+    cfm_lr: float = _teacher_key(1e-3, ("kind", "neural"))
 
     def __post_init__(self):
         if self.kind not in ("analytic", "neural"):
@@ -132,69 +176,37 @@ class MetricsReport:
     wall_time_s: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """Fields as JSON values: a non-finite float, such as the NaN
+        final_loss of a zero-step run, becomes None (JSON null)."""
+        return {key: None if isinstance(value, float)
+                and not math.isfinite(value) else value
+                for key, value in dataclasses.asdict(self).items()}
 
 
-# -- config text format ----------------------------------------------------------
-
-
-def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    return np.array([_parse_float(v) for v in text.replace(",", " ").split()])
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [_parse_vector(r) for r in text.split(";") if r.strip()]
-    if not rows or len({r.size for r in rows}) > 1:
-        raise ValueError(f"expected ';'-separated rows of equal length, "
-                         f"got {text!r}")
-    return np.stack(rows)
-
-
-def _checked(parse):
-    # Schema entry for array text kept verbatim: parsed here only so a
-    # malformed value fails on its own line.
-    def check(text: str) -> str:
-        parse(text)
-        return text
-    return check
-
-
-_SCHEMA = {
-    "teacher": {
-        "kind": str, "layout": str, "components": int, "radius": _parse_float,
-        "std": _parse_float, "dim": int, "weights": _checked(_parse_vector),
-        "means": _checked(_parse_matrix), "stds": _checked(_parse_vector),
-        "cfm_steps": int, "cfm_batch": int, "cfm_lr": _parse_float,
-    },
-    "distill": {
-        "nfe": int, "num_modes": int, "n_intermediate": int,
-        "guidance_steps": int, "total_steps": int, "batch": int,
-        "base_lr": _parse_float, "gamma_lo": _parse_float,
-        "gamma_hi": _parse_float,
-        "gamma_mode": str, "share_velocity": _parse_bool,
-        "share_gamma": _parse_bool, "seed": int,
-    },
-    "run": {
-        "out": str, "metric_samples": int, "trajectory_samples": int,
-        "teacher_steps": int, "dense_per_shelf": int,
-        "export_csv": _parse_bool, "export_svg": _parse_bool,
-    },
+# The text form of a config value, by the type of its field's default:
+# (parse, format).
+_TEXT_FORMS = {
+    int: (int, str),
+    float: (_parse_float, repr),
+    bool: (_parse_bool, lambda value: "true" if value else "false"),
+    str: (str, str),
 }
+
+
+def _text_form(field):
+    check = field.metadata.get("check")
+    if check is None:
+        return _TEXT_FORMS[type(field.default)]
+
+    def parse(text: str) -> str:
+        check(text)
+        return text
+    return parse, str
+
+
+def _written(field, section) -> bool:
+    when = field.metadata.get("written_when")
+    return when is None or getattr(section, when[0]) == when[1]
 
 
 def parse_run_config(text: str, path=None) -> RunConfig:
@@ -202,7 +214,10 @@ def parse_run_config(text: str, path=None) -> RunConfig:
     bad values raise ConfigError carrying the line number.  Values that are
     fine one by one but rejected by their section's config together carry
     the line of that section's header."""
-    sections = {"teacher": {}, "distill": {}, "run": {}}
+    kinds = {s.name: type(s.default) for s in dataclasses.fields(RunConfig)}
+    keys = {name: {f.name: f for f in dataclasses.fields(kind)}
+            for name, kind in kinds.items()}
+    sections = {name: {} for name in kinds}
     headers = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -222,25 +237,18 @@ def parse_run_config(text: str, path=None) -> RunConfig:
             raise ConfigError("key outside any [section]", path, lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        schema = _SCHEMA[current]
-        if key not in schema:
+        if key not in keys[current]:
             raise ConfigError(f"unknown key {key!r} in [{current}]", path, lineno)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
+        parse, _ = _text_form(keys[current][key])
         try:
-            sections[current][key] = schema[key](value)
+            sections[current][key] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", path, lineno)
 
-    dis = sections["distill"]
-    lo = dis.pop("gamma_lo", None)
-    hi = dis.pop("gamma_hi", None)
-    defaults = DistillConfig()
-    dis["gamma_range"] = (lo if lo is not None else defaults.gamma_range[0],
-                          hi if hi is not None else defaults.gamma_range[1])
     built = {}
-    for name, kind in (("teacher", TeacherConfig), ("distill", DistillConfig),
-                       ("run", RunOptions)):
+    for name, kind in kinds.items():
         try:
             built[name] = kind(**sections[name])
         except ArcFlowError as exc:
@@ -249,53 +257,25 @@ def parse_run_config(text: str, path=None) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    return parse_run_config(Path(path).read_text(), path=str(path))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc.strerror}", str(path))
+    return parse_run_config(text, path=str(path))
 
 
 def format_run_config(cfg: RunConfig) -> str:
-    """Emit config text that parses back to an equal RunConfig."""
-    t, d, r = cfg.teacher, cfg.distill, cfg.run
-    lines = ["[teacher]"]
-    lines.append(f"kind = {t.kind}")
-    lines.append(f"layout = {t.layout}")
-    if t.layout == "ring":
-        lines.append(f"components = {t.components}")
-        lines.append(f"radius = {t.radius!r}")
-        lines.append(f"std = {t.std!r}")
-        lines.append(f"dim = {t.dim}")
-    else:
-        lines.append(f"weights = {t.weights}")
-        lines.append(f"means = {t.means}")
-        lines.append(f"stds = {t.stds}")
-    if t.kind == "neural":
-        lines.append(f"cfm_steps = {t.cfm_steps}")
-        lines.append(f"cfm_batch = {t.cfm_batch}")
-        lines.append(f"cfm_lr = {t.cfm_lr!r}")
-    lines.append("")
-    lines.append("[distill]")
-    lines.append(f"nfe = {d.nfe}")
-    lines.append(f"num_modes = {d.num_modes}")
-    lines.append(f"n_intermediate = {d.n_intermediate}")
-    lines.append(f"guidance_steps = {d.guidance_steps}")
-    lines.append(f"total_steps = {d.total_steps}")
-    lines.append(f"batch = {d.batch}")
-    lines.append(f"base_lr = {d.base_lr!r}")
-    lines.append(f"gamma_lo = {d.gamma_range[0]!r}")
-    lines.append(f"gamma_hi = {d.gamma_range[1]!r}")
-    lines.append(f"gamma_mode = {d.gamma_mode}")
-    lines.append(f"share_velocity = {'true' if d.share_velocity else 'false'}")
-    lines.append(f"share_gamma = {'true' if d.share_gamma else 'false'}")
-    lines.append(f"seed = {d.seed}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"out = {r.out}")
-    lines.append(f"metric_samples = {r.metric_samples}")
-    lines.append(f"trajectory_samples = {r.trajectory_samples}")
-    lines.append(f"teacher_steps = {r.teacher_steps}")
-    lines.append(f"dense_per_shelf = {r.dense_per_shelf}")
-    lines.append(f"export_csv = {'true' if r.export_csv else 'false'}")
-    lines.append(f"export_svg = {'true' if r.export_svg else 'false'}")
-    lines.append("")
+    """Emit config text: each section's fields as key = value lines, in
+    field order.  A [teacher] key that the config's layout or kind does not
+    read is left out, so it parses back as its default; the text parses
+    back to an equal RunConfig when every left-out key holds its default."""
+    lines = []
+    for section in dataclasses.fields(RunConfig):
+        values = getattr(cfg, section.name)
+        lines.append(f"[{section.name}]")
+        lines += [f"{f.name} = {_text_form(f)[1](getattr(values, f.name))}"
+                  for f in dataclasses.fields(values) if _written(f, values)]
+        lines.append("")
     return "\n".join(lines)
 
 

@@ -117,19 +117,14 @@ class StudentNet:
 
         if config.gamma_mode == "frozen_one":
             self.frozen_log_gammas = np.zeros(config.gamma_dim)
-            self.anchor_index = 0 if not config.share_gamma else None
+            anchor = 0 if not config.share_gamma else None
         elif config.share_gamma:
             self.frozen_log_gammas = np.zeros(1)
-            self.anchor_index = None
+            anchor = None
         else:
-            logs, anchor = init_log_gammas(config.num_modes,
-                                           *config.gamma_range)
-            self.frozen_log_gammas = logs
-            self.anchor_index = anchor
-
-        self._anchor_mask = np.ones(config.gamma_dim)
-        if self.anchor_index is not None and not config.share_gamma:
-            self._anchor_mask[self.anchor_index] = 0.0
+            self.frozen_log_gammas, anchor = init_log_gammas(
+                config.num_modes, *config.gamma_range)
+        self._pin_anchor(anchor)
 
         rng = np.random.default_rng(seed)
         widths = [config.feature_dim, *config.hidden]
@@ -138,6 +133,14 @@ class StudentNet:
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(widths[i]), w.shape)
         vel_w = self.view("vel_w")
         vel_w[...] = rng.normal(0.0, 1.0 / np.sqrt(widths[-1]), vel_w.shape)
+
+    def _pin_anchor(self, anchor_index):
+        """Pin a per-mode gamma head's anchor mode (None: no pinned mode):
+        the mask zeroes that mode's learned log gamma offset."""
+        self.anchor_index = anchor_index
+        self._anchor_mask = np.ones(self.config.gamma_dim)
+        if anchor_index is not None and not self.config.share_gamma:
+            self._anchor_mask[anchor_index] = 0.0
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -342,8 +345,12 @@ class StudentNet:
 
     @classmethod
     def load(cls, path) -> "StudentNet":
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise CheckpointFormatError(
+                f"cannot read checkpoint {path}: {exc.strerror}")
         pos = 0
 
         def take(fmt):
@@ -406,10 +413,7 @@ class StudentNet:
             )
         net.params[:] = params
         net.frozen_log_gammas = frozen.astype(float).copy()
-        net.anchor_index = None if anchor < 0 else int(anchor)
-        net._anchor_mask = np.ones(cfg.gamma_dim)
-        if net.anchor_index is not None and not cfg.share_gamma:
-            net._anchor_mask[net.anchor_index] = 0.0
+        net._pin_anchor(None if anchor < 0 else int(anchor))
         return net
 
 

@@ -103,10 +103,12 @@ def test_config_rejects_non_finite_learning_rate(base_lr):
 
 
 @pytest.mark.parametrize("gamma_range", [(2.0, 5.0), (0.0, 5.0), (0.4, 1.0),
-                                         (0.4, float("nan")), (0.4,)])
+                                         (0.4, float("nan"))])
 def test_config_rejects_bad_gamma_range(gamma_range):
-    with pytest.raises(InvalidParameterError):
-        DistillConfig(gamma_range=gamma_range)
+    lo, hi = gamma_range
+    with pytest.raises(InvalidParameterError) as err:
+        DistillConfig(gamma_lo=lo, gamma_hi=hi)
+    assert "gamma_range" in str(err.value)
 
 
 def test_linear_baseline_strips_momentum_machinery():
@@ -136,7 +138,7 @@ def test_training_streams_deterministic_and_distinct():
 
 def test_build_student_net_mirrors_config():
     cfg = DistillConfig(num_modes=4, gamma_mode="fixed", share_velocity=True,
-                        gamma_range=(0.5, 4.0), seed=3)
+                        gamma_lo=0.5, gamma_hi=4.0, seed=3)
     net = build_student_net(cfg, dim=2)
     assert net.config.num_modes == 4
     assert net.config.gamma_mode == "fixed"

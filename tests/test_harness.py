@@ -87,7 +87,7 @@ def test_format_parse_round_trip_modified():
     cfg = RunConfig(
         teacher=TeacherConfig(components=4, radius=1.5, std=0.1),
         distill=DistillConfig(nfe=4, num_modes=16, total_steps=123,
-                              base_lr=3e-4, gamma_range=(0.5, 4.0),
+                              base_lr=3e-4, gamma_lo=0.5, gamma_hi=4.0,
                               gamma_mode="fixed", share_velocity=True,
                               seed=77),
         run=RunOptions(out="runs/x", metric_samples=256, export_svg=False),
@@ -112,6 +112,108 @@ def test_format_parse_round_trip_neural_teacher():
     cfg = RunConfig(teacher=TeacherConfig(kind="neural", cfm_steps=50,
                                           cfm_batch=32, cfm_lr=2e-3))
     assert parse_run_config(format_run_config(cfg)) == cfg
+
+
+# The default config text as the formatter has always written it; the file
+# format and config_hash must not drift.
+DEFAULT_CONFIG_TEXT = """\
+[teacher]
+kind = analytic
+layout = ring
+components = 8
+radius = 2.0
+std = 0.25
+dim = 2
+
+[distill]
+nfe = 2
+num_modes = 8
+n_intermediate = 4
+guidance_steps = 500
+total_steps = 3000
+batch = 64
+base_lr = 0.0001
+gamma_lo = 0.4
+gamma_hi = 5.0
+gamma_mode = learnable
+share_velocity = false
+share_gamma = false
+seed = 0
+
+[run]
+out = runs/ref
+metric_samples = 2048
+trajectory_samples = 16
+teacher_steps = 100
+dense_per_shelf = 16
+export_csv = true
+export_svg = true
+"""
+DEFAULT_TAIL = DEFAULT_CONFIG_TEXT[DEFAULT_CONFIG_TEXT.index("\n[distill]"):]
+
+
+@pytest.mark.parametrize("teacher,head", [
+    (TeacherConfig(layout="explicit", weights="0.3, 0.7",
+                   means="1.0, -2.0; -0.5, 0.5", stds="0.4, 0.8"),
+     "kind = analytic\nlayout = explicit\nweights = 0.3, 0.7\n"
+     "means = 1.0, -2.0; -0.5, 0.5\nstds = 0.4, 0.8\n"),
+    (TeacherConfig(kind="neural", cfm_steps=50, cfm_batch=32, cfm_lr=2e-3),
+     "kind = neural\nlayout = ring\ncomponents = 8\nradius = 2.0\n"
+     "std = 0.25\ndim = 2\ncfm_steps = 50\ncfm_batch = 32\n"
+     "cfm_lr = 0.002\n"),
+], ids=["explicit", "neural"])
+def test_format_run_config_text_is_pinned(teacher, head):
+    text = format_run_config(RunConfig(teacher=teacher))
+    assert text == "[teacher]\n" + head + DEFAULT_TAIL
+
+
+def test_default_config_hash_is_pinned():
+    assert config_hash(RunConfig()) == "fc05a8c9ed7c9942"
+
+
+# A value other than the default for each str-typed key, and the explicit
+# layout's keys, which are set together.
+NON_DEFAULT_TEXT = {"kind": "neural", "layout": "explicit",
+                    "weights": "0.25 0.75", "means": "1 0; 0 1",
+                    "stds": "0.5 0.5", "gamma_mode": "fixed",
+                    "out": "runs/elsewhere"}
+EXPLICIT_KEYS = ("layout", "weights", "means", "stds")
+
+
+def _non_default(field):
+    """(text, value) of a valid value other than the field's default."""
+    if field.name in NON_DEFAULT_TEXT:
+        return NON_DEFAULT_TEXT[field.name], NON_DEFAULT_TEXT[field.name]
+    default = field.default
+    if isinstance(default, bool):
+        return ("false", False) if default else ("true", True)
+    if isinstance(default, int):
+        return str(default + 1), default + 1
+    if isinstance(default, float):
+        return repr(default / 2), default / 2
+    raise AssertionError(f"no non-default value for config key {field.name!r}")
+
+
+def test_every_config_field_parses_back_and_round_trips():
+    # Loops over the dataclass fields, so a key added later is covered too.
+    for section in dataclasses.fields(RunConfig):
+        keys = dataclasses.fields(section.default)
+        for field in keys:
+            names = EXPLICIT_KEYS if field.name in EXPLICIT_KEYS \
+                else (field.name,)
+            lines = [f"[{section.name}]"] + [
+                f"{key.name} = {_non_default(key)[0]}"
+                for key in keys if key.name in names]
+            when = field.metadata.get("written_when")
+            if when is not None and when[0] not in names:
+                lines.append(f"{when[0]} = {when[1]}")
+            cfg = parse_run_config("\n".join(lines) + "\n")
+            text, value = _non_default(field)
+            parsed = getattr(getattr(cfg, section.name), field.name)
+            assert parsed == value != field.default, field.name
+            formatted = format_run_config(cfg)
+            assert f"\n{field.name} = {text}\n" in formatted, field.name
+            assert parse_run_config(formatted) == cfg, field.name
 
 
 def test_unknown_section_reports_line():
@@ -199,12 +301,13 @@ def test_gamma_range_out_of_order_fails_at_parse_with_line():
 
 
 def test_gamma_range_keys_merge_with_defaults():
-    cfg = parse_run_config("[distill]\ngamma_lo = 0.5\n")
-    assert cfg.distill.gamma_range == (0.5, 5.0)
-    cfg = parse_run_config("[distill]\ngamma_hi = 4.0\n")
-    assert cfg.distill.gamma_range == (0.4, 4.0)
-    cfg = parse_run_config("[distill]\ngamma_lo = 0.5\ngamma_hi = 4.0\n")
-    assert cfg.distill.gamma_range == (0.5, 4.0)
+    def bounds(text):
+        cfg = parse_run_config(text)
+        return cfg.distill.gamma_lo, cfg.distill.gamma_hi
+
+    assert bounds("[distill]\ngamma_lo = 0.5\n") == (0.5, 5.0)
+    assert bounds("[distill]\ngamma_hi = 4.0\n") == (0.4, 4.0)
+    assert bounds("[distill]\ngamma_lo = 0.5\ngamma_hi = 4.0\n") == (0.5, 4.0)
 
 
 def test_bool_values_are_strict():
@@ -707,6 +810,14 @@ def test_cli_distill_zero_steps(tmp_path, capsys):
     assert len(lines) == 1  # header only
     capsys.readouterr()
 
+    def not_json(name):
+        raise ValueError(f"{name} is not JSON")
+
+    # no loss was recorded: final_loss is null, not the non-JSON NaN
+    metrics = json.loads((out / "metrics.json").read_text(),
+                         parse_constant=not_json)
+    assert metrics["final_loss"] is None
+
 
 def test_cli_seed_override_changes_hash(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path)
@@ -808,7 +919,6 @@ def test_cli_bad_seed_or_study_exits_two_before_training(monkeypatch,
 
 
 def test_cli_missing_checkpoint_exits_two(tmp_path, capsys):
-    # a nonexistent path surfaces as an OSError, which is not swallowed;
     # a structurally broken checkpoint must exit through the error path
     path = tmp_path / "broken.ckpt"
     path.write_bytes(b"NOTAFLOWxxxxxxxxxxxxxxxx")
@@ -816,3 +926,74 @@ def test_cli_missing_checkpoint_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "distill", "ablate", "sample"])
+def test_cli_print_defaults_text_is_pinned(command, capsys):
+    assert main([command, "--print-defaults"]) == 0
+    assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--seed", "5"],
+    ["verify", "--seed", "3"],
+    ["verify", "--config", "nothing"],
+    ["verify", "--out", "somewhere"],
+])
+def test_cli_rejects_flags_the_command_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_sample_requires_checkpoint(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sample"])
+    assert exit_.value.code == 2
+    assert "required: --checkpoint" in capsys.readouterr().err
+
+
+def _cli_error_line(argv, capsys) -> str:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+def _saved_student(tmp_path):
+    from arcflow import build_student_net
+
+    path = tmp_path / "student.ckpt"
+    build_student_net(DistillConfig(num_modes=2), dim=2).save(path)
+    return path
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_cli_sample_count_below_one_exits_two(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    line = _cli_error_line(["sample", "--checkpoint",
+                            str(_saved_student(tmp_path)), "--count", count,
+                            "--out", str(out)], capsys)
+    assert "--count" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["distill", "--config", "{missing}"],
+    ["ablate", "--config", "{missing}"],
+    ["sample", "--checkpoint", "{missing}"],
+    ["sample", "--checkpoint", "{student}", "--baseline", "{missing}"],
+])
+def test_cli_missing_file_exits_two(monkeypatch, tmp_path, capsys, argv):
+    counts = _count_calls(monkeypatch, "distill_train", "build_teacher")
+    missing = tmp_path / "nope.file"
+    student = _saved_student(tmp_path)
+    argv = [arg.format(missing=missing, student=student) for arg in argv]
+    out = tmp_path / "out"
+    line = _cli_error_line(argv + ["--out", str(out)], capsys)
+    assert str(missing) in line
+    assert counts == {"distill_train": 0, "build_teacher": 0}
+    assert not out.exists()
