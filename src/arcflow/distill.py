@@ -11,15 +11,16 @@ One training step:
    anchor times and roll each out with the mixed rule: integrate the teacher
    velocity (held constant, one Euler segment) from the sub-interval start
    down to the switching time t_sw = lam * start + (1 - lam) * end, then take
-   the closed-form momentum step for the remainder.  At lam = 1 there is no
-   teacher segment: the rollout is the student's closed-form chain alone,
-   computed in one batched pass.  Anchors are recorded as fixed arrays, so
-   gradients never flow through the rollout.
+   the closed-form momentum step for the remainder.  Every closed-form
+   segment comes from one batched pass.  At lam = 1 there is no teacher
+   segment: the rollout is the student's closed-form chain alone.  Anchors
+   are recorded as fixed arrays, so gradients never flow through the
+   rollout.
 5. Match the mixture's instantaneous velocity at every anchor time against
    the teacher's velocity at the anchor state; squared error averaged over
-   anchors, batch and coordinates.  Teacher velocities computed during the
-   rollout are reused as targets at the anchors where they were evaluated;
-   at lam = 1 the rollout evaluates the teacher once, on every anchor state.
+   anchors, batch and coordinates.  The rollout evaluates the teacher at
+   every anchor state, and at lam = 1 in one call, so the loss calls no
+   teacher.
 6. Adam step.  lam ramps linearly from 0 (anchors follow the teacher) to 1
    (anchors follow the student's own closed-form rollout) over
    guidance_steps and stays at 1 afterwards.
@@ -46,7 +47,8 @@ from .errors import (
 from .momentum import LatentState, MomentumParams
 from .nnet import MomentumParamGrads, NetConfig, StudentNet, adam_step, \
     init_optim_state
-from .solver import _anchored_chain, sub_interval_displacement
+from .solver import _anchored_rows, _check_intervals, \
+    sub_interval_displacement
 from .teacher import TrajectoryRecord
 
 
@@ -152,15 +154,12 @@ def init_shelf_state(teacher, rng: np.random.Generator, t_src: float,
 
 @dataclass(frozen=True)
 class AnchorSet:
-    """One shelf's rollout: anchor times/states plus the teacher velocities
-    already evaluated at anchors during the rollout.
+    """One shelf's rollout: anchor times and states, the teacher velocity at
+    every anchor state, and optionally theta's powers gamma**(1 - t_j) at
+    the anchor times.
 
-    teacher_velocities rows at and beyond n_cached are NaN placeholders for
-    the loss to fill itself.  A rollout with a teacher segment (lam < 1)
-    never needs the teacher at the final anchor and caches all rows but that
-    one; the lam = 1 rollout evaluates the teacher on every anchor state and
-    caches all rows.  All arrays are plain values: nothing here carries
-    gradients, which is what detaching the anchors means in this codebase.
+    All arrays are plain values: nothing here carries gradients, which is
+    what detaching the anchors means in this codebase.
     """
 
     t_start: float
@@ -168,8 +167,8 @@ class AnchorSet:
     theta: MomentumParams          # bundle used for the student segments
     anchor_times: np.ndarray       # (n,) strictly decreasing, <= t_start
     anchor_states: np.ndarray      # (n, B, D)
-    teacher_velocities: np.ndarray  # (n, B, D); rows >= n_cached are NaN
-    n_cached: int
+    teacher_velocities: np.ndarray  # (n, B, D)
+    gamma_powers: np.ndarray | None = None  # (n, B, K) of theta, or None
 
     def __post_init__(self):
         times = np.asarray(self.anchor_times, dtype=float)
@@ -187,10 +186,6 @@ class AnchorSet:
         n = times.size
         if states.shape[0] != n or self.teacher_velocities.shape != states.shape:
             raise InvalidParameterError("anchor array shapes disagree")
-        if not 0 <= self.n_cached <= n:
-            raise InvalidParameterError(
-                f"n_cached {self.n_cached} out of range for {n} anchors"
-            )
 
 
 def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
@@ -198,43 +193,50 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     """Roll a batch from t_start through the anchor times with the mixed
     teacher/student rule described in the module docstring.
 
+    Sub-interval j runs from t_(j-1) (t_start for j = 0) through the
+    switching time s_j = lam * t_(j-1) + (1 - lam) * t_j to t_j; its
+    student segment is sub_interval_displacement(theta, s_j, t_j).  All
+    the D(1, .) those segments need, and the powers gamma**(1 - t_j) the
+    loss needs, come from one batched pass before the rollout.
+
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
-    has no teacher segment: the anchors are the closed-form chain
-    x_j = x_(j-1) - (D(1, t_j) - D(1, t_(j-1))), the steps
-    sub_interval_displacement takes, with D(1, .) at t_start and every
-    anchor time from one batched pass.  The teacher is then evaluated on
-    every anchor state and every row is cached: in one call with per-row
+    has no teacher segment: the anchors are the closed-form chain, and the
+    teacher is then evaluated on every anchor state in one call with per-row
     times when the teacher computes each row on its own (a true _rowwise
     attribute, as on AnalyticGmmTeacher), else once per anchor.  Either way
-    the result has the bits of the sequential rule at lam = 1.
+    the result has the bits of the sequential rule.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise InvalidParameterError(f"lambda {lam} outside [0, 1]")
-    x_src = x = np.array(x_start, dtype=float)
-    t_prev = float(t_start)
+    x_src = np.array(x_start, dtype=float)
+    t_start = float(t_start)
     times = np.asarray(anchor_times, dtype=float)
     n = times.size
+    t_prev = np.concatenate(([t_start], times[:-1]))
+    t_sw = lam * t_prev + (1.0 - lam) * times
+    _check_intervals(t_sw, times)
     if lam == 1.0:
-        return _closed_form_rollout(x_src, t_prev, theta, times, teacher)
-
-    anchors = np.empty((n,) + x.shape)
-    cache = np.full((n,) + x.shape, np.nan)
-    u_prev = teacher.velocity(x, t_prev)
-    for j in range(n):
-        t_next = float(times[j])
-        t_sw = lam * t_prev + (1.0 - lam) * t_next
-        x = x - u_prev * (t_prev - t_sw)
-        x = x - sub_interval_displacement(theta, t_sw, t_next)
-        if not np.isfinite(x).all():
-            raise _non_finite_state(j, t_prev, t_next)
-        anchors[j] = x
-        if j < n - 1:
-            u_prev = teacher.velocity(x, t_next)
-            cache[j] = u_prev
-        t_prev = t_next
-    return AnchorSet(float(t_start), x_src, theta, times, anchors, cache,
-                     n_cached=n - 1)
+        # s_j = t_(j-1): one row per time of the chain t_start -> t_1 -> ...
+        disp, powers = _anchored_rows(theta, np.concatenate(([t_start],
+                                                             times)))
+        powers = powers[1:]
+        anchors, targets = _closed_form_rollout(x_src, t_prev, times,
+                                                disp[1:] - disp[:-1], teacher)
+    else:
+        disp, powers = _anchored_rows(theta, np.concatenate((times, t_sw)))
+        powers, steps = powers[:n], disp[:n] - disp[n:]
+        anchors = np.empty((n,) + x_src.shape)
+        targets = np.empty_like(anchors)
+        x, u = x_src, teacher.velocity(x_src, t_start)
+        for j in range(n):
+            x = x - u * (t_prev[j] - t_sw[j])
+            x = x - steps[j]
+            if not np.isfinite(x).all():
+                raise _non_finite_state(j, t_prev[j], times[j])
+            anchors[j] = x
+            u = targets[j] = teacher.velocity(x, float(times[j]))
+    return AnchorSet(t_start, x_src, theta, times, anchors, targets, powers)
 
 
 def _non_finite_state(j, t_prev, t_next) -> NumericError:
@@ -243,20 +245,17 @@ def _non_finite_state(j, t_prev, t_next) -> NumericError:
     )
 
 
-def _closed_form_rollout(x_src, t_start, theta, times, teacher) -> AnchorSet:
-    # The lam = 1 branch of mixed_integration.
-    grid = np.concatenate(([t_start], times))
-    disp = _anchored_chain(theta, grid)                 # (n + 1, ..., D)
-    steps = disp[1:] - disp[:-1]
+def _closed_form_rollout(x_src, t_prev, times, steps, teacher):
+    # The lam = 1 branch of mixed_integration: the chain
+    # x_j = x_(j-1) - steps[j], then the teacher on every anchor.
     anchors = np.empty((times.size,) + x_src.shape)
     x = x_src
     for j, step in enumerate(steps):
-        x = x - step
-        anchors[j] = x
+        x = anchors[j] = x - step
     if not np.isfinite(anchors).all():
         j = next(j for j in range(times.size)
                  if not np.isfinite(anchors[j]).all())
-        raise _non_finite_state(j, grid[j], grid[j + 1])
+        raise _non_finite_state(j, t_prev[j], times[j])
     if getattr(teacher, "_rowwise", False):
         rows = anchors.reshape(-1, anchors.shape[-1])
         row_times = np.repeat(times, x_src.size // x_src.shape[-1])
@@ -264,37 +263,28 @@ def _closed_form_rollout(x_src, t_start, theta, times, teacher) -> AnchorSet:
     else:
         targets = np.stack([teacher.velocity(state, float(t))
                             for state, t in zip(anchors, times)])
-    return AnchorSet(t_start, x_src, theta, times, anchors, targets,
-                     n_cached=times.size)
+    return anchors, targets
 
 
-def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet,
-                           teacher):
+def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet):
     """Mean squared velocity mismatch at the anchors, plus its closed-form
     gradient with respect to theta's fields.
 
     The student side evaluates the bundle predicted at the shelf start at
-    each anchor time (velocities extrapolate, they are not re-predicted).
-    Teacher targets come from the rollout cache where available; only the
-    final anchor needs a fresh teacher evaluation.  Anchor states enter as
+    each anchor time (velocities extrapolate, they are not re-predicted);
+    the gamma powers come from the rollout when theta is the bundle it used.
+    Targets are the rollout's teacher velocities.  Anchor states enter as
     constants, so the gradient sees only the explicit dependence on theta.
     """
     times = anchors.anchor_times
-    states = anchors.anchor_states
-    n, batch, dim = states.shape
-
     expo = (1.0 - times)[:, None, None]                         # (n,1,1)
-    gpow = np.exp(expo * theta.log_gammas[None])                # (n,B,K)
+    gpow = anchors.gamma_powers                                 # (n,B,K)
+    if gpow is None or theta is not anchors.theta:
+        gpow = np.exp(expo * theta.log_gammas[None])
     v_student = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
                           theta.base_velocities)
 
-    targets = anchors.teacher_velocities
-    if anchors.n_cached < n:
-        targets = targets.copy()
-        for j in range(anchors.n_cached, n):
-            targets[j] = teacher.velocity(states[j], float(times[j]))
-
-    diff = v_student - targets
+    diff = v_student - anchors.teacher_velocities
     loss = float(np.mean(diff * diff))
     if not np.isfinite(loss):
         raise NumericError("non-finite velocity matching loss")
@@ -341,7 +331,7 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
                 theta = net.forward(state0.x, t_src)
                 anchors = mixed_integration(state0.x, t_src, theta, times,
                                             lam, teacher)
-                loss, grad = velocity_matching_loss(theta, anchors, teacher)
+                loss, grad = velocity_matching_loss(theta, anchors)
                 net.zero_grads()
                 net.backward(grad)
                 adam_step(net, opt, cfg.base_lr)

@@ -75,6 +75,12 @@ class MomentumParams:
         bundle._check_finite()
         return bundle
 
+    def __getstate__(self):
+        # sub_interval_displacement's kept disp(1, t) is not bundle state.
+        state = self.__dict__.copy()
+        state.pop("_anchored_at", None)
+        return state
+
     def _check_finite(self):
         if not (np.isfinite(self.gating).all()
                 and np.isfinite(self.base_velocities).all()

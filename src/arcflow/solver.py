@@ -42,12 +42,16 @@ LN_GAMMA_EPS = 1e-6
 
 def _coefficients_from_log(log_gammas, t_start, t_end):
     # Integral of gamma**(1-t) over [t_end, t_start], computed from ln gamma.
-    # Linear-limit branch for |ln gamma| < LN_GAMMA_EPS.
     lg = np.asarray(log_gammas, dtype=float)
-    linear = np.abs(lg) < LN_GAMMA_EPS
-    safe = np.where(linear, 1.0, lg)
     expo = np.exp((1.0 - t_end) * lg) - np.exp((1.0 - t_start) * lg)
-    return np.where(linear, t_start - t_end, expo / safe)
+    return _divide_by_log(lg, expo, t_start - t_end)
+
+
+def _divide_by_log(lg, expo, elapsed):
+    # expo / ln gamma, or the linear limit elapsed for |ln gamma| below
+    # LN_GAMMA_EPS.
+    linear = np.abs(lg) < LN_GAMMA_EPS
+    return np.where(linear, elapsed, expo / np.where(linear, 1.0, lg))
 
 
 def momentum_coefficient(gamma, t_start, t_end):
@@ -118,34 +122,51 @@ def sub_interval_displacement(theta: MomentumParams, t_hi, t_lo) -> np.ndarray:
 
     Anchoring every sub-step at t = 1 makes compositions over adjacent
     sub-intervals telescope, so chained partial steps land where the single
-    full step does up to a few ulps.
+    full step does up to a few ulps.  With scalar times the bundle keeps the
+    disp(1, t_lo) of its last call, so a chain whose next call starts at
+    that t_lo computes each anchored displacement once; the bundle's arrays
+    are read-only, so the kept value has the bits a new pass would give.
     """
     t_hi = np.asarray(t_hi, dtype=float)
     t_lo = np.asarray(t_lo, dtype=float)
+    _check_intervals(t_hi, t_lo)
+    if t_hi.ndim or t_lo.ndim:
+        return displacement(theta, 1.0, t_lo) - displacement(theta, 1.0, t_hi)
+    kept = theta.__dict__.get("_anchored_at")
+    if kept is not None and kept[0] == t_hi:
+        d_lo, d_hi = _anchored_rows(theta, t_lo[None])[0][0], kept[1]
+    else:
+        d_lo, d_hi = _anchored_rows(theta, np.stack((t_lo, t_hi)))[0]
+    object.__setattr__(theta, "_anchored_at", (float(t_lo), d_lo))
+    return d_lo - d_hi
+
+
+def _check_intervals(t_hi, t_lo):
     if (t_lo < 0.0).any() or (t_lo > t_hi).any() or (t_hi > 1.0).any():
         raise InvalidIntervalError(
             f"need 0 <= t_lo <= t_hi <= 1, got ({t_hi}, {t_lo})"
         )
-    return displacement(theta, 1.0, t_lo) - displacement(theta, 1.0, t_hi)
 
 
-def _anchored_chain(theta: MomentumParams, grid) -> np.ndarray:
-    """disp(1, t) at every time of a non-increasing grid, stacked on a new
-    leading axis, from one coefficient pass and one einsum.
+def _anchored_rows(theta: MomentumParams, times) -> tuple:
+    """disp(1, t) and gamma**(1 - t) at every time of a 1-D array, each
+    stacked on a new leading axis.  The caller validates the times.
 
-    Row j equals displacement(theta, 1.0, grid[j]) bit for bit, so
-    differences of consecutive rows are exactly the sub_interval_displacement
-    steps of the chain grid[0] -> grid[1] -> ...
+    Row j of the displacements equals displacement(theta, 1.0, times[j])
+    bit for bit: each row gets its own einsum over the same (..., K) layout,
+    and the coefficient's exp((1 - 1) ln gamma) term, which is exactly 1 for
+    the finite ln gamma every bundle holds, is not computed.
     """
-    grid = np.asarray(grid, dtype=float)
-    if (grid < 0.0).any() or (grid > 1.0).any() or (np.diff(grid) > 0.0).any():
-        raise InvalidIntervalError(
-            f"need a non-increasing time chain inside [0, 1], got {grid}"
-        )
-    t_end = grid.reshape(grid.shape + (1,) * theta.gating.ndim)
-    coeffs = _coefficients_from_log(theta.log_gammas, 1.0, t_end)
-    weights = theta.gating * coeffs
-    return np.einsum("...k,...kd->...d", weights, theta.base_velocities)
+    times = np.asarray(times, dtype=float)
+    t_end = times.reshape(times.shape + (1,) * theta.gating.ndim)
+    lg = theta.log_gammas
+    powers = np.exp((1.0 - t_end) * lg)
+    weights = theta.gating * _divide_by_log(lg, powers - 1.0, 1.0 - t_end)
+    disp = np.empty(times.shape + theta.base_velocities.shape[:-2]
+                    + (theta.dim,))
+    for w, out in zip(weights, disp):
+        np.einsum("...k,...kd->...d", w, theta.base_velocities, out=out)
+    return disp, powers
 
 
 def quadrature_displacement(theta: MomentumParams, t_start, t_end,

@@ -80,9 +80,12 @@ class GmmTeacherSpec:
             raise InvalidProblemError(
                 f"component stds must be >= {STD_FLOOR}"
             )
-        # Constants of gmm_velocity, computed once per spec.
+        # Constants of gmm_velocity and sample_data, computed once per spec.
         object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_variances", sd ** 2)
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "_cdf", cdf)
 
     @property
     def num_components(self) -> int:
@@ -110,8 +113,10 @@ def ring_spec(components=8, radius=2.0, std=0.25, dim=2) -> GmmTeacherSpec:
 def sample_data(spec: GmmTeacherSpec, rng: np.random.Generator,
                 count: int) -> np.ndarray:
     """Draw count samples from the mixture; component choice first, then the
-    Gaussian draws, so consumers relying on stream position stay stable."""
-    idx = rng.choice(spec.num_components, size=count, p=spec.weights)
+    Gaussian draws, so consumers relying on stream position stay stable.
+    The component draw is Generator.choice(J, size=count, p=weights) done
+    with the spec's stored CDF: the same uniforms and the same indices."""
+    idx = spec._cdf.searchsorted(rng.random(count), side="right")
     noise = rng.standard_normal((count, spec.dim))
     return spec.means[idx] + spec.stds[idx][:, None] * noise
 
@@ -125,23 +130,25 @@ def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    a = 1.0 - t
-    b = t
-    # shapes: append a component axis j
-    a_j = a[..., None]
-    b_j = b[..., None]
+    # append a component axis j; a scalar t keeps every (J,) term a vector
+    a_j = 1.0 - t[..., None]
+    b_j = t[..., None]
     sig2 = spec._variances
-    var = a_j ** 2 * sig2 + b_j ** 2                     # (..., J)
+    var = a_j * a_j * sig2 + b_j * b_j                   # (..., J)
     diff = x[..., None, :] - a_j[..., None] * spec.means  # (..., J, D)
-    sq = np.einsum("...jd,...jd->...j", diff, diff)
-    log_r = (spec._log_weights - 0.5 * sq / var
-             - 0.5 * spec.dim * np.log(var))
-    log_r = log_r - log_r.max(axis=-1, keepdims=True)
-    resp = np.exp(log_r)
+    log_r = np.einsum("...jd,...jd->...j", diff, diff)
+    # in place, in the operation order of
+    # log w - 0.5 sq / var - 0.5 D log var, then the max shift
+    log_r *= 0.5
+    log_r /= var
+    np.subtract(spec._log_weights, log_r, out=log_r)
+    log_r -= 0.5 * spec.dim * np.log(var)
+    log_r -= log_r.max(axis=-1, keepdims=True)
+    resp = np.exp(log_r, out=log_r)
     resp /= resp.sum(axis=-1, keepdims=True)
-    coef = (b_j - a_j * sig2) / var                      # (..., J)
-    comp_vel = coef[..., None] * diff - spec.means       # (..., J, D)
-    return np.einsum("...j,...jd->...d", resp, comp_vel)
+    diff *= ((b_j - a_j * sig2) / var)[..., None]       # coef * diff
+    diff -= spec.means
+    return np.einsum("...j,...jd->...d", resp, diff)
 
 
 class AnalyticGmmTeacher:

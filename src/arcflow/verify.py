@@ -206,9 +206,9 @@ def exact_interpolation_suite(seed=1004, haar_draws=1000) -> SuiteResult:
         f"{singular}/{haar_draws} singular draws", elapsed)
 
 
-def _fixed_anchor_loss(net, teacher, anchors, x_src, t_src):
+def _fixed_anchor_loss(net, anchors, x_src, t_src):
     theta = net.forward(x_src, t_src)
-    loss, grads = velocity_matching_loss(theta, anchors, teacher)
+    loss, grads = velocity_matching_loss(theta, anchors)
     net.zero_grads()
     net.backward(grads)
     return loss, net.grads
@@ -235,7 +235,7 @@ def gradient_suite(probes=100, seed=1005) -> SuiteResult:
 
     worst = grad_check(
         net,
-        lambda n: _fixed_anchor_loss(n, teacher, anchors, state0.x, t_src),
+        lambda n: _fixed_anchor_loss(n, anchors, state0.x, t_src),
         probes=probes, h=1e-5, rng=np.random.default_rng(seed + 1),
     )
     elapsed = time.perf_counter() - started

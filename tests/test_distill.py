@@ -1,6 +1,7 @@
 """Distillation loop pieces: shelf sampling, mixed rollouts, the matching
 loss and its closed-form gradient, few-step sampling."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from arcflow import (
     NumericError,
     StudentNet,
     build_student_net,
+    displacement,
     distill_train,
     init_shelf_state,
     lambda_at,
@@ -229,33 +231,33 @@ def test_init_shelf_state_midpoint_mean():
 def anchor_arrays(n=3, batch=2, dim=2):
     times = np.linspace(0.9, 0.5, n)
     states = np.zeros((n, batch, dim))
-    cache = np.full((n, batch, dim), np.nan)
-    return times, states, cache
+    targets = np.ones((n, batch, dim))
+    return times, states, targets
 
 
 def test_anchor_set_requires_decreasing_times():
-    times, states, cache = anchor_arrays()
+    times, states, targets = anchor_arrays()
     theta = single_mode_theta([1.0, 0.0])
-    AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, cache, 2)
+    AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, targets)
     with pytest.raises(InvalidParameterError):
         AnchorSet(1.0, np.zeros((2, 2)), theta, times[::-1].copy(), states,
-                  cache, 2)
+                  targets)
 
 
 def test_anchor_set_times_must_fit_under_start():
-    times, states, cache = anchor_arrays()
+    times, states, targets = anchor_arrays()
     theta = single_mode_theta([1.0, 0.0])
     with pytest.raises(InvalidIntervalError):
-        AnchorSet(0.8, np.zeros((2, 2)), theta, times, states, cache, 2)
+        AnchorSet(0.8, np.zeros((2, 2)), theta, times, states, targets)
 
 
 def test_anchor_set_shape_and_cache_validation():
-    times, states, cache = anchor_arrays()
+    times, states, targets = anchor_arrays()
     theta = single_mode_theta([1.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states[:2], cache, 2)
+        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states[:2], targets)
     with pytest.raises(InvalidParameterError):
-        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, cache, 7)
+        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, targets[:, :1])
 
 
 # -- mixed integration ------------------------------------------------------------------
@@ -275,7 +277,6 @@ def test_mixed_integration_lambda_zero_is_teacher_euler():
         y = y - teacher.velocity(y, t_prev) * (t_prev - t_next)
         assert (rolled.anchor_states[j] == y).all()
         t_prev = float(t_next)
-    assert rolled.n_cached == 3
 
 
 def test_mixed_integration_lambda_one_is_pure_closed_form():
@@ -306,18 +307,18 @@ def test_mixed_integration_half_lambda_hand_value():
     assert_allclose(rolled.anchor_states[0], want, rtol=1e-15)
 
 
-def test_mixed_integration_caches_all_but_last_row():
+def test_mixed_integration_caches_every_row():
+    # the final anchor's target included: the loss calls no teacher
     teacher = ring_teacher()
     rng = np.random.default_rng(42)
     x = rng.standard_normal((4, 2))
     times = np.array([0.9, 0.8, 0.7, 0.6])
     theta = single_mode_theta([0.1, 0.1])
-    rolled = mixed_integration(x, 1.0, theta, times, 0.7, teacher)
-    assert rolled.n_cached == 3
-    for j in range(3):
-        want = teacher.velocity(rolled.anchor_states[j], float(times[j]))
-        assert (rolled.teacher_velocities[j] == want).all()
-    assert np.isnan(rolled.teacher_velocities[3]).all()
+    for lam in (0.0, 0.7, 1.0):
+        rolled = mixed_integration(x, 1.0, theta, times, lam, teacher)
+        for j in range(4):
+            want = teacher.velocity(rolled.anchor_states[j], float(times[j]))
+            assert (rolled.teacher_velocities[j] == want).all()
 
 
 def small_neural_teacher():
@@ -327,11 +328,39 @@ def small_neural_teacher():
     return NeuralTeacher(net, ring_spec())
 
 
-@pytest.mark.parametrize("make_teacher", [
+def lopsided_teacher():
+    return AnalyticGmmTeacher(GmmTeacherSpec(
+        [0.2, 0.5, 0.3], [[1.0, -2.0], [-0.5, 0.5], [3.0, 1.0]],
+        [0.4, 0.8, 0.1]))
+
+
+ROLLOUT_TEACHERS = pytest.mark.parametrize("make_teacher", [
     ring_teacher,
+    lopsided_teacher,
     lambda: ConstantTeacher([0.4, -0.6]),
     small_neural_teacher,
-], ids=["ring", "constant", "neural"])
+], ids=["ring", "analytic", "constant", "neural"])
+
+
+def rollout_draws(rng, batched):
+    """(x, t_start, times, theta) draws at the loop's shapes and around
+    them; log gammas include an exact zero (the linear branch)."""
+    for batch in (1, 5, 64):
+        for t_start in (1.0, 0.5):
+            x = rng.standard_normal((batch, 2))
+            times = sample_anchor_times(rng, t_start, 0.5, 4)
+            gating = rng.dirichlet(np.ones(8), size=batch if batched else None)
+            base = rng.normal(size=gating.shape + (2,))
+            logg = rng.normal(size=gating.shape) * np.linspace(-3.0, 3.0, 8)
+            logg[..., 3] = 0.0
+            yield x, t_start, times, MomentumParams(gating, base, logg)
+
+
+def gamma_powers_at(theta, t):
+    return np.exp((1.0 - t) * theta.log_gammas)
+
+
+@ROLLOUT_TEACHERS
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
 def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
     # the lam = 1 rollout (one batched displacement pass, teacher on every
@@ -339,23 +368,43 @@ def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
     # sub_interval_displacement steps and one teacher call per anchor
     teacher = make_teacher()
     rng = np.random.default_rng(43)
-    for batch in (1, 5, 64):
-        for t_start in (1.0, 0.5):
-            x = rng.standard_normal((batch, 2))
-            times = sample_anchor_times(rng, t_start, 0.5, 4)
-            gating = rng.dirichlet(np.ones(3), size=batch if batched else None)
-            base = rng.normal(size=gating.shape + (2,))
-            logg = rng.normal(size=gating.shape) * np.array([1.0, 0.0, 3.0])
-            theta = MomentumParams(gating, base, logg)
-            rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
-            assert rolled.n_cached == times.size
+    for x, t_start, times, theta in rollout_draws(rng, batched):
+        rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
+        y, t_prev = x, t_start
+        for j, t_next in enumerate(times):
+            y = y - sub_interval_displacement(theta, t_prev, t_next)
+            assert np.array_equal(rolled.anchor_states[j], y)
+            assert np.array_equal(rolled.teacher_velocities[j],
+                                  teacher.velocity(y, float(t_next)))
+            assert np.array_equal(rolled.gamma_powers[j],
+                                  gamma_powers_at(theta, t_next))
+            t_prev = t_next
+
+
+@ROLLOUT_TEACHERS
+@pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
+def test_guided_rollout_equals_sequential_route(make_teacher, batched):
+    # lam < 1 computes every student segment in one pass before it steps;
+    # the result must have the bits of stepping each sub-interval through
+    # a teacher Euler segment and sub_interval_displacement, with one
+    # teacher call per anchor
+    teacher = make_teacher()
+    rng = np.random.default_rng(46)
+    for lam in (0.0, 0.002, 0.5, 0.998):
+        for x, t_start, times, theta in rollout_draws(rng, batched):
+            rolled = mixed_integration(x, t_start, theta, times, lam, teacher)
             y, t_prev = x, t_start
+            u = teacher.velocity(y, t_prev)
             for j, t_next in enumerate(times):
-                y = y - sub_interval_displacement(theta, t_prev, t_next)
+                t_sw = lam * t_prev + (1.0 - lam) * float(t_next)
+                y = y - u * (t_prev - t_sw)
+                y = y - sub_interval_displacement(theta, t_sw, float(t_next))
+                u = teacher.velocity(y, float(t_next))
                 assert np.array_equal(rolled.anchor_states[j], y)
-                assert np.array_equal(rolled.teacher_velocities[j],
-                                      teacher.velocity(y, float(t_next)))
-                t_prev = t_next
+                assert np.array_equal(rolled.teacher_velocities[j], u)
+                assert np.array_equal(rolled.gamma_powers[j],
+                                      gamma_powers_at(theta, t_next))
+                t_prev = float(t_next)
 
 
 def test_analytic_teacher_rows_do_not_depend_on_their_batch():
@@ -397,7 +446,7 @@ def test_lambda_one_loss_needs_no_fresh_teacher_call():
                                sample_anchor_times(rng, 1.0, 0.5, 4), 1.0,
                                teacher)
     assert CountingTeacher.calls == 1
-    velocity_matching_loss(theta, rolled, teacher)
+    velocity_matching_loss(theta, rolled)
     assert CountingTeacher.calls == 1
 
 
@@ -412,11 +461,12 @@ def test_mixed_integration_rejects_bad_lambda():
 
 
 def constant_anchor_set(theta, times, states, teacher, t_start=1.0):
-    """AnchorSet with an empty cache so the loss queries the teacher."""
-    n = len(times)
-    cache = np.full_like(states, np.nan)
+    """AnchorSet with teacher targets and no gamma powers, so the loss
+    computes them."""
+    targets = np.stack([teacher.velocity(x, float(t))
+                        for x, t in zip(states, times)])
     return AnchorSet(t_start, states[0].copy(), theta, np.asarray(times),
-                     states, cache, n_cached=0)
+                     states, targets)
 
 
 def test_loss_zero_when_student_matches_teacher():
@@ -426,8 +476,7 @@ def test_loss_zero_when_student_matches_teacher():
     teacher = ConstantTeacher(v)
     states = np.zeros((2, 3, 2))
     loss, grads = velocity_matching_loss(
-        theta, constant_anchor_set(theta, [0.8, 0.6], states, teacher),
-        teacher)
+        theta, constant_anchor_set(theta, [0.8, 0.6], states, teacher))
     assert loss == 0.0
     assert (grads.base_velocities == 0.0).all()
     assert (grads.log_gammas == 0.0).all()
@@ -440,7 +489,7 @@ def test_loss_hand_value_single_anchor():
     teacher = ConstantTeacher([0.0, 0.0])
     states = np.zeros((1, 1, 2))
     loss, grads = velocity_matching_loss(
-        theta, constant_anchor_set(theta, [0.5], states, teacher), teacher)
+        theta, constant_anchor_set(theta, [0.5], states, teacher))
     assert loss == pytest.approx(0.5, abs=1e-15)
     # d loss / d base = 2 diff / size * gating * gamma-power = (1, 0)
     assert_allclose(grads.base_velocities, [[[1.0, 0.0]]], rtol=1e-15)
@@ -452,11 +501,9 @@ def test_loss_scales_quadratically():
     teacher = ConstantTeacher([0.0, 0.0])
     states = np.zeros((2, 4, 2))
     l1, _ = velocity_matching_loss(
-        theta1, constant_anchor_set(theta1, [0.8, 0.4], states, teacher),
-        teacher)
+        theta1, constant_anchor_set(theta1, [0.8, 0.4], states, teacher))
     l2, _ = velocity_matching_loss(
-        theta2, constant_anchor_set(theta2, [0.8, 0.4], states, teacher),
-        teacher)
+        theta2, constant_anchor_set(theta2, [0.8, 0.4], states, teacher))
     assert l2 == pytest.approx(4.0 * l1, rel=1e-14)
 
 
@@ -470,16 +517,47 @@ def test_loss_uses_cache_and_fresh_teacher_identically():
     theta = batched_theta([0.5, 0.5], rng.normal(size=(2, 2)), [0.0, 0.5],
                           batch=6)
     cached = mixed_integration(x, 1.0, theta, times, 0.5, teacher)
-    uncached = AnchorSet(cached.t_start, cached.x_start, theta,
-                         cached.anchor_times, cached.anchor_states,
-                         np.full_like(cached.teacher_velocities, np.nan),
-                         n_cached=0)
-    l_a, g_a = velocity_matching_loss(theta, cached, teacher)
-    l_b, g_b = velocity_matching_loss(theta, uncached, teacher)
+    uncached = constant_anchor_set(theta, cached.anchor_times,
+                                   cached.anchor_states, teacher)
+    l_a, g_a = velocity_matching_loss(theta, cached)
+    l_b, g_b = velocity_matching_loss(theta, uncached)
     assert l_a == l_b
     assert (g_a.gating == g_b.gating).all()
     assert (g_a.base_velocities == g_b.base_velocities).all()
     assert (g_a.log_gammas == g_b.log_gammas).all()
+
+
+def test_loss_shares_rollout_gamma_powers_bit_for_bit():
+    # the loss takes gamma**(1 - t_j) from the rollout when it gets the
+    # rollout's own bundle; an equal bundle that is another object, or an
+    # anchor set without powers, makes it compute them, with the same bits
+    teacher = ring_teacher()
+    rng = np.random.default_rng(53)
+    for lam in (0.0, 0.4, 1.0):
+        for x, t_start, times, theta in rollout_draws(rng, batched=True):
+            rolled = mixed_integration(x, t_start, theta, times, lam, teacher)
+            twin = MomentumParams(theta.gating, theta.base_velocities,
+                                  theta.log_gammas)
+            bare = dataclasses.replace(rolled, gamma_powers=None)
+            shared = velocity_matching_loss(theta, rolled)
+            for other in (velocity_matching_loss(twin, rolled),
+                          velocity_matching_loss(theta, bare)):
+                assert shared[0] == other[0]
+                for field in ("gating", "base_velocities", "log_gammas"):
+                    assert np.array_equal(getattr(shared[1], field),
+                                          getattr(other[1], field))
+
+
+def test_loss_ignores_gamma_powers_of_another_bundle():
+    teacher = ring_teacher()
+    rng = np.random.default_rng(54)
+    x, t_start, times, theta = next(rollout_draws(rng, batched=True))
+    rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
+    other = MomentumParams(theta.gating, theta.base_velocities,
+                           theta.log_gammas * 0.5)
+    want = velocity_matching_loss(
+        other, dataclasses.replace(rolled, gamma_powers=None))
+    assert velocity_matching_loss(other, rolled)[0] == want[0]
 
 
 def test_loss_gradients_match_finite_differences():
@@ -496,9 +574,9 @@ def test_loss_gradients_match_finite_differences():
 
     def loss_at(g, b, lg):
         th = MomentumParams(g, b, lg)
-        return velocity_matching_loss(th, anchors, teacher)[0]
+        return velocity_matching_loss(th, anchors)[0]
 
-    _, grads = velocity_matching_loss(theta, anchors, teacher)
+    _, grads = velocity_matching_loss(theta, anchors)
     h = 1e-6
     # base velocities and log rates: plain central differences
     for (k, d) in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -649,6 +727,42 @@ def test_student_sample_dense_trace_composes_to_single_step():
         handoff = rec.positions[(nfe - shelf + 1) * dense]
         assert_allclose(handoff, x, rtol=1e-12, atol=1e-13)
     assert_allclose(rec.endpoint, x, rtol=1e-12, atol=1e-13)
+
+
+def sampling_net():
+    """Two-coordinate student with random weights, so its bundles mix
+    momentum factors on both sides of gamma = 1."""
+    net = build_student_net(DistillConfig(num_modes=4), dim=2, init_seed=3)
+    net.params[:] = np.random.default_rng(4).normal(0.0, 0.5, net.num_params)
+    return net
+
+
+@pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
+                         ids=["unbatched", "b37", "b2048"])
+def test_student_sample_equals_anchored_difference_oracle(shape):
+    # x_m = x_(m-1) - (displacement(theta, 1, tau_m)
+    #                  - displacement(theta, 1, tau_(m-1))) on the dense
+    # grid of each shelf, theta predicted once at the shelf start
+    net = sampling_net()
+    x1 = np.random.default_rng(55).standard_normal(shape)
+    for nfe in (1, 2, 3):
+        for dense in (1, 16):
+            rec = student_sample(net, x1, nfe=nfe, dense_per_shelf=dense)
+            x, xs, ts = x1, [x1], [1.0]
+            for shelf in range(nfe, 0, -1):
+                t_hi, t_lo = shelf / nfe, (shelf - 1) / nfe
+                theta = net.forward(x, t_hi)
+                tau_prev = t_hi
+                for m in range(1, dense + 1):
+                    tau = (t_lo if m == dense
+                           else t_hi + (t_lo - t_hi) * (m / dense))
+                    x = x - (displacement(theta, 1.0, tau)
+                             - displacement(theta, 1.0, tau_prev))
+                    xs.append(x)
+                    ts.append(tau)
+                    tau_prev = tau
+            assert np.array_equal(rec.positions, np.stack(xs))
+            assert np.array_equal(rec.times, np.array(ts))
 
 
 def test_student_sample_time_grid():

@@ -229,6 +229,72 @@ def test_sub_interval_validates_interval():
         sub_interval_displacement(theta, 1.1, 0.0)
 
 
+def anchored_oracle(theta, t_hi, t_lo):
+    # the definition, through displacement, which keeps nothing
+    return displacement(theta, 1.0, t_lo) - displacement(theta, 1.0, t_hi)
+
+
+def batched_random_theta(rng, batch=6, modes=4):
+    gating = rng.dirichlet(np.ones(modes), size=batch)
+    return MomentumParams(gating, rng.normal(0.0, 2.0, (batch, modes, 2)),
+                          rng.uniform(-2.0, 2.0, (batch, modes)))
+
+
+def test_sub_interval_chain_equals_definition_bit_for_bit():
+    # a chain reuses each call's disp(1, t_lo) as the next call's
+    # disp(1, t_hi); every step must still equal the definition exactly
+    rng = np.random.default_rng(10)
+    for theta in (random_theta(rng), batched_random_theta(rng)):
+        cuts = np.concatenate(([1.0], np.sort(rng.uniform(size=8))[::-1],
+                               [0.0]))
+        for hi, lo in zip(cuts[:-1], cuts[1:]):
+            assert np.array_equal(sub_interval_displacement(theta, hi, lo),
+                                  anchored_oracle(theta, hi, lo))
+
+
+def test_sub_interval_kept_value_never_leaks():
+    rng = np.random.default_rng(11)
+    theta = batched_random_theta(rng)
+    other = batched_random_theta(rng)
+    twin = MomentumParams(theta.gating, theta.base_velocities,
+                          theta.log_gammas)
+    calls = [
+        (theta, 0.9, 0.6),
+        (theta, 0.7, 0.5),                   # t_hi is not the kept 0.6
+        (other, 0.5, 0.3),                   # another bundle, kept t 0.5
+        (theta, 0.3, 0.2),                   # theta kept 0.5, not 0.3
+        (twin, 0.2, 0.1),                    # equal values, new object
+        (theta, np.full(6, 0.2), rng.uniform(0.0, 0.2, 6)),  # per-row
+        (theta, 0.2, np.full(6, 0.15)),
+        (theta, 0.2, 0.1),                   # still keeps disp(1, 0.2)
+        (theta, 0.1, 0.1),
+        (theta, 0.1, 0.0),
+    ]
+    for bundle, hi, lo in calls:
+        assert np.array_equal(sub_interval_displacement(bundle, hi, lo),
+                              anchored_oracle(bundle, hi, lo))
+
+
+def test_sub_interval_keeps_nothing_in_bundle_state():
+    import copy
+    import dataclasses
+    import pickle
+
+    rng = np.random.default_rng(12)
+    theta = batched_random_theta(rng)
+    before = (pickle.dumps(theta), repr(theta))
+    sub_interval_displacement(theta, 0.8, 0.4)
+    assert (pickle.dumps(theta), repr(theta)) == before
+    fields = {f.name for f in dataclasses.fields(MomentumParams)}
+    for clone in (pickle.loads(pickle.dumps(theta)), copy.copy(theta),
+                  copy.deepcopy(theta)):
+        assert set(vars(clone)) == fields
+        for name in fields:
+            assert np.array_equal(getattr(clone, name), getattr(theta, name))
+        assert np.array_equal(sub_interval_displacement(clone, 0.4, 0.1),
+                              anchored_oracle(theta, 0.4, 0.1))
+
+
 # -- quadrature_displacement ------------------------------------------------------
 
 

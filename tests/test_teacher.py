@@ -143,6 +143,52 @@ def test_velocity_unbatched_matches_batched():
         assert_allclose(gmm_velocity(spec, x[i], 0.3), batched[i], rtol=1e-14)
 
 
+def out_of_place_velocity(spec, x, t):
+    # gmm_velocity written out without buffers reused in place: the
+    # reference its in-place arithmetic must match bit for bit
+    a = (1.0 - np.asarray(t, dtype=float))[..., None]
+    b = np.asarray(t, dtype=float)[..., None]
+    sig2 = spec.stds ** 2
+    var = a ** 2 * sig2 + b ** 2
+    diff = x[..., None, :] - a[..., None] * spec.means
+    sq = np.einsum("...jd,...jd->...j", diff, diff)
+    log_r = (np.log(spec.weights) - 0.5 * sq / var
+             - 0.5 * spec.dim * np.log(var))
+    log_r = log_r - log_r.max(axis=-1, keepdims=True)
+    resp = np.exp(log_r)
+    resp /= resp.sum(axis=-1, keepdims=True)
+    comp_vel = ((b - a * sig2) / var)[..., None] * diff - spec.means
+    return np.einsum("...j,...jd->...d", resp, comp_vel)
+
+
+def test_velocity_equals_out_of_place_reference():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        comps, dim = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        spec = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
+                              rng.normal(size=(comps, dim)) * 3.0,
+                              rng.uniform(0.01, 2.0, comps))
+        batch = int(rng.integers(1, 300))
+        x = rng.normal(size=(batch, dim)) * rng.uniform(0.1, 10.0)
+        for t in (float(rng.uniform()), 0.0, 1.0, rng.uniform(size=batch)):
+            assert np.array_equal(gmm_velocity(spec, x, t),
+                                  out_of_place_velocity(spec, x, t))
+        assert np.array_equal(gmm_velocity(spec, x[0], 0.3),
+                              out_of_place_velocity(spec, x[0], 0.3))
+
+
+def test_velocity_scalar_time_equals_full_time_array():
+    # a scalar t takes (J,) terms where an array t takes (B, J) ones; the
+    # bits must not depend on which
+    rng = np.random.default_rng(6)
+    for spec in (ring_spec(), lopsided_spec()):
+        for batch in (1, 64, 2048):
+            x = rng.normal(size=(batch, 2)) * 3.0
+            for t in (0.0, 0.37, 0.999, 1.0):
+                assert np.array_equal(gmm_velocity(spec, x, t),
+                                      gmm_velocity(spec, x, np.full(batch, t)))
+
+
 # -- data sampling -----------------------------------------------------------------
 
 
@@ -151,6 +197,28 @@ def test_sample_data_reproducible():
     a = sample_data(spec, np.random.default_rng(7), 64)
     b = sample_data(spec, np.random.default_rng(7), 64)
     assert (a == b).all()
+
+
+def test_sample_data_draws_what_generator_choice_draws():
+    # the stored CDF gives Generator.choice(J, p=weights)'s components and
+    # leaves the stream where choice leaves it
+    with np.errstate(divide="ignore"):      # log of the zero weight
+        zero = GmmTeacherSpec([0.25, 0.0, 0.75],
+                              [[0.0, 1.0], [5.0, 5.0], [-1.0, 0.0]],
+                              [0.3, 0.3, 0.6])
+    specs = (ring_spec(), lopsided_spec(), zero)
+    for spec in specs:
+        for seed in range(200):
+            count = 1 + seed % 97
+            got_rng = np.random.default_rng(seed)
+            want_rng = np.random.default_rng(seed)
+            got = sample_data(spec, got_rng, count)
+            idx = want_rng.choice(spec.num_components, size=count,
+                                  p=spec.weights)
+            noise = want_rng.standard_normal((count, spec.dim))
+            want = spec.means[idx] + spec.stds[idx][:, None] * noise
+            assert np.array_equal(got, want)
+            assert got_rng.random() == want_rng.random()
 
 
 def test_sample_data_component_frequencies():
