@@ -56,7 +56,6 @@ from .nnet import (
     init_optim_state,
 )
 from .distill import (
-    AnchorSet,
     DistillConfig,
     build_student_net,
     distill_train,

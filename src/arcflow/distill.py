@@ -44,7 +44,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .momentum import LatentState, MomentumParams
+from .momentum import MomentumParams
 from .nnet import MomentumParamGrads, NetConfig, StudentNet, adam_step, \
     init_optim_state
 from .solver import _anchored_rows, _check_intervals, \
@@ -143,49 +143,30 @@ def sample_anchor_times(rng: np.random.Generator, t_src: float, width: float,
 
 
 def init_shelf_state(teacher, rng: np.random.Generator, t_src: float,
-                     batch: int) -> LatentState:
-    """Batch of noising-path states x_t = (1 - t) x0 + t x1 at t = t_src,
-    with x0 from the teacher's data distribution and x1 standard normal."""
+                     batch: int) -> np.ndarray:
+    """Batch (B, D) of noising-path states x_t = (1 - t) x0 + t x1 at
+    t = t_src, with x0 from the teacher's data distribution and x1 standard
+    normal."""
     x0 = teacher.sample_data(rng, int(batch))
     x1 = rng.standard_normal((int(batch), teacher.dim))
-    x = (1.0 - t_src) * x0 + t_src * x1
-    return LatentState(x, t_src)
+    return (1.0 - t_src) * x0 + t_src * x1
 
 
 @dataclass(frozen=True)
 class AnchorSet:
     """One shelf's rollout: anchor times and states, the teacher velocity at
-    every anchor state, and optionally theta's powers gamma**(1 - t_j) at
-    the anchor times.
+    every anchor state, and theta's powers gamma**(1 - t_j) at the anchor
+    times.  mixed_integration builds it and checks the times.
 
     All arrays are plain values: nothing here carries gradients, which is
     what detaching the anchors means in this codebase.
     """
 
-    t_start: float
-    x_start: np.ndarray            # (B, D)
     theta: MomentumParams          # bundle used for the student segments
     anchor_times: np.ndarray       # (n,) strictly decreasing, <= t_start
     anchor_states: np.ndarray      # (n, B, D)
     teacher_velocities: np.ndarray  # (n, B, D)
-    gamma_powers: np.ndarray | None = None  # (n, B, K) of theta, or None
-
-    def __post_init__(self):
-        times = np.asarray(self.anchor_times, dtype=float)
-        states = np.asarray(self.anchor_states, dtype=float)
-        object.__setattr__(self, "anchor_times", times)
-        object.__setattr__(self, "anchor_states", states)
-        if times.ndim != 1 or times.size < 1:
-            raise InvalidParameterError("anchor_times must be a 1-D array")
-        if (np.diff(times) >= 0.0).any():
-            raise InvalidParameterError("anchor times must strictly decrease")
-        if times[0] > self.t_start or times[-1] < 0.0:
-            raise InvalidIntervalError(
-                f"anchor times must lie in [0, {self.t_start}]"
-            )
-        n = times.size
-        if states.shape[0] != n or self.teacher_velocities.shape != states.shape:
-            raise InvalidParameterError("anchor array shapes disagree")
+    gamma_powers: np.ndarray       # (n, B, K) of theta
 
 
 def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
@@ -205,13 +186,24 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     times when the teacher computes each row on its own (a true _rowwise
     attribute, as on AnalyticGmmTeacher), else once per anchor.  Either way
     the result has the bits of the sequential rule.
+
+    Anchor times are checked before any teacher call: a non-empty 1-D
+    array, strictly decreasing, in [0, t_start] with t_start <= 1.
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise InvalidParameterError(f"lambda {lam} outside [0, 1]")
-    x_src = np.array(x_start, dtype=float)
+    x_src = np.asarray(x_start, dtype=float)
     t_start = float(t_start)
     times = np.asarray(anchor_times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise InvalidParameterError(f"anchor_times must be a non-empty 1-D "
+                                    f"array, got shape {times.shape}")
+    if not (np.diff(times) < 0.0).all():
+        raise InvalidParameterError("anchor times must strictly decrease")
+    if not 0.0 <= times[-1] <= times[0] <= t_start <= 1.0:
+        raise InvalidIntervalError(f"anchor times [{times[-1]}, {times[0]}] "
+                                   f"not in [0, t_start = {t_start} <= 1]")
     n = times.size
     t_prev = np.concatenate(([t_start], times[:-1]))
     t_sw = lam * t_prev + (1.0 - lam) * times
@@ -236,7 +228,7 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
                 raise _non_finite_state(j, t_prev[j], times[j])
             anchors[j] = x
             u = targets[j] = teacher.velocity(x, float(times[j]))
-    return AnchorSet(t_start, x_src, theta, times, anchors, targets, powers)
+    return AnchorSet(theta, times, anchors, targets, powers)
 
 
 def _non_finite_state(j, t_prev, t_next) -> NumericError:
@@ -279,7 +271,7 @@ def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet):
     times = anchors.anchor_times
     expo = (1.0 - times)[:, None, None]                         # (n,1,1)
     gpow = anchors.gamma_powers                                 # (n,B,K)
-    if gpow is None or theta is not anchors.theta:
+    if theta is not anchors.theta:
         gpow = np.exp(expo * theta.log_gammas[None])
     v_student = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
                           theta.base_velocities)
@@ -325,12 +317,12 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
             lam = lambda_at(step_idx, cfg.guidance_steps)
             try:
                 t_src, _ = sample_shelf(rng, cfg.nfe)
-                state0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
+                x0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
                 times = sample_anchor_times(rng, t_src, width,
                                             cfg.n_intermediate)
-                theta = net.forward(state0.x, t_src)
-                anchors = mixed_integration(state0.x, t_src, theta, times,
-                                            lam, teacher)
+                theta = net.forward(x0, t_src)
+                anchors = mixed_integration(x0, t_src, theta, times, lam,
+                                            teacher)
                 loss, grad = velocity_matching_loss(theta, anchors)
                 net.zero_grads()
                 net.backward(grad)
@@ -345,8 +337,8 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
     return log
 
 
-def student_sample(net: StudentNet, x_start, nfe: int, dense_per_shelf=16,
-                   seed=None) -> TrajectoryRecord:
+def student_sample(net: StudentNet, x_start, nfe: int,
+                   dense_per_shelf=16) -> TrajectoryRecord:
     """Sample with nfe network evaluations, one per shelf, recording a dense
     closed-form trace inside each shelf.
 
@@ -359,19 +351,20 @@ def student_sample(net: StudentNet, x_start, nfe: int, dense_per_shelf=16,
     if nfe < 1 or dense < 1:
         raise InvalidParameterError("nfe and dense_per_shelf must be >= 1")
     x = np.asarray(x_start, dtype=float)
-    states = [LatentState(x, 1.0)]
+    positions = np.empty((nfe * dense + 1,) + x.shape)
+    times = np.empty(nfe * dense + 1)
+    positions[0], times[0] = x, 1.0
     for shelf in range(nfe, 0, -1):
         t_hi = shelf / nfe
         t_lo = (shelf - 1) / nfe
         theta = net.forward(x, t_hi)
         t_prev = t_hi
         for m in range(1, dense + 1):
+            row = (nfe - shelf) * dense + m
             tau = t_lo if m == dense else t_hi + (t_lo - t_hi) * (m / dense)
-            x = x - sub_interval_displacement(theta, t_prev, tau)
+            x = np.subtract(x, sub_interval_displacement(theta, t_prev, tau),
+                            out=positions[row])
             if not np.isfinite(x).all():
-                raise NumericError(
-                    f"non-finite sample state at t={tau:.6f}"
-                )
-            states.append(LatentState(x, tau))
-            t_prev = tau
-    return TrajectoryRecord(tuple(states), nfe * dense, seed)
+                raise NumericError(f"non-finite sample state at t={tau:.6f}")
+            times[row] = t_prev = tau
+    return TrajectoryRecord(positions, times)

@@ -81,7 +81,8 @@ class GmmTeacherSpec:
                 f"component stds must be >= {STD_FLOOR}"
             )
         # Constants of gmm_velocity and sample_data, computed once per spec.
-        object.__setattr__(self, "_log_weights", np.log(w))
+        with np.errstate(divide="ignore"):   # a zero weight's log is -inf
+            object.__setattr__(self, "_log_weights", np.log(w))
         object.__setattr__(self, "_variances", sd ** 2)
         cdf = w.cumsum()
         cdf /= cdf[-1]
@@ -179,20 +180,24 @@ class AnalyticGmmTeacher:
 class TrajectoryRecord:
     """A discrete trajectory from noise (t = 1) to data (t = 0).
 
-    states hold strictly decreasing times starting at exactly 1.0 and ending
-    at exactly 0.0; step_count is the number of integrator steps taken.
+    positions (T+1, ..., D) holds the state at each of the T+1 times (T+1,),
+    which start at exactly 1.0, end at exactly 0.0 and strictly decrease.
+    Both arrays are frozen in place, not copied.
     """
 
-    states: tuple
-    step_count: int
-    seed: int | None = None
+    positions: np.ndarray
+    times: np.ndarray
 
     def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        if len(states) < 2:
-            raise InvalidParameterError("a trajectory needs at least two states")
-        times = np.array([s.t for s in states])
+        for name in ("positions", "times"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        times, shape = self.times, self.positions.shape
+        if times.ndim != 1 or times.size < 2 or shape[:1] != times.shape:
+            raise InvalidParameterError(
+                f"need two or more states, one time each; got positions "
+                f"{shape}, times {times.shape}")
         if times[0] != 1.0 or times[-1] != 0.0:
             raise InvalidParameterError(
                 f"trajectory must run from t=1 to t=0, got "
@@ -200,24 +205,19 @@ class TrajectoryRecord:
             )
         if not (np.diff(times) < 0.0).all():
             raise InvalidParameterError("trajectory times must strictly decrease")
-        shape = states[0].x.shape
-        if any(s.x.shape != shape for s in states):
-            raise InvalidParameterError("trajectory states must share a shape")
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([s.x for s in self.states])
 
     @property
     def endpoint(self) -> np.ndarray:
-        return self.states[-1].x
+        # A copy, so a kept endpoint does not pin the whole record.
+        return self.positions[-1].copy()
+
+    @property
+    def states(self) -> tuple:
+        # Built on each access for perfbench's Sample2Nfe.check.
+        return tuple(map(LatentState, self.positions, self.times))
 
 
-def euler_sample(velocity_field, x_start, steps, seed=None) -> TrajectoryRecord:
+def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
     """Integrate dx = -u(x, t) dt from t = 1 to t = 0 with a uniform Euler
     grid of the given step count.  Grid times are (steps - i) / steps so the
     endpoints are exact."""
@@ -225,18 +225,19 @@ def euler_sample(velocity_field, x_start, steps, seed=None) -> TrajectoryRecord:
     if steps < 1:
         raise InvalidParameterError("need at least one integration step")
     x = np.asarray(x_start, dtype=float)
-    states = [LatentState(x, 1.0)]
+    positions = np.empty((steps + 1,) + x.shape)
+    times = np.empty(steps + 1)
+    positions[0], times[0] = x, 1.0
     for i in range(steps):
         t_now = (steps - i) / steps
-        t_next = (steps - i - 1) / steps
+        t_next = times[i + 1] = (steps - i - 1) / steps
         u = velocity_field(x, t_now)
-        x = x - u * (t_now - t_next)
+        x = np.subtract(x, u * (t_now - t_next), out=positions[i + 1])
         if not np.isfinite(x).all():
             raise NumericError(
                 f"non-finite state at integration step {i} (t={t_next:.6f})"
             )
-        states.append(LatentState(x, t_next))
-    return TrajectoryRecord(tuple(states), steps, seed)
+    return TrajectoryRecord(positions, times)
 
 
 @dataclass(frozen=True)

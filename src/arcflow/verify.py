@@ -228,14 +228,14 @@ def gradient_suite(probes=100, seed=1005) -> SuiteResult:
     net = build_student_net(cfg, teacher.dim, init_seed=seed)
     rng = np.random.default_rng(seed)
     t_src, width = 1.0, 1.0 / cfg.nfe
-    state0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
+    x0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
     times = sample_anchor_times(rng, t_src, width, cfg.n_intermediate)
-    theta0 = net.forward(state0.x, t_src)
-    anchors = mixed_integration(state0.x, t_src, theta0, times, 0.5, teacher)
+    theta0 = net.forward(x0, t_src)
+    anchors = mixed_integration(x0, t_src, theta0, times, 0.5, teacher)
 
     worst = grad_check(
         net,
-        lambda n: _fixed_anchor_loss(n, anchors, state0.x, t_src),
+        lambda n: _fixed_anchor_loss(n, anchors, x0, t_src),
         probes=probes, h=1e-5, rng=np.random.default_rng(seed + 1),
     )
     elapsed = time.perf_counter() - started

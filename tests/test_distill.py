@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from arcflow import (
     AnalyticGmmTeacher,
-    AnchorSet,
     DistillConfig,
     GmmTeacherSpec,
     InvalidIntervalError,
@@ -37,6 +36,7 @@ from arcflow import (
     training_streams,
     velocity_matching_loss,
 )
+from arcflow.distill import AnchorSet
 
 
 class ConstantTeacher:
@@ -196,68 +196,85 @@ def test_sample_anchor_times_clipped_at_zero_shelf():
 
 def test_init_shelf_state_pure_noise_at_time_one():
     teacher = ring_teacher()
-    state = init_shelf_state(teacher, np.random.default_rng(33), 1.0, 64)
-    assert state.t == 1.0
+    x = init_shelf_state(teacher, np.random.default_rng(33), 1.0, 64)
+    assert x.shape == (64, 2)
     # replay the stream: data is drawn first, then the noise that x_t reduces
     # to exactly at t = 1
     replay = np.random.default_rng(33)
     teacher.sample_data(replay, 64)
     x1 = replay.standard_normal((64, 2))
-    assert (state.x == x1).all()
+    assert (x == x1).all()
 
 
 def test_init_shelf_state_pure_data_at_time_zero():
     teacher = ring_teacher()
-    state = init_shelf_state(teacher, np.random.default_rng(34), 0.0, 64)
+    x = init_shelf_state(teacher, np.random.default_rng(34), 0.0, 64)
     replay = np.random.default_rng(34)
     x0 = teacher.sample_data(replay, 64)
-    assert (state.x == x0).all()
+    assert (x == x0).all()
 
 
 def test_init_shelf_state_midpoint_mean():
     # single offset component so the midpoint mean is nonzero
     teacher = AnalyticGmmTeacher(
         GmmTeacherSpec([1.0], [[2.0, -1.0]], [0.25]))
-    state = init_shelf_state(teacher, np.random.default_rng(35), 0.5, 100_000)
+    x = init_shelf_state(teacher, np.random.default_rng(35), 0.5, 100_000)
     want = 0.5 * np.array([2.0, -1.0])
     # var of x_t = 0.25 * (sigma^2 + 1); se = std / sqrt(n)
     se = np.sqrt(0.25 * (0.25 ** 2 + 1.0) / 100_000)
-    assert (np.abs(state.x.mean(axis=0) - want) < 4.0 * se).all()
+    assert (np.abs(x.mean(axis=0) - want) < 4.0 * se).all()
 
 
-# -- anchor sets --------------------------------------------------------------------
+# -- anchor time checks ------------------------------------------------------------
 
 
-def anchor_arrays(n=3, batch=2, dim=2):
-    times = np.linspace(0.9, 0.5, n)
-    states = np.zeros((n, batch, dim))
-    targets = np.ones((n, batch, dim))
-    return times, states, targets
+class RecordingTeacher(ConstantTeacher):
+    """Constant field that counts its velocity calls."""
+
+    def __init__(self, u):
+        super().__init__(u)
+        self.calls = 0
+
+    def velocity(self, x, t):
+        self.calls += 1
+        return super().velocity(x, t)
 
 
-def test_anchor_set_requires_decreasing_times():
-    times, states, targets = anchor_arrays()
+def assert_rejected_before_teacher(times, t_start, error):
+    # the anchor times are checked at the boundary: at every lambda the
+    # error comes before the first teacher call
     theta = single_mode_theta([1.0, 0.0])
-    AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, targets)
-    with pytest.raises(InvalidParameterError):
-        AnchorSet(1.0, np.zeros((2, 2)), theta, times[::-1].copy(), states,
-                  targets)
+    for lam in (0.0, 0.5, 1.0):
+        teacher = RecordingTeacher([0.2, 0.1])
+        with pytest.raises(error):
+            mixed_integration(np.zeros((2, 2)), t_start, theta, times, lam,
+                              teacher)
+        assert teacher.calls == 0
 
 
-def test_anchor_set_times_must_fit_under_start():
-    times, states, targets = anchor_arrays()
-    theta = single_mode_theta([1.0, 0.0])
-    with pytest.raises(InvalidIntervalError):
-        AnchorSet(0.8, np.zeros((2, 2)), theta, times, states, targets)
+def test_mixed_integration_requires_decreasing_anchor_times():
+    assert_rejected_before_teacher([0.5, 0.7, 0.9], 1.0,
+                                   InvalidParameterError)
+    assert_rejected_before_teacher([0.9, 0.7, 0.7], 1.0,
+                                   InvalidParameterError)
+    assert_rejected_before_teacher([0.9, np.nan, 0.5], 1.0,
+                                   InvalidParameterError)
 
 
-def test_anchor_set_shape_and_cache_validation():
-    times, states, targets = anchor_arrays()
-    theta = single_mode_theta([1.0, 0.0])
-    with pytest.raises(InvalidParameterError):
-        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states[:2], targets)
-    with pytest.raises(InvalidParameterError):
-        AnchorSet(1.0, np.zeros((2, 2)), theta, times, states, targets[:, :1])
+def test_mixed_integration_anchor_times_must_fit_under_start():
+    assert_rejected_before_teacher([0.9, 0.7, 0.5], 0.8, InvalidIntervalError)
+    assert_rejected_before_teacher([0.9, 0.7, -0.1], 1.0,
+                                   InvalidIntervalError)
+    assert_rejected_before_teacher([0.9, 0.7], 1.5, InvalidIntervalError)
+    assert_rejected_before_teacher([0.9, 0.7], np.nan, InvalidIntervalError)
+
+
+def test_mixed_integration_rejects_bad_anchor_time_shapes():
+    assert_rejected_before_teacher(np.zeros((2, 2)), 1.0,
+                                   InvalidParameterError)
+    assert_rejected_before_teacher([[0.9, 0.5]], 1.0, InvalidParameterError)
+    assert_rejected_before_teacher([], 1.0, InvalidParameterError)
+    assert_rejected_before_teacher(0.5, 1.0, InvalidParameterError)
 
 
 # -- mixed integration ------------------------------------------------------------------
@@ -460,13 +477,16 @@ def test_mixed_integration_rejects_bad_lambda():
 # -- velocity matching loss ----------------------------------------------------------------
 
 
-def constant_anchor_set(theta, times, states, teacher, t_start=1.0):
-    """AnchorSet with teacher targets and no gamma powers, so the loss
-    computes them."""
+def anchor_gamma_powers(theta, times):
+    return np.stack([gamma_powers_at(theta, float(t)) for t in times])
+
+
+def constant_anchor_set(theta, times, states, teacher):
+    """AnchorSet with fresh teacher targets at the given states."""
     targets = np.stack([teacher.velocity(x, float(t))
                         for x, t in zip(states, times)])
-    return AnchorSet(t_start, states[0].copy(), theta, np.asarray(times),
-                     states, targets)
+    return AnchorSet(theta, np.asarray(times), states, targets,
+                     anchor_gamma_powers(theta, times))
 
 
 def test_loss_zero_when_student_matches_teacher():
@@ -529,8 +549,9 @@ def test_loss_uses_cache_and_fresh_teacher_identically():
 
 def test_loss_shares_rollout_gamma_powers_bit_for_bit():
     # the loss takes gamma**(1 - t_j) from the rollout when it gets the
-    # rollout's own bundle; an equal bundle that is another object, or an
-    # anchor set without powers, makes it compute them, with the same bits
+    # rollout's own bundle; an equal bundle that is another object, as the
+    # bundle passed or the one the anchor set names, makes it compute them,
+    # with the same bits
     teacher = ring_teacher()
     rng = np.random.default_rng(53)
     for lam in (0.0, 0.4, 1.0):
@@ -538,10 +559,10 @@ def test_loss_shares_rollout_gamma_powers_bit_for_bit():
             rolled = mixed_integration(x, t_start, theta, times, lam, teacher)
             twin = MomentumParams(theta.gating, theta.base_velocities,
                                   theta.log_gammas)
-            bare = dataclasses.replace(rolled, gamma_powers=None)
+            renamed = dataclasses.replace(rolled, theta=twin)
             shared = velocity_matching_loss(theta, rolled)
             for other in (velocity_matching_loss(twin, rolled),
-                          velocity_matching_loss(theta, bare)):
+                          velocity_matching_loss(theta, renamed)):
                 assert shared[0] == other[0]
                 for field in ("gating", "base_velocities", "log_gammas"):
                     assert np.array_equal(getattr(shared[1], field),
@@ -555,8 +576,9 @@ def test_loss_ignores_gamma_powers_of_another_bundle():
     rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
     other = MomentumParams(theta.gating, theta.base_velocities,
                            theta.log_gammas * 0.5)
-    want = velocity_matching_loss(
-        other, dataclasses.replace(rolled, gamma_powers=None))
+    want = velocity_matching_loss(other, dataclasses.replace(
+        rolled, theta=other,
+        gamma_powers=anchor_gamma_powers(other, rolled.anchor_times)))
     assert velocity_matching_loss(other, rolled)[0] == want[0]
 
 
@@ -704,8 +726,8 @@ def test_student_sample_constant_field_endpoint():
     x1 = np.array([[1.0, 1.0], [0.0, 2.0]])
     rec = student_sample(net, x1, nfe=2, dense_per_shelf=8)
     assert_allclose(rec.endpoint, x1 - v, rtol=1e-12, atol=1e-14)
-    assert rec.step_count == 16
-    assert len(rec.states) == 17
+    assert rec.positions.shape == (17, 2, 2)
+    assert rec.times.shape == (17,)
 
 
 def test_student_sample_dense_trace_composes_to_single_step():

@@ -15,7 +15,6 @@ from arcflow import (
     ConfigError,
     DistillConfig,
     InvalidParameterError,
-    LatentState,
     NeuralTeacher,
     RunConfig,
     RunOptions,
@@ -62,7 +61,7 @@ def tiny_run_config(**distill_overrides):
 def two_state_record(x_start, x_end, batch=False):
     a = np.asarray(x_start, dtype=float)
     b = np.asarray(x_end, dtype=float)
-    return TrajectoryRecord((LatentState(a, 1.0), LatentState(b, 0.0)), 1)
+    return TrajectoryRecord(np.stack((a, b)), [1.0, 0.0])
 
 
 # -- config text ---------------------------------------------------------------
@@ -356,10 +355,8 @@ def test_positions_at_interpolates_linearly():
 
 
 def test_positions_at_hits_grid_points_exactly():
-    states = (LatentState(np.array([0.0, 1.0]), 1.0),
-              LatentState(np.array([5.0, -1.0]), 0.4),
-              LatentState(np.array([7.0, 0.0]), 0.0))
-    rec = TrajectoryRecord(states, 2)
+    rec = TrajectoryRecord([[0.0, 1.0], [5.0, -1.0], [7.0, 0.0]],
+                           [1.0, 0.4, 0.0])
     out = positions_at(rec, rec.times)
     assert_allclose(out, rec.positions, rtol=0, atol=0)
 
@@ -370,11 +367,10 @@ def test_trajectory_deviation_zero_for_identical():
 
 
 def test_trajectory_deviation_constant_offset():
-    base = [LatentState(np.zeros((4, 2)) + i, 1.0 - i / 3) for i in range(4)]
-    ref = TrajectoryRecord(tuple(base), 3)
-    shift = np.array([0.3, 0.4])
-    moved = TrajectoryRecord(
-        tuple(LatentState(s.x + shift, s.t) for s in base), 3)
+    base = np.zeros((4, 4, 2)) + np.arange(4.0)[:, None, None]
+    times = 1.0 - np.arange(4) / 3
+    ref = TrajectoryRecord(base, times)
+    moved = TrajectoryRecord(base + np.array([0.3, 0.4]), times)
     assert trajectory_deviation(moved, ref) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -489,9 +485,8 @@ def test_write_loss_csv(tmp_path):
 
 
 def test_write_trajectory_csv(tmp_path):
-    states = tuple(
-        LatentState(np.full((3, 2), float(i)), 1.0 - i / 2) for i in range(3))
-    rec = TrajectoryRecord(states, 2)
+    rec = TrajectoryRecord(np.zeros((3, 3, 2)) + np.arange(3.0)[:, None, None],
+                           1.0 - np.arange(3) / 2)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(rec, path, limit=2)
     lines = path.read_text().strip().splitlines()
@@ -557,7 +552,7 @@ def test_evaluate_student_returns_finite_metrics():
                 "discretization_floor"):
         assert np.isfinite(out[key]) and out[key] >= 0.0
     assert out["student_record"].times[0] == 1.0
-    assert out["reference_record"].step_count == cfg.run.teacher_steps
+    assert out["reference_record"].times.size == cfg.run.teacher_steps + 1
 
 
 # -- orchestration --------------------------------------------------------------------------

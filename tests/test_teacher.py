@@ -1,5 +1,7 @@
 """Analytic mixture teacher, Euler reference sampler, neural teacher."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,7 +12,7 @@ from arcflow import (
     GmmTeacherSpec,
     InvalidParameterError,
     InvalidProblemError,
-    LatentState,
+    NeuralTeacher,
     NetConfig,
     NumericError,
     StudentNet,
@@ -189,6 +191,28 @@ def test_velocity_scalar_time_equals_full_time_array():
                                       gmm_velocity(spec, x, np.full(batch, t)))
 
 
+def zero_weight_spec():
+    return GmmTeacherSpec([0.25, 0.0, 0.75],
+                          [[0.0, 1.0], [5.0, 5.0], [-1.0, 0.0]],
+                          [0.3, 0.3, 0.6])
+
+
+def test_zero_weight_spec_builds_without_warning():
+    # a zero weight is valid: its log weight is -inf, its responsibility 0,
+    # and building the spec must not warn about the log
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = zero_weight_spec()
+        x = np.array([[0.5, -0.25], [4.0, 4.5], [-2.0, 1.0]])
+        got = gmm_velocity(spec, x, np.array([0.9, 0.5, 0.1]))
+    assert spec._log_weights[1] == -np.inf
+    # the bits the field gave when the log was taken with warnings on
+    want = [["0x1.5bbea05737955p+0", "-0x1.1ac73b9433c61p-1"],
+            ["0x1.7c779615c6432p+2", "0x1.3c779615c6431p+2"],
+            ["0x1.d12558e5f65a1p+0", "-0x1.7c43e790e805dp-1"]]
+    assert np.array_equal(got, np.vectorize(float.fromhex)(want))
+
+
 # -- data sampling -----------------------------------------------------------------
 
 
@@ -202,11 +226,7 @@ def test_sample_data_reproducible():
 def test_sample_data_draws_what_generator_choice_draws():
     # the stored CDF gives Generator.choice(J, p=weights)'s components and
     # leaves the stream where choice leaves it
-    with np.errstate(divide="ignore"):      # log of the zero weight
-        zero = GmmTeacherSpec([0.25, 0.0, 0.75],
-                              [[0.0, 1.0], [5.0, 5.0], [-1.0, 0.0]],
-                              [0.3, 0.3, 0.6])
-    specs = (ring_spec(), lopsided_spec(), zero)
+    specs = (ring_spec(), lopsided_spec(), zero_weight_spec())
     for spec in specs:
         for seed in range(200):
             count = 1 + seed % 97
@@ -251,31 +271,30 @@ def test_analytic_teacher_wraps_spec():
 
 
 def test_trajectory_record_validates_endpoints():
-    good = (LatentState(np.zeros(2), 1.0), LatentState(np.ones(2), 0.0))
-    rec = TrajectoryRecord(good, 1)
+    pos = np.array([[0.0, 0.0], [1.0, 1.0]])
+    rec = TrajectoryRecord(pos, [1.0, 0.0])
     assert rec.times[0] == 1.0 and rec.times[-1] == 0.0
     with pytest.raises(InvalidParameterError):
-        TrajectoryRecord((LatentState(np.zeros(2), 0.9),
-                          LatentState(np.ones(2), 0.0)), 1)
+        TrajectoryRecord(pos, [0.9, 0.0])
     with pytest.raises(InvalidParameterError):
-        TrajectoryRecord((LatentState(np.zeros(2), 1.0),
-                          LatentState(np.ones(2), 0.1)), 1)
+        TrajectoryRecord(pos, [1.0, 0.1])
 
 
 def test_trajectory_record_requires_decreasing_times():
-    states = (LatentState(np.zeros(2), 1.0), LatentState(np.ones(2), 0.5),
-              LatentState(np.ones(2), 0.5), LatentState(np.ones(2), 0.0))
     with pytest.raises(InvalidParameterError):
-        TrajectoryRecord(states, 3)
+        TrajectoryRecord(np.zeros((4, 2)), [1.0, 0.5, 0.5, 0.0])
+
+
+def test_trajectory_record_needs_one_time_per_state():
+    for times in ([1.0], [1.0, 0.5, 0.0], [[1.0, 0.0]]):
+        with pytest.raises(InvalidParameterError):
+            TrajectoryRecord(np.zeros((2, 2)), times)
 
 
 def test_trajectory_record_properties():
-    states = (LatentState(np.array([1.0, 2.0]), 1.0),
-              LatentState(np.array([3.0, 4.0]), 0.0))
-    rec = TrajectoryRecord(states, 1, seed=42)
+    rec = TrajectoryRecord(np.array([[1.0, 2.0], [3.0, 4.0]]), [1.0, 0.0])
     assert_allclose(rec.positions, [[1.0, 2.0], [3.0, 4.0]], rtol=0)
     assert_allclose(rec.endpoint, [3.0, 4.0], rtol=0)
-    assert rec.seed == 42
 
 
 # -- Euler reference sampler -------------------------------------------------------------
@@ -286,7 +305,7 @@ def test_euler_constant_field_hand_value():
     x1 = np.array([0.5, 0.5])
     rec = euler_sample(lambda x, t: u, x1, steps=4)
     assert_allclose(rec.endpoint, x1 - u, rtol=1e-15)
-    assert rec.step_count == 4
+    assert rec.positions.shape == (5, 2)
     assert_allclose(rec.times, [1.0, 0.75, 0.5, 0.25, 0.0], rtol=0)
 
 
@@ -307,6 +326,46 @@ def test_euler_first_order_convergence():
     e_fine = np.linalg.norm(ends[50] - ends[100], axis=1).mean()
     assert e_fine < e_coarse
     assert 1.2 < e_coarse / e_fine < 3.5
+
+
+def oracle_neural_teacher():
+    net = StudentNet(NetConfig(dim=2, num_modes=1, gamma_mode="frozen_one",
+                               hidden=(8,)), seed=4)
+    net.params[:] = np.random.default_rng(5).normal(size=net.num_params)
+    return NeuralTeacher(net, ring_spec())
+
+
+@pytest.mark.parametrize("make_teacher", [
+    lambda: AnalyticGmmTeacher(lopsided_spec()),
+    lambda: AnalyticGmmTeacher(ring_spec()),
+    oracle_neural_teacher,
+], ids=["analytic", "ring", "neural"])
+@pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
+                         ids=["unbatched", "b37", "b2048"])
+def test_euler_sample_equals_inline_euler_oracle(make_teacher, shape):
+    # x_i = x_(i-1) - u(x_(i-1), t_(i-1)) * (t_(i-1) - t_i) with
+    # t_i = (steps - i) / steps, every state stacked
+    teacher = make_teacher()
+    x1 = np.random.default_rng(56).standard_normal(shape)
+    for steps in (1, 2, 25):
+        rec = euler_sample(teacher.velocity, x1, steps)
+        x, xs, ts = x1, [x1], [1.0]
+        for i in range(steps):
+            t_now, t_next = (steps - i) / steps, (steps - i - 1) / steps
+            x = x - teacher.velocity(x, t_now) * (t_now - t_next)
+            xs.append(x)
+            ts.append(t_next)
+        assert np.array_equal(rec.positions, np.stack(xs))
+        assert np.array_equal(rec.times, np.array(ts))
+        assert rec.positions.shape == (steps + 1,) + shape
+        assert not rec.positions.flags.writeable
+        assert not rec.times.flags.writeable
+        end = rec.endpoint
+        assert np.array_equal(end, rec.positions[-1])
+        assert not np.shares_memory(end, rec.positions)
+        for i, state in enumerate(rec.states):
+            assert np.array_equal(state.x, rec.positions[i])
+            assert state.t == rec.times[i]
 
 
 def test_euler_rejects_zero_steps():
