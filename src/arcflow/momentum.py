@@ -23,7 +23,7 @@ always represent a straight path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,10 +139,6 @@ class MomentumParams:
     @property
     def batch_shape(self) -> tuple:
         return self.gating.shape[:-1]
-
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.exp(self.log_gammas)
 
 
 @dataclass(frozen=True)

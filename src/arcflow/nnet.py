@@ -17,8 +17,8 @@ regimes: "learnable" as above, "fixed" keeps the progression constant,
 linear-velocity baseline).
 
 Everything is float64 in one flat parameter vector with named views, and the
-backward pass is written out by hand.  Finite differences in grad_check are
-the independent route for checking it and must stay independent.
+backward pass is written out by hand; arcflow.verify checks it against central
+finite differences.
 
 Initialization draws, in order: each body weight matrix, then the velocity
 head weight matrix, all scaled by 1/sqrt(fan_in); biases and the gating and
@@ -188,11 +188,8 @@ class StudentNet:
     def slice_of(self, name: str) -> slice:
         return self._blocks[name][0]
 
-    def view(self, name: str, of: np.ndarray | None = None) -> np.ndarray:
-        if of is None:
-            return self._p[name]
-        sl, shape = self._blocks[name]
-        return of[sl].reshape(shape)
+    def view(self, name: str) -> np.ndarray:
+        return self._p[name]
 
     def zero_grads(self):
         self.grads[:] = 0.0
@@ -457,32 +454,3 @@ def adam_step(net: StudentNet, state: OptimState, base_lr: float):
     mhat = state.m / (1.0 - ADAM_BETA1 ** state.step_count)
     vhat = state.v / (1.0 - ADAM_BETA2 ** state.step_count)
     net.params -= base_lr * state.lr_scale * mhat / (np.sqrt(vhat) + ADAM_EPS)
-
-
-def grad_check(net: StudentNet, loss_and_grad, probes=100, h=1e-5, rng=None):
-    """Compare analytic gradients against central finite differences.
-
-    loss_and_grad(net) must return (scalar loss, flat gradient copy) and be
-    deterministic in net.params.  Probes are parameter indices sampled
-    without replacement.  Returns the worst relative error, where the
-    denominator is floored at 1e-6 of the largest analytic gradient so
-    near-zero entries compare absolutely at that scale.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    _, grad = loss_and_grad(net)
-    grad = np.array(grad, copy=True)
-    count = min(int(probes), net.num_params)
-    idx = rng.choice(net.num_params, size=count, replace=False)
-    floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
-    worst = 0.0
-    for i in idx:
-        orig = net.params[i]
-        net.params[i] = orig + h
-        lo_plus = loss_and_grad(net)[0]
-        net.params[i] = orig - h
-        lo_minus = loss_and_grad(net)[0]
-        net.params[i] = orig
-        fd = (lo_plus - lo_minus) / (2.0 * h)
-        denom = max(abs(grad[i]), abs(fd), floor)
-        worst = max(worst, abs(grad[i] - fd) / denom)
-    return worst

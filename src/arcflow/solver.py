@@ -15,25 +15,14 @@ For |ln gamma| below LN_GAMMA_EPS the mode is treated as linear and the
 coefficient is t_s - t_e, the exact limit.  The formula is antisymmetric in
 its time arguments and additive over interval splits; the solver is exact up
 to floating-point rounding, so step size never trades off against accuracy.
-
-quadrature_displacement is an independent reference route: it integrates the
-mixture velocity numerically with adaptive quadrature and exists only so the
-closed form can be checked against it.  It must never be collapsed into the
-closed-form path.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
 
-from .errors import (
-    ConvergenceError,
-    InvalidIntervalError,
-    InvalidParameterError,
-    NumericError,
-)
-from .momentum import LatentState, MomentumParams, eval_velocity
+from .errors import InvalidIntervalError, InvalidParameterError, NumericError
+from .momentum import LatentState, MomentumParams
 
 # Below this |ln gamma| the exponential integral is evaluated in its linear
 # limit.  Keep in sync with the checkpoint docs; changing it changes rollouts.
@@ -167,34 +156,3 @@ def _anchored_rows(theta: MomentumParams, times) -> tuple:
     for w, out in zip(weights, disp):
         np.einsum("...k,...kd->...d", w, theta.base_velocities, out=out)
     return disp, powers
-
-
-def quadrature_displacement(theta: MomentumParams, t_start, t_end,
-                            tol=1e-12) -> np.ndarray:
-    """Reference displacement via adaptive quadrature of eval_velocity.
-
-    Independent of the closed form on purpose; used by verification sweeps.
-    Only unbatched parameter bundles are supported.  Raises ConvergenceError
-    when the integrator cannot certify the requested absolute tolerance.
-    """
-    if float(tol) <= 0.0:
-        raise InvalidParameterError("quadrature tolerance must be positive")
-    if theta.batch_shape != ():
-        raise InvalidParameterError(
-            "quadrature reference handles one parameter bundle at a time"
-        )
-    t_start, t_end = float(t_start), float(t_end)
-    out = np.empty(theta.dim)
-    for d in range(theta.dim):
-        val, err, info = integrate.quad(
-            lambda t, d=d: eval_velocity(theta, t)[d],
-            t_end, t_start, epsabs=tol, epsrel=0.0, limit=200,
-            full_output=True,
-        )[:3]
-        if err > max(tol, abs(val) * 1e-11):
-            raise ConvergenceError(
-                f"quadrature error estimate {err:.3e} above tolerance {tol:.3e} "
-                f"for coordinate {d}"
-            )
-        out[d] = val
-    return out

@@ -89,10 +89,6 @@ class GmmTeacherSpec:
         object.__setattr__(self, "_cdf", cdf)
 
     @property
-    def num_components(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 

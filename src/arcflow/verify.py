@@ -8,6 +8,12 @@ central finite differences for the hand-written backward pass, kernel
 regression on raw pairs plus an energy-distance transport test for the
 closed-form teacher field.  None of these reference routes may ever be
 replaced by calls into the code they check.
+
+The two general-purpose reference routes live here too, not in the modules
+they check: quadrature_displacement integrates eval_velocity with scipy's
+adaptive quadrature and never calls the solver's closed form, and grad_check
+differences loss values and never calls StudentNet.backward itself.  This is
+the only module that imports scipy.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from .distill import (
     DistillConfig,
@@ -25,24 +32,16 @@ from .distill import (
     sample_anchor_times,
     velocity_matching_loss,
 )
+from .errors import ConvergenceError, InvalidParameterError
 from .harness import energy_distance
 from .interpolation import (
     InterpolationProblem,
-    build_basis_matrix,
     solve_exact_fit,
     to_momentum_params,
     verify_haar,
 )
-from .momentum import MomentumParams, eval_velocity
-from .nnet import grad_check
-from .solver import (
-    displacement,
-    momentum_coefficient,
-    quadrature_displacement,
-    step,
-    sub_interval_displacement,
-)
-from .momentum import LatentState
+from .momentum import LatentState, MomentumParams, eval_velocity
+from .solver import displacement, momentum_coefficient, step
 from .teacher import (
     AnalyticGmmTeacher,
     euler_sample,
@@ -113,6 +112,37 @@ def _random_mixture(rng, max_modes=16, dim=3):
     norms = np.linalg.norm(base, axis=-1, keepdims=True)
     base = np.where(norms > 10.0, base * (10.0 / norms), base)
     return MomentumParams(gating, base, np.log(gammas), anchor_index=None)
+
+
+def quadrature_displacement(theta: MomentumParams, t_start, t_end,
+                            tol=1e-12) -> np.ndarray:
+    """Reference displacement via adaptive quadrature of eval_velocity.
+
+    Independent of the closed form on purpose; used by the quadrature suite.
+    Only unbatched parameter bundles are supported.  Raises ConvergenceError
+    when the integrator cannot certify the requested absolute tolerance.
+    """
+    if float(tol) <= 0.0:
+        raise InvalidParameterError("quadrature tolerance must be positive")
+    if theta.batch_shape != ():
+        raise InvalidParameterError(
+            "quadrature reference handles one parameter bundle at a time"
+        )
+    t_start, t_end = float(t_start), float(t_end)
+    out = np.empty(theta.dim)
+    for d in range(theta.dim):
+        val, err, info = integrate.quad(
+            lambda t, d=d: eval_velocity(theta, t)[d],
+            t_end, t_start, epsabs=tol, epsrel=0.0, limit=200,
+            full_output=True,
+        )[:3]
+        if err > max(tol, abs(val) * 1e-11):
+            raise ConvergenceError(
+                f"quadrature error estimate {err:.3e} above tolerance {tol:.3e} "
+                f"for coordinate {d}"
+            )
+        out[d] = val
+    return out
 
 
 def operator_quadrature_suite(mixtures=1000, seed=1002) -> SuiteResult:
@@ -212,6 +242,35 @@ def _fixed_anchor_loss(net, anchors, x_src, t_src):
     net.zero_grads()
     net.backward(grads)
     return loss, net.grads
+
+
+def grad_check(net, loss_and_grad, probes=100, h=1e-5, rng=None):
+    """Compare analytic gradients against central finite differences.
+
+    loss_and_grad(net) must return (scalar loss, flat gradient copy) and be
+    deterministic in net.params.  Probes are parameter indices sampled
+    without replacement.  Returns the worst relative error, where the
+    denominator is floored at 1e-6 of the largest analytic gradient so
+    near-zero entries compare absolutely at that scale.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    _, grad = loss_and_grad(net)
+    grad = np.array(grad, copy=True)
+    count = min(int(probes), net.num_params)
+    idx = rng.choice(net.num_params, size=count, replace=False)
+    floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
+    worst = 0.0
+    for i in idx:
+        orig = net.params[i]
+        net.params[i] = orig + h
+        lo_plus = loss_and_grad(net)[0]
+        net.params[i] = orig - h
+        lo_minus = loss_and_grad(net)[0]
+        net.params[i] = orig
+        fd = (lo_plus - lo_minus) / (2.0 * h)
+        denom = max(abs(grad[i]), abs(fd), floor)
+        worst = max(worst, abs(grad[i] - fd) / denom)
+    return worst
 
 
 def gradient_suite(probes=100, seed=1005) -> SuiteResult:

@@ -15,13 +15,9 @@ import json
 import statistics
 import time
 
-from arcflow import (
-    RunConfig,
-    make_linear_baseline,
-    run_ablation,
-    run_distillation,
-)
 from arcflow.cli import main
+from arcflow.distill import make_linear_baseline
+from arcflow.harness import RunConfig, run_ablation, run_distillation
 from arcflow.verify import (
     coefficient_continuity_suite,
     degenerate_mixing_suite,

@@ -10,33 +10,33 @@ from numpy.testing import assert_allclose
 
 from arcflow import (
     AnalyticGmmTeacher,
-    DistillConfig,
     GmmTeacherSpec,
     InvalidIntervalError,
     InvalidParameterError,
-    NeuralTeacher,
     LatentState,
     MomentumParams,
-    NetConfig,
     NumericError,
-    StudentNet,
-    build_student_net,
     displacement,
+    step,
+    student_sample,
+)
+from arcflow.distill import (
+    AnchorSet,
+    DistillConfig,
+    build_student_net,
     distill_train,
     init_shelf_state,
     lambda_at,
     make_linear_baseline,
     mixed_integration,
-    ring_spec,
     sample_anchor_times,
     sample_shelf,
-    step,
-    student_sample,
-    sub_interval_displacement,
     training_streams,
     velocity_matching_loss,
 )
-from arcflow.distill import AnchorSet
+from arcflow.nnet import NetConfig, StudentNet
+from arcflow.solver import sub_interval_displacement
+from arcflow.teacher import NeuralTeacher, ring_spec
 
 
 class ConstantTeacher:

@@ -10,22 +10,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arcflow import (
-    ABLATION_STUDIES,
     AnalyticGmmTeacher,
     ConfigError,
-    DistillConfig,
     InvalidParameterError,
-    NeuralTeacher,
+    TrajectoryRecord,
+)
+from arcflow.distill import DistillConfig, training_streams
+from arcflow.harness import (
     RunConfig,
     RunOptions,
     TeacherConfig,
-    TrajectoryRecord,
     ablation_budget,
     ablation_cells,
     build_teacher,
     config_hash,
     endpoint_mse,
     energy_distance,
+    euler_reference,
     evaluate_student,
     fmt,
     format_run_config,
@@ -34,14 +35,13 @@ from arcflow import (
     run_ablation,
     run_distillation,
     trajectory_deviation,
-    training_streams,
     write_ablation_csv,
     write_loss_csv,
     write_trajectory_csv,
 )
+from arcflow.teacher import NeuralTeacher
 from arcflow import harness as harness_module
 from arcflow.cli import main
-from arcflow.harness import euler_reference
 
 
 def tiny_run_config(**distill_overrides):
@@ -517,14 +517,14 @@ def test_build_teacher_analytic_ring():
     teacher = build_teacher(RunConfig())
     assert isinstance(teacher, AnalyticGmmTeacher)
     assert teacher.dim == 2
-    assert teacher.spec.num_components == 8
+    assert teacher.spec.weights.size == 8
 
 
 def test_build_teacher_explicit_layout():
     cfg = RunConfig(teacher=TeacherConfig(
         layout="explicit", weights="1.0", means="0.5, -0.5", stds="0.3"))
     teacher = build_teacher(cfg)
-    assert teacher.spec.num_components == 1
+    assert teacher.spec.weights.size == 1
     assert_allclose(teacher.spec.means, [[0.5, -0.5]], rtol=0)
 
 
@@ -542,7 +542,7 @@ def test_build_teacher_neural_kind():
 def test_evaluate_student_returns_finite_metrics():
     cfg = tiny_run_config()
     teacher = build_teacher(cfg)
-    from arcflow import build_student_net, distill_train
+    from arcflow.distill import build_student_net, distill_train
 
     net = build_student_net(cfg.distill, teacher.dim,
                             init_seed=training_streams(0)[0])
@@ -959,7 +959,7 @@ def _cli_error_line(argv, capsys) -> str:
 
 
 def _saved_student(tmp_path):
-    from arcflow import build_student_net
+    from arcflow.distill import build_student_net
 
     path = tmp_path / "student.ckpt"
     build_student_net(DistillConfig(num_modes=2), dim=2).save(path)

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from arcflow import (
-    InvalidParameterError,
-    LatentState,
-    MomentumParams,
-    eval_velocity,
-    init_log_gammas,
-)
+from arcflow import InvalidParameterError, LatentState, MomentumParams
+from arcflow.momentum import eval_velocity, init_log_gammas
 
 
 def random_params(rng, batch=(), modes=4, dim=2, anchor=False):
@@ -143,7 +138,6 @@ def test_params_properties():
     assert theta.num_modes == 3
     assert theta.dim == 4
     assert theta.batch_shape == (5, 2)
-    assert_allclose(theta.gammas, np.exp(theta.log_gammas), rtol=1e-15)
 
 
 # -- LatentState ----------------------------------------------------------------

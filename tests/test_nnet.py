@@ -11,16 +11,18 @@ from numpy.testing import assert_allclose
 from arcflow import (
     CheckpointFormatError,
     InvalidParameterError,
-    MomentumParamGrads,
-    NetConfig,
     NumericError,
     StateError,
+)
+from arcflow.momentum import init_log_gammas
+from arcflow.nnet import (
+    MomentumParamGrads,
+    NetConfig,
     StudentNet,
     adam_step,
-    grad_check,
-    init_log_gammas,
     init_optim_state,
 )
+from arcflow.verify import grad_check
 
 ALL_VARIANTS = (
     NetConfig(dim=2, num_modes=4),
@@ -228,7 +230,7 @@ def test_anchor_gradient_structurally_zero():
     )
     net.zero_grads()
     net.backward(upstream)
-    gam_b_grad = net.view("gam_b", net.grads)
+    gam_b_grad = net.grads[net.slice_of("gam_b")]
     assert gam_b_grad[net.anchor_index] == 0.0
     others = np.delete(gam_b_grad, net.anchor_index)
     assert (others != 0.0).all()

@@ -11,11 +11,10 @@ from arcflow import (
     MomentumParams,
     NumericError,
     displacement,
-    momentum_coefficient,
-    quadrature_displacement,
     step,
-    sub_interval_displacement,
 )
+from arcflow.solver import momentum_coefficient, sub_interval_displacement
+from arcflow.verify import quadrature_displacement
 
 
 def random_theta(rng, modes=4, dim=2):

@@ -8,16 +8,17 @@ from numpy.testing import assert_allclose
 
 from arcflow import (
     AnalyticGmmTeacher,
-    CfmTrainConfig,
     GmmTeacherSpec,
     InvalidParameterError,
     InvalidProblemError,
-    NeuralTeacher,
-    NetConfig,
     NumericError,
-    StudentNet,
     TrajectoryRecord,
     euler_sample,
+)
+from arcflow.nnet import NetConfig, StudentNet
+from arcflow.teacher import (
+    CfmTrainConfig,
+    NeuralTeacher,
     gmm_velocity,
     ring_spec,
     sample_data,
@@ -40,7 +41,7 @@ def lopsided_spec():
 
 def test_ring_spec_geometry():
     spec = ring_spec(components=8, radius=2.0, std=0.25, dim=2)
-    assert spec.num_components == 8
+    assert spec.weights.size == 8
     assert spec.dim == 2
     assert_allclose(np.linalg.norm(spec.means, axis=1), np.full(8, 2.0),
                     rtol=1e-12)
@@ -233,7 +234,7 @@ def test_sample_data_draws_what_generator_choice_draws():
             got_rng = np.random.default_rng(seed)
             want_rng = np.random.default_rng(seed)
             got = sample_data(spec, got_rng, count)
-            idx = want_rng.choice(spec.num_components, size=count,
+            idx = want_rng.choice(spec.weights.size, size=count,
                                   p=spec.weights)
             noise = want_rng.standard_normal((count, spec.dim))
             want = spec.means[idx] + spec.stds[idx][:, None] * noise
