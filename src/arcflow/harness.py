@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -554,12 +555,19 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     configuration alone.  Returns rows (study, cell, seed, endpoint_mse,
     final_loss) in study, cell, seed order.
 
-    Seeds run outermost.  Per seed the teacher and the Euler reference are
-    built once and shared by that seed's cells, and each distinct cell
-    config is trained once through run_distillation: twin cells such as
-    gamma_mode/learnable and sharing/all_per_mode give equal rows by
-    construction.  Unknown or repeated studies and negative, non-integer or
-    repeated seeds raise InvalidParameterError before any training."""
+    Each seed's teacher and Euler reference are built once, in the calling
+    process, and shared by that seed's cells.  Each distinct (seed, cell
+    config) unit is trained once through run_distillation: twin cells such
+    as gamma_mode/learnable and sharing/all_per_mode give equal rows by
+    construction.  The units run in one worker process per CPU this process
+    may run on, at most one per unit; the workers are forked, so they
+    inherit the teachers and references, and only a unit's DistillConfig
+    goes to a worker and only its two figures come back.  The rows are
+    identical to a one-process run, which is what one CPU or a platform
+    without fork gets.  A failing grid raises the error the one-process run
+    raises first, and no worker outlives the call.  Unknown or repeated
+    studies and negative, non-integer or repeated seeds raise
+    InvalidParameterError before any training."""
     studies, seeds = tuple(studies), tuple(seeds)
     if len(set(studies)) != len(studies):
         raise InvalidParameterError(f"repeated ablation study in {studies}")
@@ -574,30 +582,85 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
         dataclasses.replace(cfg.distill, seed=seed)
     seeds = tuple(int(seed) for seed in seeds)
 
-    results = {}
-    for seed in seeds:
-        results.update(_ablation_seed(cfg, [dcfg for _, _, dcfg in cells],
-                                      seed))
+    shared = (cfg, {seed: _seed_context(cfg, seed) for seed in seeds})
+    # seeds outermost, as a one-process run trains them
+    units = list(dict.fromkeys(dataclasses.replace(dcfg, seed=seed)
+                               for seed in seeds for _, _, dcfg in cells))
+    results = dict(zip(units, _train_units(shared, units)))
     return [(study, name, seed,
              *results[dataclasses.replace(dcfg, seed=seed)])
             for study, name, dcfg in cells for seed in seeds]
 
 
-def _ablation_seed(cfg: RunConfig, cell_cfgs, seed: int) -> dict:
-    # The teacher and reference live only for this seed's cells.
+def _seed_context(cfg: RunConfig, seed: int):
+    """The teacher and Euler reference every cell at this seed shares."""
     seed_cfg = RunConfig(cfg.teacher,
                          dataclasses.replace(cfg.distill, seed=seed), cfg.run)
     teacher = build_teacher(seed_cfg)
-    reference = euler_reference(teacher, seed_cfg)
-    results = {}
-    for dcfg in cell_cfgs:
-        seeded = dataclasses.replace(dcfg, seed=seed)
-        if seeded not in results:
-            report, _, _ = run_distillation(
-                RunConfig(cfg.teacher, seeded, cfg.run),
-                teacher=teacher, reference=reference)
-            results[seeded] = (report.endpoint_mse, report.final_loss)
-    return results
+    return teacher, euler_reference(teacher, seed_cfg)
+
+
+def _ablation_unit(shared, dcfg: DistillConfig):
+    """(endpoint_mse, final_loss) of one seeded cell config, in a worker or
+    in the calling process alike."""
+    cfg, contexts = shared
+    teacher, reference = contexts[dcfg.seed]
+    report, _, _ = run_distillation(RunConfig(cfg.teacher, dcfg, cfg.run),
+                                    teacher=teacher, reference=reference)
+    return report.endpoint_mse, report.final_loss
+
+
+def _ablation_workers(units: int) -> int:
+    """One worker per CPU this process may run on, at most one per unit."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform can ask
+        cpus = os.cpu_count() or 1
+    return min(units, cpus)
+
+
+def _train_units(shared, units) -> list:
+    """Each unit's _ablation_unit figures, in the order of units."""
+    workers = _ablation_workers(len(units))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _train_units_pooled(shared, units, workers,
+                                       multiprocessing.get_context("fork"))
+    return [_ablation_unit(shared, unit) for unit in units]
+
+
+def _train_units_pooled(shared, units, workers, context) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit shared through the initializer's arguments,
+    # so the references are never pickled.
+    pool = ProcessPoolExecutor(workers, mp_context=context,
+                               initializer=_init_ablation_worker,
+                               initargs=(shared,))
+    try:
+        # Longest budget first, so the long cells do not form the tail;
+        # sorted is stable, so equal budgets keep their serial order.
+        futures = {unit: pool.submit(_pooled_ablation_unit, unit)
+                   for unit in sorted(units, key=lambda u: -u.total_steps)}
+        # Read in serial order: a failing grid raises the error that the
+        # one-process run meets first.
+        return [futures[unit].result() for unit in units]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+_worker_shared = None  # set in each forked ablation worker, never in the caller
+
+
+def _init_ablation_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _pooled_ablation_unit(dcfg: DistillConfig):
+    return _ablation_unit(_worker_shared, dcfg)
 
 
 # -- artifact writers -------------------------------------------------------------

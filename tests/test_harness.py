@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import multiprocessing
+import time
 import tracemalloc
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from arcflow import (
     AnalyticGmmTeacher,
     ConfigError,
     InvalidParameterError,
+    NumericError,
     TrajectoryRecord,
 )
 from arcflow.distill import DistillConfig, training_streams
@@ -706,13 +710,35 @@ def test_run_ablation_rows_equal_standalone_runs_neural_teacher():
     assert _hex_rows(rows) == _hex_rows(_standalone_rows(cfg, studies, seeds))
 
 
+class _CallCounts(Mapping):
+    """Call counts by name, kept in shared memory that forked ablation
+    workers inherit, so calls made in a worker count as well."""
+
+    def __init__(self, names):
+        self._values = {name: multiprocessing.Value("q", 0) for name in names}
+
+    def add(self, name):
+        value = self._values[name]
+        with value.get_lock():
+            value.value += 1
+
+    def __getitem__(self, name):
+        return self._values[name].value
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __len__(self):
+        return len(self._values)
+
+
 def _count_calls(monkeypatch, *names):
-    counts = dict.fromkeys(names, 0)
+    counts = _CallCounts(names)
     for name in names:
         real = getattr(harness_module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
+            counts.add(_name)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(harness_module, name, counted)
@@ -730,6 +756,48 @@ def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
     assert counts["build_teacher"] == 2
     # the teacher_steps reference and its doubled-step floor, per seed
     assert counts["euler_sample"] == 2 * 2
+
+
+def _grid_with_workers(monkeypatch, workers, cfg):
+    # num_modes trains twice as long as gamma_mode, so the pool submits
+    # its units first, out of serial order.
+    monkeypatch.setattr(harness_module, "_ablation_workers",
+                        lambda units: min(units, workers))
+    return run_ablation(cfg, studies=("gamma_mode", "num_modes"),
+                        seeds=(0, 1))
+
+
+def test_pooled_ablation_rows_equal_in_process_rows(monkeypatch):
+    cfg = tiny_run_config()
+    pooled = _grid_with_workers(monkeypatch, 2, cfg)
+    assert multiprocessing.active_children() == []
+    in_process = _grid_with_workers(monkeypatch, 1, cfg)
+    assert _hex_rows(pooled) == _hex_rows(in_process)
+
+
+def test_pooled_ablation_raises_the_in_process_error(monkeypatch):
+    cfg = tiny_run_config(base_lr=1e300)
+    with pytest.raises(NumericError) as in_process:
+        _grid_with_workers(monkeypatch, 1, cfg)
+    with pytest.raises(NumericError) as pooled:
+        _grid_with_workers(monkeypatch, 2, cfg)
+    assert str(pooled.value).startswith("training step ")
+    assert str(pooled.value) == str(in_process.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_ablation_raises_the_first_failure_in_serial_order(
+        monkeypatch):
+    # Every unit fails, and the first unit in serial order fails last.
+    def failing(cfg, **_):
+        if cfg.distill.gamma_mode == "frozen_one":
+            time.sleep(0.5)
+        raise NumericError(f"{cfg.distill.gamma_mode} {cfg.distill.seed}")
+
+    monkeypatch.setattr(harness_module, "run_distillation", failing)
+    with pytest.raises(NumericError, match="^frozen_one 0$"):
+        _grid_with_workers(monkeypatch, 2, tiny_run_config())
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("studies, seeds", [

@@ -22,7 +22,7 @@ from arcflow.nnet import (
     adam_step,
     init_optim_state,
 )
-from arcflow.verify import grad_check
+from arcflow.verify import grad_check, gradient_suite
 
 ALL_VARIANTS = (
     NetConfig(dim=2, num_modes=4),
@@ -40,24 +40,31 @@ def probe_batch(rng, dim, batch=5):
 
 
 def linear_probe_loss(x, t, rng):
-    """Deterministic scalar functional of all three output heads."""
+    """Deterministic scalar functional of all three output heads: a
+    loss(net) callable and a grad(net) callable giving its analytic
+    gradient.  The weights are drawn at the first call of either."""
     w_drawn = {}
 
-    def loss_and_grad(net):
-        theta = net.forward(x, t)
+    def weights(theta):
         if not w_drawn:
             w_drawn["g"] = rng.normal(size=theta.gating.shape)
             w_drawn["v"] = rng.normal(size=theta.base_velocities.shape)
             w_drawn["l"] = rng.normal(size=theta.log_gammas.shape)
-        loss = (float((w_drawn["g"] * theta.gating).sum())
-                + float((w_drawn["v"] * theta.base_velocities).sum())
-                + float((w_drawn["l"] * theta.log_gammas).sum()))
-        net.zero_grads()
-        grads = net.backward(MomentumParamGrads(
-            w_drawn["g"], w_drawn["v"], w_drawn["l"]))
-        return loss, grads.copy()
+        return w_drawn["g"], w_drawn["v"], w_drawn["l"]
 
-    return loss_and_grad
+    def loss(net):
+        theta = net.forward(x, t)
+        w_g, w_v, w_l = weights(theta)
+        return (float((w_g * theta.gating).sum())
+                + float((w_v * theta.base_velocities).sum())
+                + float((w_l * theta.log_gammas).sum()))
+
+    def grad(net):
+        theta = net.forward(x, t)
+        net.zero_grads()
+        return net.backward(MomentumParamGrads(*weights(theta))).copy()
+
+    return loss, grad
 
 
 # -- config ------------------------------------------------------------------
@@ -312,8 +319,8 @@ def test_gradients_match_finite_differences(cfg):
     jitter = np.random.default_rng(13)
     net.params += 0.05 * jitter.normal(size=net.num_params)
     x, t = probe_batch(np.random.default_rng(14), cfg.dim, batch=3)
-    loss = linear_probe_loss(x, t, np.random.default_rng(15))
-    worst = grad_check(net, loss, probes=60, h=1e-5,
+    loss, grad = linear_probe_loss(x, t, np.random.default_rng(15))
+    worst = grad_check(net, loss, grad(net), probes=60, h=1e-5,
                        rng=np.random.default_rng(16))
     assert worst <= 1e-4
 
@@ -324,13 +331,8 @@ def test_grad_check_catches_corrupted_gradients():
     cfg = NetConfig(dim=2, num_modes=3)
     net = StudentNet(cfg, seed=1)
     x, t = probe_batch(np.random.default_rng(17), 2, batch=3)
-    honest = linear_probe_loss(x, t, np.random.default_rng(18))
-
-    def corrupted(net):
-        loss, grads = honest(net)
-        return loss, 1.5 * grads
-
-    worst = grad_check(net, corrupted, probes=40,
+    loss, grad = linear_probe_loss(x, t, np.random.default_rng(18))
+    worst = grad_check(net, loss, 1.5 * grad(net), probes=40,
                        rng=np.random.default_rng(19))
     assert worst > 1e-2
 
@@ -490,7 +492,21 @@ def test_grad_check_passes_trivial_quadratic():
     net = StudentNet(NetConfig(dim=2, num_modes=2, hidden=(8,)), seed=2)
 
     def quad(net):
-        loss = 0.5 * float(net.params @ net.params)
-        return loss, net.params.copy()
+        return 0.5 * float(net.params @ net.params)
 
-    assert grad_check(net, quad, probes=30) < 1e-6
+    assert grad_check(net, quad, net.params.copy(), probes=30) < 1e-6
+
+
+def test_gradient_suite_runs_backward_once(monkeypatch):
+    # the finite-difference probes evaluate the loss alone
+    calls = []
+    real = StudentNet.backward
+
+    def counted(self, upstream):
+        calls.append(1)
+        return real(self, upstream)
+
+    monkeypatch.setattr(StudentNet, "backward", counted)
+    result = gradient_suite(probes=20)
+    assert result.passed
+    assert len(calls) == 1

@@ -80,3 +80,11 @@ def test_readme_library_surface_block_runs_as_written(capsys):
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
     assert "(256, 2) (17, 256, 2)" in capsys.readouterr().out
+
+
+def test_harness_and_cli_imports_load_no_process_pool():
+    # run_ablation imports its pool lazily, on a grid that uses one
+    loaded = fresh_modules("import arcflow.harness, arcflow.cli\n")
+    assert "arcflow.harness" in loaded and "arcflow.cli" in loaded
+    assert [m for m in loaded
+            if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
