@@ -344,7 +344,10 @@ def student_sample(net: StudentNet, x_start, nfe: int,
 
     The dense sub-steps are anchored displacement differences, so chaining
     them reproduces the single whole-shelf step up to a few ulps; the shelf
-    handoff state is the last dense state.
+    handoff state is the last dense state.  Overflow and invalid-value
+    warnings are silenced: every state is checked for finiteness, so a
+    diverging student raises one NumericError naming the shelf and the
+    sub-step.
     """
     nfe = int(nfe)
     dense = int(dense_per_shelf)
@@ -354,17 +357,23 @@ def student_sample(net: StudentNet, x_start, nfe: int,
     positions = np.empty((nfe * dense + 1,) + x.shape)
     times = np.empty(nfe * dense + 1)
     positions[0], times[0] = x, 1.0
-    for shelf in range(nfe, 0, -1):
-        t_hi = shelf / nfe
-        t_lo = (shelf - 1) / nfe
-        theta = net.forward(x, t_hi)
-        t_prev = t_hi
-        for m in range(1, dense + 1):
-            row = (nfe - shelf) * dense + m
-            tau = t_lo if m == dense else t_hi + (t_lo - t_hi) * (m / dense)
-            x = np.subtract(x, sub_interval_displacement(theta, t_prev, tau),
-                            out=positions[row])
-            if not np.isfinite(x).all():
-                raise NumericError(f"non-finite sample state at t={tau:.6f}")
-            times[row] = t_prev = tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shelf in range(nfe, 0, -1):
+            t_hi = shelf / nfe
+            t_lo = (shelf - 1) / nfe
+            theta = net.forward(x, t_hi)
+            t_prev = t_hi
+            for m in range(1, dense + 1):
+                row = (nfe - shelf) * dense + m
+                tau = t_lo if m == dense \
+                    else t_hi + (t_lo - t_hi) * (m / dense)
+                x = np.subtract(x, sub_interval_displacement(theta, t_prev,
+                                                             tau),
+                                out=positions[row])
+                if not np.isfinite(x).all():
+                    raise NumericError(
+                        f"non-finite sample state in shelf {nfe - shelf} "
+                        f"({t_hi:.6f} -> {t_lo:.6f}), sub-step {m - 1} "
+                        f"({t_prev:.6f} -> {tau:.6f})")
+                times[row] = t_prev = tau
     return TrajectoryRecord(positions, times)

@@ -25,13 +25,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._pool import fork_workers, map_forked
 from .distill import (
     DistillConfig,
     build_student_net,
@@ -565,9 +565,10 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     goes to a worker and only its two figures come back.  The rows are
     identical to a one-process run, which is what one CPU or a platform
     without fork gets.  A failing grid raises the error the one-process run
-    raises first, and no worker outlives the call.  Unknown or repeated
-    studies and negative, non-integer or repeated seeds raise
-    InvalidParameterError before any training."""
+    raises first, its text led by the failing unit's seed and study/cell
+    names (all of them for twin cells), and no worker outlives the call.
+    Unknown or repeated studies and negative, non-integer or repeated seeds
+    raise InvalidParameterError before any training."""
     studies, seeds = tuple(studies), tuple(seeds)
     if len(set(studies)) != len(studies):
         raise InvalidParameterError(f"repeated ablation study in {studies}")
@@ -581,12 +582,22 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     for seed in seeds:
         dataclasses.replace(cfg.distill, seed=seed)
     seeds = tuple(int(seed) for seed in seeds)
-
-    shared = (cfg, {seed: _seed_context(cfg, seed) for seed in seeds})
     # seeds outermost, as a one-process run trains them
-    units = list(dict.fromkeys(dataclasses.replace(dcfg, seed=seed)
-                               for seed in seeds for _, _, dcfg in cells))
-    results = dict(zip(units, _train_units(shared, units)))
+    names = {}
+    for seed in seeds:
+        for study, name, dcfg in cells:
+            names.setdefault(dataclasses.replace(dcfg, seed=seed),
+                             []).append(f"{study}/{name}")
+    units = list(names)
+    shared = (cfg, {seed: _seed_context(cfg, seed) for seed in seeds}, names)
+    workers = fork_workers(len(units))
+    if workers > 1:
+        # Longest budget first, so the long cells do not form the tail.
+        results = map_forked(_ablation_unit, shared, units, workers,
+                             priority=lambda unit: -unit.total_steps)
+    else:
+        results = [_ablation_unit(shared, unit) for unit in units]
+    results = dict(zip(units, results))
     return [(study, name, seed,
              *results[dataclasses.replace(dcfg, seed=seed)])
             for study, name, dcfg in cells for seed in seeds]
@@ -602,65 +613,16 @@ def _seed_context(cfg: RunConfig, seed: int):
 
 def _ablation_unit(shared, dcfg: DistillConfig):
     """(endpoint_mse, final_loss) of one seeded cell config, in a worker or
-    in the calling process alike."""
-    cfg, contexts = shared
+    in the calling process alike, so both raise the same text."""
+    cfg, contexts, names = shared
     teacher, reference = contexts[dcfg.seed]
-    report, _, _ = run_distillation(RunConfig(cfg.teacher, dcfg, cfg.run),
-                                    teacher=teacher, reference=reference)
+    try:
+        report, _, _ = run_distillation(RunConfig(cfg.teacher, dcfg, cfg.run),
+                                        teacher=teacher, reference=reference)
+    except ArcFlowError as exc:
+        raise type(exc)(f"ablation seed {dcfg.seed} "
+                        f"{' = '.join(names[dcfg])}: {exc}") from exc
     return report.endpoint_mse, report.final_loss
-
-
-def _ablation_workers(units: int) -> int:
-    """One worker per CPU this process may run on, at most one per unit."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform can ask
-        cpus = os.cpu_count() or 1
-    return min(units, cpus)
-
-
-def _train_units(shared, units) -> list:
-    """Each unit's _ablation_unit figures, in the order of units."""
-    workers = _ablation_workers(len(units))
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _train_units_pooled(shared, units, workers,
-                                       multiprocessing.get_context("fork"))
-    return [_ablation_unit(shared, unit) for unit in units]
-
-
-def _train_units_pooled(shared, units, workers, context) -> list:
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Forked workers inherit shared through the initializer's arguments,
-    # so the references are never pickled.
-    pool = ProcessPoolExecutor(workers, mp_context=context,
-                               initializer=_init_ablation_worker,
-                               initargs=(shared,))
-    try:
-        # Longest budget first, so the long cells do not form the tail;
-        # sorted is stable, so equal budgets keep their serial order.
-        futures = {unit: pool.submit(_pooled_ablation_unit, unit)
-                   for unit in sorted(units, key=lambda u: -u.total_steps)}
-        # Read in serial order: a failing grid raises the error that the
-        # one-process run meets first.
-        return [futures[unit].result() for unit in units]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-_worker_shared = None  # set in each forked ablation worker, never in the caller
-
-
-def _init_ablation_worker(shared):
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _pooled_ablation_unit(dcfg: DistillConfig):
-    return _ablation_unit(_worker_shared, dcfg)
 
 
 # -- artifact writers -------------------------------------------------------------

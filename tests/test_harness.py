@@ -44,6 +44,7 @@ from arcflow.harness import (
     write_trajectory_csv,
 )
 from arcflow.teacher import NeuralTeacher
+from arcflow import _pool as pool_module
 from arcflow import harness as harness_module
 from arcflow.cli import main
 
@@ -758,13 +759,12 @@ def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
     assert counts["euler_sample"] == 2 * 2
 
 
-def _grid_with_workers(monkeypatch, workers, cfg):
+def _grid_with_workers(monkeypatch, workers, cfg,
+                       studies=("gamma_mode", "num_modes")):
     # num_modes trains twice as long as gamma_mode, so the pool submits
     # its units first, out of serial order.
-    monkeypatch.setattr(harness_module, "_ablation_workers",
-                        lambda units: min(units, workers))
-    return run_ablation(cfg, studies=("gamma_mode", "num_modes"),
-                        seeds=(0, 1))
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: workers)
+    return run_ablation(cfg, studies=studies, seeds=(0, 1))
 
 
 def test_pooled_ablation_rows_equal_in_process_rows(monkeypatch):
@@ -781,8 +781,43 @@ def test_pooled_ablation_raises_the_in_process_error(monkeypatch):
         _grid_with_workers(monkeypatch, 1, cfg)
     with pytest.raises(NumericError) as pooled:
         _grid_with_workers(monkeypatch, 2, cfg)
-    assert str(pooled.value).startswith("training step ")
+    assert str(pooled.value).startswith(
+        "ablation seed 0 gamma_mode/frozen_one: training step ")
     assert str(pooled.value) == str(in_process.value)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_diverging_evaluation_raises_one_error_and_no_warning(monkeypatch,
+                                                             workers):
+    # sharing/vel_per_mode_gamma_shared, first in serial order, trains to
+    # finite but huge log-gammas, so its evaluation samples overflow.
+    cfg = tiny_run_config(base_lr=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            _grid_with_workers(monkeypatch, workers, cfg, studies=("sharing",))
+    assert str(err.value) == (
+        "ablation seed 0 sharing/vel_per_mode_gamma_shared: non-finite "
+        "sample state in shelf 1 (0.500000 -> 0.000000), sub-step 0 "
+        "(0.500000 -> 0.375000)")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failing_twin_unit_names_both_cells(monkeypatch, workers):
+    def failing(cfg, **kwargs):
+        if cfg.distill.gamma_mode == "learnable":
+            raise NumericError("diverged")
+        return real(cfg, **kwargs)
+
+    real = harness_module.run_distillation
+    monkeypatch.setattr(harness_module, "run_distillation", failing)
+    with pytest.raises(NumericError) as err:
+        _grid_with_workers(monkeypatch, workers, tiny_run_config(),
+                           studies=("gamma_mode", "sharing"))
+    assert str(err.value) == ("ablation seed 0 gamma_mode/learnable = "
+                              "sharing/all_per_mode: diverged")
     assert multiprocessing.active_children() == []
 
 
@@ -795,7 +830,8 @@ def test_pooled_ablation_raises_the_first_failure_in_serial_order(
         raise NumericError(f"{cfg.distill.gamma_mode} {cfg.distill.seed}")
 
     monkeypatch.setattr(harness_module, "run_distillation", failing)
-    with pytest.raises(NumericError, match="^frozen_one 0$"):
+    with pytest.raises(NumericError, match="^ablation seed 0 "
+                       "gamma_mode/frozen_one: frozen_one 0$"):
         _grid_with_workers(monkeypatch, 2, tiny_run_config())
     assert multiprocessing.active_children() == []
 

@@ -66,6 +66,9 @@ def test_package_import_leaves_oracles_and_harness_unloaded():
     loaded = fresh_modules("import arcflow\n")
     assert {"arcflow.verify", "arcflow.harness",
             "arcflow.interpolation"}.isdisjoint(loaded)
+    # euler_sample imports its pool and shared buffer on a batch it splits
+    assert [m for m in loaded if m.split(".")[0]
+            in ("concurrent", "mmap", "multiprocessing")] == []
 
 
 def test_production_imports_load_no_scipy():

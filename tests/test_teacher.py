@@ -1,5 +1,7 @@
 """Analytic mixture teacher, Euler reference sampler, neural teacher."""
 
+import hashlib
+import multiprocessing
 import warnings
 
 import numpy as np
@@ -15,6 +17,8 @@ from arcflow import (
     TrajectoryRecord,
     euler_sample,
 )
+import arcflow._pool as pool_module
+import arcflow.teacher as teacher_module
 from arcflow.nnet import NetConfig, StudentNet
 from arcflow.teacher import (
     CfmTrainConfig,
@@ -214,6 +218,23 @@ def test_zero_weight_spec_builds_without_warning():
     assert np.array_equal(got, np.vectorize(float.fromhex)(want))
 
 
+@pytest.mark.parametrize("spec", [
+    zero_weight_spec(),
+    GmmTeacherSpec([1.0], [[0.5, -1.0]], [0.7]),
+], ids=["zero_weight", "one_component"])
+def test_velocity_row_max_has_the_reduction_bits(spec):
+    # the column-chain row max against out_of_place_velocity's
+    # log_r.max(axis=-1), with a -inf column and with J = 1
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(257, 2)) * 4.0
+    with np.errstate(divide="ignore"):  # the reference's log of weight 0
+        for t in (0.0, 0.3, 1.0, rng.uniform(size=257)):
+            assert np.array_equal(gmm_velocity(spec, x, t),
+                                  out_of_place_velocity(spec, x, t))
+        assert np.array_equal(gmm_velocity(spec, x[3], 0.6),
+                              out_of_place_velocity(spec, x[3], 0.6))
+
+
 # -- data sampling -----------------------------------------------------------------
 
 
@@ -377,6 +398,119 @@ def test_euler_rejects_zero_steps():
 def test_euler_nonfinite_state_raises():
     with pytest.raises(NumericError):
         euler_sample(lambda x, t: np.array([np.inf, 0.0]), np.zeros(2), 4)
+
+
+def inline_euler(velocity, x1, steps):
+    x, xs = x1, [x1]
+    for i in range(steps):
+        t_now, t_next = (steps - i) / steps, (steps - i - 1) / steps
+        x = x - velocity(x, t_now) * (t_now - t_next)
+        xs.append(x)
+    return np.stack(xs), (steps - np.arange(steps + 1)) / steps
+
+
+def count_forked_maps(monkeypatch, cpus):
+    """Pretend to have `cpus` usable CPUs; the returned list grows by the
+    unit count of every map_forked call euler_sample makes."""
+    calls = []
+    real = teacher_module.map_forked
+
+    def counted(work, shared, units, *args, **kwargs):
+        calls.append(len(units))
+        return real(work, shared, units, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(teacher_module, "map_forked", counted)
+    return calls
+
+
+# 40 steps give B = 4,099 at least three blocks of MIN_BLOCK_WORK
+SPLIT_STEPS = 40
+
+
+@pytest.mark.parametrize("batch", [4099, 10_000])
+def test_row_split_euler_equals_inline_oracle(monkeypatch, batch):
+    teacher = AnalyticGmmTeacher(ring_spec())
+    x1 = np.random.default_rng(57).standard_normal((batch, 2))
+    want_positions, want_times = inline_euler(teacher.velocity, x1,
+                                              SPLIT_STEPS)
+    for cpus in (1, 2, 3):
+        calls = count_forked_maps(monkeypatch, cpus)
+        rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
+        assert calls == ([cpus] if cpus > 1 else [])
+        assert np.array_equal(rec.positions, want_positions)
+        assert np.array_equal(rec.times, want_times)
+        assert not rec.positions.flags.writeable
+        assert multiprocessing.active_children() == []
+
+
+def test_neural_teacher_and_plain_field_are_never_split(monkeypatch):
+    calls = count_forked_maps(monkeypatch, 3)
+    neural = oracle_neural_teacher()
+    x1 = np.random.default_rng(58).standard_normal((4099, 2))
+    rec = euler_sample(neural.velocity, x1, SPLIT_STEPS)
+    assert np.array_equal(rec.positions,
+                          inline_euler(neural.velocity, x1, SPLIT_STEPS)[0])
+    analytic = AnalyticGmmTeacher(ring_spec())
+    euler_sample(lambda x, t: analytic.velocity(x, t), x1, SPLIT_STEPS)
+    assert calls == []
+
+
+class _RunawayTeacher:
+    """Rowwise field -1, and +inf from x >= 10 on: a row started at
+    10 - k.5 dt goes non-finite at integration step k + 1."""
+
+    _rowwise = True
+    dim = 2
+
+    def velocity(self, x, t):
+        return np.where(x >= 10.0, np.inf, -1.0)
+
+
+def test_row_split_euler_raises_the_one_process_error(monkeypatch):
+    steps, batch = SPLIT_STEPS, 4099
+    x1 = np.zeros((batch, 2))
+    x1[0] = 10.0 - 6.5 / steps     # block 0 first fails at step 7
+    x1[-1] = 10.0 - 3.5 / steps    # the last block first fails at step 4
+    teacher = _RunawayTeacher()
+    texts = []
+    for cpus in (1, 3):
+        calls = count_forked_maps(monkeypatch, cpus)
+        with pytest.raises(NumericError) as err:
+            euler_sample(teacher.velocity, x1, steps)
+        assert calls == ([cpus] if cpus > 1 else [])
+        assert multiprocessing.active_children() == []
+        texts.append(str(err.value))
+    assert texts[0].startswith("non-finite state at integration step 4 ")
+    assert texts[1] == texts[0]
+
+
+def _euler_digest_in_daemon(queue, x1):
+    teacher = AnalyticGmmTeacher(ring_spec())
+    rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
+    queue.put(hashlib.sha256(rec.positions.tobytes()).hexdigest())
+
+
+def test_daemon_caller_integrates_in_one_process(monkeypatch):
+    # a daemon process may not have children; the fork inherits the patch
+    # that makes any forked map fail
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a daemon caller forked workers")
+
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(teacher_module, "map_forked", no_fork)
+    x1 = np.random.default_rng(59).standard_normal((4099, 2))
+    want = inline_euler(AnalyticGmmTeacher(ring_spec()).velocity, x1,
+                        SPLIT_STEPS)[0]
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_euler_digest_in_daemon,
+                            args=(queue, x1), daemon=True)
+    child.start()
+    got = queue.get(timeout=60)
+    child.join(timeout=60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert got == hashlib.sha256(want.tobytes()).hexdigest()
 
 
 # -- neural teacher ----------------------------------------------------------------------
