@@ -176,9 +176,10 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
 
     Sub-interval j runs from t_(j-1) (t_start for j = 0) through the
     switching time s_j = lam * t_(j-1) + (1 - lam) * t_j to t_j; its
-    student segment is sub_interval_displacement(theta, s_j, t_j).  All
-    the D(1, .) those segments need, and the powers gamma**(1 - t_j) the
-    loss needs, come from one batched pass before the rollout.
+    student segment is the anchored difference D(1, t_j) - D(1, s_j), with
+    D(1, t) = displacement(theta, 1, t).  All those D(1, .), and the powers
+    gamma**(1 - t_j) the loss needs, come from one batched pass before the
+    rollout.
 
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
     has no teacher segment: the anchors are the closed-form chain, and the
@@ -342,12 +343,13 @@ def student_sample(net: StudentNet, x_start, nfe: int,
     """Sample with nfe network evaluations, one per shelf, recording a dense
     closed-form trace inside each shelf.
 
-    The dense sub-steps are anchored displacement differences, so chaining
-    them reproduces the single whole-shelf step up to a few ulps; the shelf
-    handoff state is the last dense state.  Overflow and invalid-value
-    warnings are silenced: every state is checked for finiteness, so a
-    diverging student raises one NumericError naming the shelf and the
-    sub-step.
+    Each dense sub-step is one closed-form sub_interval_displacement over
+    its own interval, so the chain reproduces the single whole-shelf step up
+    to rounding; the shelf handoff state is the last dense state.  A sample
+    costs nfe forward passes plus nfe * dense_per_shelf interval passes.
+    Overflow and invalid-value warnings are silenced: every state is checked
+    for finiteness, so a diverging student raises one NumericError naming
+    the shelf and the sub-step.
     """
     nfe = int(nfe)
     dense = int(dense_per_shelf)

@@ -75,12 +75,6 @@ class MomentumParams:
         bundle._check_finite()
         return bundle
 
-    def __getstate__(self):
-        # sub_interval_displacement's kept disp(1, t) is not bundle state.
-        state = self.__dict__.copy()
-        state.pop("_anchored_at", None)
-        return state
-
     def _check_finite(self):
         if not (np.isfinite(self.gating).all()
                 and np.isfinite(self.base_velocities).all()
@@ -186,9 +180,10 @@ def init_log_gammas(num_modes, range_lo=0.4, range_hi=5.0):
     if num_modes < 1:
         raise InvalidParameterError("need at least one mode")
     lo, hi = float(range_lo), float(range_hi)
-    if not 0.0 < lo < 1.0 < hi:
+    if not 0.0 < lo < 1.0 < hi < np.inf:
         raise InvalidParameterError(
-            f"momentum range must satisfy 0 < lo < 1 < hi, got ({lo}, {hi})"
+            f"momentum range must satisfy 0 < lo < 1 < hi < inf, got "
+            f"({lo}, {hi})"
         )
     if num_modes == 1:
         return np.zeros(1), 0

@@ -27,6 +27,7 @@ momentum heads start at zero (uniform gating, default momentum progression).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -92,6 +93,30 @@ class NetConfig:
     def gamma_dim(self) -> int:
         return 1 if self.share_gamma else self.num_modes
 
+    @property
+    def blocks(self) -> tuple:
+        """(name, shape) of each block of the flat parameter vector, in
+        order."""
+        widths = [self.feature_dim, *self.hidden]
+        top = widths[-1]
+        body = []
+        for i in range(len(self.hidden)):
+            body.append((f"body{i}_w", (widths[i], widths[i + 1])))
+            body.append((f"body{i}_b", (widths[i + 1],)))
+        return (*body,
+                ("gate_w", (top, self.num_modes)),
+                ("gate_b", (self.num_modes,)),
+                ("vel_w", (top, self.velocity_dim)),
+                ("vel_b", (self.velocity_dim,)),
+                ("gam_w", (top, self.gamma_dim)),
+                ("gam_b", (self.gamma_dim,)))
+
+    @property
+    def num_params(self) -> int:
+        """Length of the flat parameter vector, by integer arithmetic alone,
+        so a checkpoint header is checked before anything is allocated."""
+        return sum(math.prod(shape) for _, shape in self.blocks)
+
 
 @dataclass(frozen=True)
 class MomentumParamGrads:
@@ -145,23 +170,10 @@ class StudentNet:
     # -- parameter bookkeeping ------------------------------------------------
 
     def _build_layout(self):
-        cfg = self.config
-        widths = [cfg.feature_dim, *cfg.hidden]
-        top = widths[-1]
-        blocks = []
-        for i in range(len(cfg.hidden)):
-            blocks.append((f"body{i}_w", (widths[i], widths[i + 1])))
-            blocks.append((f"body{i}_b", (widths[i + 1],)))
-        blocks.append(("gate_w", (top, cfg.num_modes)))
-        blocks.append(("gate_b", (cfg.num_modes,)))
-        blocks.append(("vel_w", (top, cfg.velocity_dim)))
-        blocks.append(("vel_b", (cfg.velocity_dim,)))
-        blocks.append(("gam_w", (top, cfg.gamma_dim)))
-        blocks.append(("gam_b", (cfg.gamma_dim,)))
         self._blocks = {}
         offset = 0
-        for name, shape in blocks:
-            size = int(np.prod(shape))
+        for name, shape in self.config.blocks:
+            size = math.prod(shape)
             self._blocks[name] = (slice(offset, offset + size), shape)
             offset += size
         self.num_params = offset
@@ -382,8 +394,7 @@ class StudentNet:
                         share_velocity=bool(share_v), share_gamma=bool(share_g),
                         gamma_range=gamma_range)
         (frozen_len,) = take("<I")
-        frozen = np.frombuffer(raw, dtype="<f8", count=frozen_len, offset=pos)
-        pos += frozen_len * 8
+        frozen = np.array(take(f"<{frozen_len}d"))
         (param_count,) = take("<Q")
         if pos + param_count * 8 != len(raw):
             raise CheckpointFormatError(
@@ -391,10 +402,9 @@ class StudentNet:
                 f"{param_count} parameters, file holds "
                 f"{(len(raw) - pos) // 8}"
             )
-        params = np.frombuffer(raw, dtype="<f8", count=param_count, offset=pos)
-
-        net = cls(cfg, seed=0)
-        if net.num_params != param_count or net.frozen_log_gammas.size != frozen_len:
+        # Both counts are now bounded by the file size; the header's layout
+        # must match them before the net allocates anything.
+        if cfg.num_params != param_count or cfg.gamma_dim != frozen_len:
             raise CheckpointFormatError(
                 f"checkpoint {path} inconsistent with its own header"
             )
@@ -408,8 +418,9 @@ class StudentNet:
                 f"log gamma == 0 mode of this {cfg.num_modes}-mode "
                 f"{'shared' if cfg.share_gamma else 'per-mode'} gamma head"
             )
-        net.params[:] = params
-        net.frozen_log_gammas = frozen.astype(float).copy()
+        net = cls(cfg, seed=0)
+        net.params[:] = np.frombuffer(raw, dtype="<f8", offset=pos)
+        net.frozen_log_gammas = frozen
         net._pin_anchor(None if anchor < 0 else int(anchor))
         return net
 

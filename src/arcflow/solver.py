@@ -14,7 +14,8 @@ where the per-mode coefficient is the exact integral of gamma**(1-t):
 For |ln gamma| below LN_GAMMA_EPS the mode is treated as linear and the
 coefficient is t_s - t_e, the exact limit.  The formula is antisymmetric in
 its time arguments and additive over interval splits; the solver is exact up
-to floating-point rounding, so step size never trades off against accuracy.
+to floating-point rounding, so step size never trades off against accuracy,
+and a dense sub-step is one such pass over its own interval.
 """
 
 from __future__ import annotations
@@ -104,34 +105,19 @@ def step(state: LatentState, theta: MomentumParams, t_end) -> LatentState:
 
 
 def sub_interval_displacement(theta: MomentumParams, t_hi, t_lo) -> np.ndarray:
-    """Displacement over [t_lo, t_hi] expressed as a difference of
-    displacements anchored at t = 1:
-
-        disp(t_hi, t_lo) = disp(1, t_lo) - disp(1, t_hi)
-
-    Anchoring every sub-step at t = 1 makes compositions over adjacent
-    sub-intervals telescope, so chained partial steps land where the single
-    full step does up to a few ulps.  With scalar times the bundle keeps the
-    disp(1, t_lo) of its last call, so a chain whose next call starts at
-    that t_lo computes each anchored displacement once; the bundle's arrays
-    are read-only, so the kept value has the bits a new pass would give.
-    """
+    """Displacement over [t_lo, t_hi]: one closed-form pass, after checking
+    0 <= t_lo <= t_hi <= 1 (which a NaN time fails).  Times are scalars or
+    per-sample arrays matching theta's batch shape; nothing is kept between
+    calls."""
     t_hi = np.asarray(t_hi, dtype=float)
     t_lo = np.asarray(t_lo, dtype=float)
     _check_intervals(t_hi, t_lo)
-    if t_hi.ndim or t_lo.ndim:
-        return displacement(theta, 1.0, t_lo) - displacement(theta, 1.0, t_hi)
-    kept = theta.__dict__.get("_anchored_at")
-    if kept is not None and kept[0] == t_hi:
-        d_lo, d_hi = _anchored_rows(theta, t_lo[None])[0][0], kept[1]
-    else:
-        d_lo, d_hi = _anchored_rows(theta, np.stack((t_lo, t_hi)))[0]
-    object.__setattr__(theta, "_anchored_at", (float(t_lo), d_lo))
-    return d_lo - d_hi
+    return displacement(theta, t_hi, t_lo)
 
 
 def _check_intervals(t_hi, t_lo):
-    if (t_lo < 0.0).any() or (t_lo > t_hi).any() or (t_hi > 1.0).any():
+    # negated so that a NaN time, which every comparison rejects, fails
+    if not ((0.0 <= t_lo) & (t_lo <= t_hi) & (t_hi <= 1.0)).all():
         raise InvalidIntervalError(
             f"need 0 <= t_lo <= t_hi <= 1, got ({t_hi}, {t_lo})"
         )

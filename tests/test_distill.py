@@ -382,14 +382,16 @@ def gamma_powers_at(theta, t):
 def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
     # the lam = 1 rollout (one batched displacement pass, teacher on every
     # anchor) must give the bits of the sequential route: a chain of
-    # sub_interval_displacement steps and one teacher call per anchor
+    # anchored differences D(1, t_j) - D(1, t_(j-1)) and one teacher call
+    # per anchor
     teacher = make_teacher()
     rng = np.random.default_rng(43)
     for x, t_start, times, theta in rollout_draws(rng, batched):
         rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
         y, t_prev = x, t_start
         for j, t_next in enumerate(times):
-            y = y - sub_interval_displacement(theta, t_prev, t_next)
+            y = y - (displacement(theta, 1.0, t_next)
+                     - displacement(theta, 1.0, t_prev))
             assert np.array_equal(rolled.anchor_states[j], y)
             assert np.array_equal(rolled.teacher_velocities[j],
                                   teacher.velocity(y, float(t_next)))
@@ -403,8 +405,8 @@ def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
 def test_guided_rollout_equals_sequential_route(make_teacher, batched):
     # lam < 1 computes every student segment in one pass before it steps;
     # the result must have the bits of stepping each sub-interval through
-    # a teacher Euler segment and sub_interval_displacement, with one
-    # teacher call per anchor
+    # a teacher Euler segment and the anchored difference
+    # D(1, t_j) - D(1, s_j), with one teacher call per anchor
     teacher = make_teacher()
     rng = np.random.default_rng(46)
     for lam in (0.0, 0.002, 0.5, 0.998):
@@ -415,7 +417,8 @@ def test_guided_rollout_equals_sequential_route(make_teacher, batched):
             for j, t_next in enumerate(times):
                 t_sw = lam * t_prev + (1.0 - lam) * float(t_next)
                 y = y - u * (t_prev - t_sw)
-                y = y - sub_interval_displacement(theta, t_sw, float(t_next))
+                y = y - (displacement(theta, 1.0, float(t_next))
+                         - displacement(theta, 1.0, t_sw))
                 u = teacher.velocity(y, float(t_next))
                 assert np.array_equal(rolled.anchor_states[j], y)
                 assert np.array_equal(rolled.teacher_velocities[j], u)
@@ -731,8 +734,8 @@ def test_student_sample_constant_field_endpoint():
 
 
 def test_student_sample_dense_trace_composes_to_single_step():
-    # the dense sub-steps are anchored differences, so the shelf handoff
-    # points must match one whole-shelf closed-form step almost exactly
+    # the closed form is additive over interval splits, so the shelf
+    # handoff points must match one whole-shelf step almost exactly
     cfg = DistillConfig(num_modes=4, total_steps=60, batch=16,
                         guidance_steps=20, seed=5)
     net = build_student_net(cfg, dim=2)
@@ -761,9 +764,8 @@ def sampling_net():
 
 @pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
                          ids=["unbatched", "b37", "b2048"])
-def test_student_sample_equals_anchored_difference_oracle(shape):
-    # x_m = x_(m-1) - (displacement(theta, 1, tau_m)
-    #                  - displacement(theta, 1, tau_(m-1))) on the dense
+def test_student_sample_equals_interval_displacement_oracle(shape):
+    # x_m = x_(m-1) - displacement(theta, tau_(m-1), tau_m) on the dense
     # grid of each shelf, theta predicted once at the shelf start
     net = sampling_net()
     x1 = np.random.default_rng(55).standard_normal(shape)
@@ -778,8 +780,7 @@ def test_student_sample_equals_anchored_difference_oracle(shape):
                 for m in range(1, dense + 1):
                     tau = (t_lo if m == dense
                            else t_hi + (t_lo - t_hi) * (m / dense))
-                    x = x - (displacement(theta, 1.0, tau)
-                             - displacement(theta, 1.0, tau_prev))
+                    x = x - displacement(theta, tau_prev, tau)
                     xs.append(x)
                     ts.append(tau)
                     tau_prev = tau

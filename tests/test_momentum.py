@@ -1,5 +1,7 @@
 """Momentum-mixture parameterization: hand values, invariants, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -203,6 +205,10 @@ def test_init_log_gammas_rejects_bad_ranges():
         init_log_gammas(4, -0.5, 5.0)
     with pytest.raises(InvalidParameterError):
         init_log_gammas(0, 0.4, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # and no overflow warning on the way
+        with pytest.raises(InvalidParameterError):
+            init_log_gammas(4, 0.4, np.inf)
 
 
 def test_init_log_gammas_feeds_params_anchor_contract():

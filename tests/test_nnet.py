@@ -1,13 +1,18 @@
 """Student net: forward structure, reverse-mode gradients, Adam, checkpoints."""
 
 import copy
+import os
 import pickle
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import arcflow
 from arcflow import (
     CheckpointFormatError,
     InvalidParameterError,
@@ -483,6 +488,25 @@ def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError, match="anchor mode"):
         StudentNet.load(path)
+
+
+def test_corrupt_checkpoints_fail_as_arcflow_errors(tmp_path):
+    """tests/checkpoint_fuzz.py under a 1 GiB address-space limit: corrupt
+    headers raise CheckpointFormatError before anything large is allocated,
+    and mutated, truncated or extended bytes load or raise an ArcFlowError.
+    The limit turns a regression into a MemoryError in the child."""
+    path = tmp_path / "net.ckpt"
+    StudentNet(NetConfig(dim=2, num_modes=8), seed=0).save(path)
+    src = str(Path(arcflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # one BLAS thread keeps the child's address space far below the limit
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("checkpoint_fuzz.py")),
+         str(path), str(1 << 30)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 # -- grad_check plumbing ------------------------------------------------------------
