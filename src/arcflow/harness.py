@@ -328,16 +328,34 @@ def trajectory_deviation(student: TrajectoryRecord,
     return float(np.mean(gap))
 
 
+# Distance pairs each process must get before energy_distance splits its
+# chunks: below it, forking and joining a worker (about 12 ms) costs more
+# than the process's share of the pairs.  On a 2-core VM, n = m = 1,300
+# (5.1 million pairs) took 27 ms in one process and 33 ms in two, and
+# n = m = 1,600 (7.7 million) 42 ms against 37 ms.
+MIN_PROCESS_PAIRS = 4_000_000
+
+
 def energy_distance(xs, ys, chunk=128) -> float:
     """Squared energy distance 2 E|x-y| - E|x-x'| - E|y-y'| with V-statistic
     means over the full x.y, x.x and y.y pair blocks.
 
     Pairwise distances come from the gram expansion |x-y|^2 =
-    |x|^2 + |y|^2 - 2 x.y with a clip against tiny negative round-off.
-    Memory is bounded by one float64 buffer of chunk * max(n, m) entries,
-    allocated once per call: every block of at most chunk rows is computed
-    in place in it.  xs (n, D) and ys (m, D) must be finite, with at least
-    one row each; otherwise InvalidParameterError."""
+    |x|^2 + |y|^2 - 2 x.y with a clip against tiny negative round-off, one
+    chunk of at most `chunk` rows of a block at a time.  Each block's mean
+    is the sum of its chunks' distance sums, added in serial chunk order.
+
+    A call with at least MIN_PROCESS_PAIRS pairs per process splits the
+    chunks of the three blocks, in that order, into contiguous ranges of
+    about equal pair counts, one per usable CPU: the caller computes the
+    first range and forked workers the others, and every range sends back
+    its per-chunk sums.  The sums and their order are those of a one-process
+    run, so the result has its bits; a smaller call, one CPU, a platform
+    without fork and a daemon caller run in one process.  Memory is bounded
+    by one float64 buffer of chunk * max(n, m) entries per process,
+    allocated once per call.  xs (n, D) and ys (m, D) must be finite, with
+    at least one row each; otherwise InvalidParameterError, before any
+    fork."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or not (xs.shape[0] and ys.shape[0]):
@@ -352,28 +370,61 @@ def energy_distance(xs, ys, chunk=128) -> float:
         raise InvalidParameterError("energy distance samples must be finite")
     if not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
         raise InvalidParameterError(f"chunk must be an int >= 1, got {chunk!r}")
-    width = max(xs.shape[0], ys.shape[0])
+    blocks = ((xs, ys), (xs, xs), (ys, ys))
+    chunks = [(block, start) for block, (a, _) in enumerate(blocks)
+              for start in range(0, a.shape[0], chunk)]
+    shared = (blocks, chunk, chunks)
+    sizes = [a.shape[0] * b.shape[0] for a, b in blocks]
+    processes = fork_workers(min(len(chunks),
+                                 sum(sizes) // MIN_PROCESS_PAIRS))
+    if processes > 1:
+        # cut after the chunk that reaches each k / processes share of pairs
+        pairs = np.cumsum([min(chunk, len(blocks[block][0]) - start)
+                           * len(blocks[block][1])
+                           for block, start in chunks])
+        cuts = np.searchsorted(pairs, [k * pairs[-1] / processes
+                                       for k in range(1, processes)]) + 1
+        edges = [0, *cuts.tolist(), len(chunks)]
+        sums = [total for part in map_forked(
+                    _chunk_sums, shared,
+                    [slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
+                    processes - 1, in_caller=1)
+                for total in part]
+    else:
+        sums = _chunk_sums(shared, slice(None))
+    totals = [0.0] * len(blocks)
+    for (block, _), total in zip(chunks, sums):
+        totals[block] += total
+    mean_xy, mean_xx, mean_yy = (total / size
+                                 for total, size in zip(totals, sizes))
+    return 2.0 * mean_xy - mean_xx - mean_yy
+
+
+def _chunk_sums(shared, span):
+    """The distance sum of each (block, start row) chunk in chunks[span], in
+    order, from one buffer allocated here."""
+    blocks, chunk, chunks = shared
+    width = max(blocks[0][0].shape[0], blocks[0][1].shape[0])
     buf = np.empty(min(chunk, width) * width)
-
-    def mean_cross(a, b):
-        # -2 a is exact, so scaling the small operand gives the bits of
-        # scaling the block product
-        a_m2 = -2.0 * a
-        a_sq = np.sum(a * a, axis=1)[:, None]
-        b_sq = np.sum(b * b, axis=1)
-        total = 0.0
-        for start in range(0, a.shape[0], chunk):
-            stop = min(start + chunk, a.shape[0])
-            sq = buf[:(stop - start) * b.shape[0]].reshape(stop - start,
-                                                          b.shape[0])
-            np.matmul(a_m2[start:stop], b.T, out=sq)
-            sq += a_sq[start:stop]
-            sq += b_sq
-            np.maximum(sq, 0.0, out=sq)
-            total += float(np.sqrt(sq, out=sq).sum())
-        return total / (a.shape[0] * b.shape[0])
-
-    return 2.0 * mean_cross(xs, ys) - mean_cross(xs, xs) - mean_cross(ys, ys)
+    sums, current = [], None
+    for block, start in chunks[span]:
+        a, b = blocks[block]
+        if block != current:
+            current = block
+            # -2 a is exact, so scaling the small operand gives the bits of
+            # scaling the block product
+            a_m2 = -2.0 * a
+            a_sq = np.sum(a * a, axis=1)[:, None]
+            b_sq = np.sum(b * b, axis=1)
+        stop = min(start + chunk, a.shape[0])
+        sq = buf[:(stop - start) * b.shape[0]].reshape(stop - start,
+                                                      b.shape[0])
+        np.matmul(a_m2[start:stop], b.T, out=sq)
+        sq += a_sq[start:stop]
+        sq += b_sq
+        np.maximum(sq, 0.0, out=sq)
+        sums.append(float(np.sqrt(sq, out=sq).sum()))
+    return sums
 
 
 # -- orchestration ----------------------------------------------------------------

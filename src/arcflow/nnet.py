@@ -408,6 +408,13 @@ class StudentNet:
             raise CheckpointFormatError(
                 f"checkpoint {path} inconsistent with its own header"
             )
+        params = np.frombuffer(raw, dtype="<f8", offset=pos)
+        for field, values in (("time frequencies", freqs),
+                              ("frozen log gammas", frozen),
+                              ("parameters", params)):
+            if not np.isfinite(values).all():
+                raise CheckpointFormatError(
+                    f"non-finite {field} in checkpoint {path}")
         # forward hands out bundles without re-checking the anchor pin, so a
         # checkpoint must carry a pin the net can keep: an in-range anchor of
         # a per-mode gamma head whose frozen log gamma is exactly 0.
@@ -419,7 +426,7 @@ class StudentNet:
                 f"{'shared' if cfg.share_gamma else 'per-mode'} gamma head"
             )
         net = cls(cfg, seed=0)
-        net.params[:] = np.frombuffer(raw, dtype="<f8", offset=pos)
+        net.params[:] = params
         net.frozen_log_gammas = frozen
         net._pin_anchor(None if anchor < 0 else int(anchor))
         return net

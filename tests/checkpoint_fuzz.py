@@ -1,5 +1,7 @@
 """Fuzz property for StudentNet.load: mutated, truncated and extended
-checkpoint bytes load or raise an ArcFlowError, and nothing else.
+checkpoint bytes load or raise an ArcFlowError, and nothing else; a NaN or
+infinity written over a time frequency, a frozen log gamma or a parameter
+raises CheckpointFormatError.
 
     python tests/checkpoint_fuzz.py CKPT LIMIT_BYTES
 
@@ -11,7 +13,9 @@ falsifying example on stderr when the property fails.  pytest does not
 collect this file; tests/test_nnet.py runs it in a child process.
 """
 
+import math
 import resource
+import struct
 import sys
 
 
@@ -38,6 +42,12 @@ def main(path, limit):
     header_end = offsets[-1] + sizes[-1]
     hidden_at = offsets[3]
     frozen_len_at = offsets[-2 - net.frozen_log_gammas.size]
+    freqs_from = 4 + len(net.config.hidden)
+    # every float the net is built from: the time frequencies, the frozen
+    # log gammas and the parameters
+    float_at = [*offsets[freqs_from:freqs_from + len(net.config.time_freqs)],
+                *offsets[-1 - net.frozen_log_gammas.size:-1],
+                *range(header_end, len(seed), 8)]
 
     def with_int(offset, size, value):
         raw = bytearray(seed)
@@ -85,6 +95,22 @@ def main(path, limit):
                 pass
 
     loads_or_raises_arcflow_error()
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(st.sampled_from(float_at),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def non_finite_floats_raise(at, value):
+        raw = bytearray(seed)
+        raw[at:at + 8] = struct.pack("<d", value)
+        target.write_bytes(bytes(raw))
+        try:
+            StudentNet.load(target)
+        except CheckpointFormatError:
+            return
+        raise AssertionError(f"{value} at byte {at} loaded")
+
+    non_finite_floats_raise()
 
 
 if __name__ == "__main__":

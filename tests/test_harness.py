@@ -469,6 +469,70 @@ def test_energy_distance_rejects_bad_input(xs, ys, chunk):
         energy_distance(xs, ys, chunk=chunk)
 
 
+def _count_distance_maps(monkeypatch, cpus):
+    """Pretend to have `cpus` usable CPUs; the returned list grows by the
+    unit count of every map_forked call energy_distance makes."""
+    calls = []
+    real = harness_module.map_forked
+
+    def counted(work, shared, units, *args, **kwargs):
+        calls.append(len(units))
+        return real(work, shared, units, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness_module, "map_forked", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pooled_energy_distance_has_the_one_process_bits(monkeypatch, cpus):
+    # n != m, and 97 divides neither row count
+    rng = np.random.default_rng(67)
+    xs = rng.normal(size=(2300, 2))
+    ys = rng.normal(size=(1700, 2)) + 0.3
+    pairs = 2300 * 1700 + 2300 ** 2 + 1700 ** 2
+    assert pairs >= cpus * harness_module.MIN_PROCESS_PAIRS
+    calls = _count_distance_maps(monkeypatch, cpus)
+    pooled = energy_distance(xs, ys, chunk=97)
+    assert calls == [cpus]
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(harness_module, "fork_workers", lambda wanted: 1)
+    assert pooled.hex() == energy_distance(xs, ys, chunk=97).hex()
+    assert calls == [cpus]
+
+
+@pytest.mark.parametrize("n, m, chunk", [(50, 30, 128), (50, 30, 7),
+                                         (1600, 1600, 128)])
+def test_energy_distance_below_the_floor_never_forks(monkeypatch, n, m,
+                                                     chunk):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("energy_distance forked below its floor")
+
+    assert n * m + n * n + m * m < 2 * harness_module.MIN_PROCESS_PAIRS
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_module, "map_forked", no_fork)
+    rng = np.random.default_rng(68)
+    energy_distance(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)),
+                    chunk=chunk)
+
+
+@pytest.mark.parametrize("xs, ys, chunk", [
+    (np.zeros((3000, 2)), np.zeros((3000, 3)), 128),
+    (np.full((3000, 2), np.nan), np.zeros((3000, 2)), 128),
+    (np.zeros((3000, 2)), np.zeros((3000, 2)), 0),
+], ids=["dims", "nan", "chunk-0"])
+def test_energy_distance_rejects_bad_input_before_any_fork(monkeypatch, xs,
+                                                           ys, chunk):
+    def no_fork(*args, **kwargs):
+        raise AssertionError("energy_distance forked before its input check")
+
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_module, "fork_workers", no_fork)
+    monkeypatch.setattr(harness_module, "map_forked", no_fork)
+    with pytest.raises(InvalidParameterError):
+        energy_distance(xs, ys, chunk=chunk)
+
+
 # -- artifact writers ------------------------------------------------------------------
 
 
@@ -773,6 +837,66 @@ def test_pooled_ablation_rows_equal_in_process_rows(monkeypatch):
     assert multiprocessing.active_children() == []
     in_process = _grid_with_workers(monkeypatch, 1, cfg)
     assert _hex_rows(pooled) == _hex_rows(in_process)
+
+
+needs_openblas = pytest.mark.skipif(
+    not pool_module.blas_threads(),
+    reason="no loaded OpenBLAS exports a known thread-count symbol")
+
+
+def _blas_threads_in_unit(shared, unit):
+    if unit == "raise":
+        raise NumericError("unit failed")
+    return pool_module.blas_threads()
+
+
+@needs_openblas
+def test_map_forked_runs_one_blas_thread_and_restores_the_callers():
+    before = pool_module.blas_threads()
+    pool_module.set_blas_threads([3] * len(before))
+    try:
+        seen = pool_module.map_forked(_blas_threads_in_unit, None,
+                                      ["caller", "worker", "worker"], 2,
+                                      in_caller=1)
+        assert seen == [(1,) * len(before)] * 3
+        assert pool_module.blas_threads() == (3,) * len(before)
+        with pytest.raises(NumericError, match="unit failed"):
+            pool_module.map_forked(_blas_threads_in_unit, None,
+                                   ["worker", "raise"], 2)
+        assert pool_module.blas_threads() == (3,) * len(before)
+        with pytest.raises(NumericError, match="unit failed"):
+            pool_module.map_forked(_blas_threads_in_unit, None,
+                                   ["raise", "worker"], 1, in_caller=1)
+        assert pool_module.blas_threads() == (3,) * len(before)
+        assert multiprocessing.active_children() == []
+    finally:
+        pool_module.set_blas_threads(before)
+
+
+@needs_openblas
+def test_blas_pin_is_a_no_op_without_a_known_symbol(monkeypatch):
+    controls = pool_module._blas_controls()
+    counts = tuple(get() for _, get in controls)
+    monkeypatch.setattr(pool_module, "BLAS_THREAD_SYMBOLS",
+                        (("no_such_set_threads", "no_such_get_threads"),))
+    assert pool_module.blas_threads() == ()
+    pool_module.set_blas_threads([1] * len(counts))
+
+    def real_counts(shared, unit):
+        return tuple(get() for _, get in controls)
+
+    # the worker inherits the caller's counts, untouched
+    assert pool_module.map_forked(real_counts, None, [0, 1], 1,
+                                  in_caller=1) == [counts, counts]
+    assert tuple(get() for _, get in controls) == counts
+
+
+def test_pooled_ablation_rows_equal_without_the_blas_pin(monkeypatch):
+    cfg = tiny_run_config()
+    pinned = _grid_with_workers(monkeypatch, 2, cfg, studies=("gamma_mode",))
+    monkeypatch.setattr(pool_module, "set_blas_threads", lambda counts: None)
+    unpinned = _grid_with_workers(monkeypatch, 2, cfg, studies=("gamma_mode",))
+    assert _hex_rows(pinned) == _hex_rows(unpinned)
 
 
 def test_pooled_ablation_raises_the_in_process_error(monkeypatch):

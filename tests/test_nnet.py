@@ -490,6 +490,31 @@ def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
         StudentNet.load(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time frequencies", np.nan),
+    ("frozen log gammas", -np.inf),
+    ("parameters", np.nan),
+])
+def test_checkpoint_rejects_non_finite_floats(field, value, tmp_path):
+    """A non-finite float would load and fail only at the first forward,
+    with an error that names neither the file nor the field."""
+    cfg = NetConfig(dim=2, num_modes=8)
+    net = StudentNet(cfg, seed=0)
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    raw = bytearray(path.read_bytes())
+    # the first time frequency, the last frozen log gamma, the last parameter
+    at = {"time frequencies": _mode_flag_offset(cfg) - 8 * len(cfg.time_freqs),
+          "frozen log gammas": _mode_flag_offset(cfg) + 3 + 4 + 16 + 4
+          + 8 * (net.frozen_log_gammas.size - 1),
+          "parameters": len(raw) - 8}[field]
+    raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError) as err:
+        StudentNet.load(path)
+    assert str(err.value) == f"non-finite {field} in checkpoint {path}"
+
+
 def test_corrupt_checkpoints_fail_as_arcflow_errors(tmp_path):
     """tests/checkpoint_fuzz.py under a 1 GiB address-space limit: corrupt
     headers raise CheckpointFormatError before anything large is allocated,

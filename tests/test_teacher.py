@@ -444,6 +444,17 @@ def test_row_split_euler_equals_inline_oracle(monkeypatch, batch):
         assert multiprocessing.active_children() == []
 
 
+def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch):
+    teacher = AnalyticGmmTeacher(ring_spec())
+    x1 = np.random.default_rng(60).standard_normal((4099, 2))
+    calls = count_forked_maps(monkeypatch, 2)
+    pinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
+    monkeypatch.setattr(pool_module, "set_blas_threads", lambda counts: None)
+    unpinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
+    assert calls == [2, 2]
+    assert pinned.tobytes() == unpinned.tobytes()
+
+
 def test_neural_teacher_and_plain_field_are_never_split(monkeypatch):
     calls = count_forked_maps(monkeypatch, 3)
     neural = oracle_neural_teacher()
