@@ -2,12 +2,15 @@
 
 Three callers use it: run_ablation trains its distinct units here,
 euler_sample integrates its row blocks here and energy_distance sums its
-row chunks here.  The workers are forked, not spawned: they inherit the
-caller's state (teachers, Euler references, a shared positions buffer,
-sample sets) through the initializer's arguments, so none of it is
-pickled, and a unit is computed by the same code on the same values as in
-the caller.  multiprocessing and concurrent.futures are imported only by a
-call that forks, so importing the package loads neither.
+row chunks here.  A map with one unit, on one usable CPU, on a platform
+without fork or in a daemon caller computes its units in the caller;
+otherwise every unit goes to a forked worker and the caller only waits.
+The workers are forked, not spawned: they inherit the caller's state
+(teachers, Euler references, a shared positions buffer, sample sets)
+through the initializer's arguments, so none of it is pickled, and a unit
+is computed by the same code on the same values as in the caller.
+multiprocessing and concurrent.futures are imported only by a call that
+may fork, so importing the package loads neither.
 
 While a pool runs, every loaded OpenBLAS runs one thread per process: the
 caller sets one thread before the workers fork, they inherit that count,
@@ -59,51 +62,43 @@ def fork_workers(wanted: int) -> int:
     return workers
 
 
-def map_forked(work, shared, units, workers, in_caller=0, priority=None):
-    """[work(shared, unit) for unit in units], with the first in_caller
-    units computed by the caller and the rest by `workers` forked
-    processes, started before the caller's own units.
+def map_forked(work, shared, units, priority=None):
+    """[work(shared, unit) for unit in units], computed by one forked
+    process per unit and usable CPU (fork_workers), or by the caller where
+    that is one process.
 
     The pool gets its units in the order of `priority` (a sort key; ties
     and the default keep serial order) and the results come back in serial
     order, so a failing map raises the error the first failing unit in
-    serial order raises.  BLAS runs one thread in the caller and in every
-    worker for the duration of the call.  No worker outlives the call."""
+    serial order raises, as the caller's own loop does.  BLAS runs one
+    thread in the caller and in every worker for the duration of a pooled
+    call.  No worker outlives the call."""
+    workers = fork_workers(len(units))
+    if workers == 1:
+        return [work(shared, unit) for unit in units]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    threads = blas_threads()
-    set_blas_threads([1] * len(threads))
+    controls = _blas_controls()
+    threads = [get() for _, get in controls]
+    for set_count, _ in controls:
+        set_count(1)
     try:
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_enter_worker, initargs=(work, shared))
         try:
-            pooled = sorted(range(in_caller, len(units)),
-                            key=None if priority is None
-                            else lambda k: priority(units[k]))
+            order = sorted(range(len(units)),
+                           key=None if priority is None
+                           else lambda k: priority(units[k]))
             futures = {k: pool.submit(_work_in_worker, units[k])
-                       for k in pooled}
-            results = [work(shared, unit) for unit in units[:in_caller]]
-            return results + [futures[k].result()
-                              for k in range(in_caller, len(units))]
+                       for k in order}
+            return [futures[k].result() for k in range(len(units))]
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     finally:
-        set_blas_threads(threads)
-
-
-def blas_threads() -> tuple:
-    """The thread count of each OpenBLAS this process has loaded; () where
-    none exports a pair of BLAS_THREAD_SYMBOLS."""
-    return tuple(get() for _, get in _blas_controls())
-
-
-def set_blas_threads(counts) -> None:
-    """Set the thread count of each loaded OpenBLAS, in blas_threads order;
-    nothing where none exports a pair of BLAS_THREAD_SYMBOLS."""
-    for (set_count, _), count in zip(_blas_controls(), counts):
-        set_count(int(count))
+        for (set_count, _), count in zip(controls, threads):
+            set_count(count)
 
 
 def _blas_controls() -> list:

@@ -44,7 +44,7 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .momentum import MomentumParams
+from .momentum import MomentumParams, check_gamma_range
 from .nnet import MomentumParamGrads, NetConfig, StudentNet, adam_step, \
     init_optim_state
 from .solver import _anchored_rows, _check_intervals, \
@@ -80,11 +80,7 @@ class DistillConfig:
         if (self.total_steps < 0 or self.batch < 1
                 or not 0.0 < self.base_lr < math.inf):
             raise InvalidParameterError("bad training config")
-        if not 0.0 < self.gamma_lo < 1.0 < self.gamma_hi:
-            raise InvalidParameterError(
-                f"gamma_range must satisfy 0 < lo < 1 < hi, got "
-                f"{(self.gamma_lo, self.gamma_hi)}"
-            )
+        check_gamma_range(self.gamma_lo, self.gamma_hi)
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):
@@ -100,11 +96,12 @@ def make_linear_baseline(cfg: DistillConfig) -> DistillConfig:
 
 
 def training_streams(seed: int):
-    """Independent child streams (net_init, training, evaluation) of one run
-    seed.  Keeping them separate means two configs with different network
-    sizes still consume identical training and evaluation streams, which is
-    what makes paired-seed comparisons paired."""
-    return np.random.SeedSequence(int(seed)).spawn(3)
+    """Independent child streams (net_init, training, evaluation, neural
+    teacher) of one run seed.  Keeping them separate means two configs with
+    different network sizes still consume identical training and evaluation
+    streams, which is what makes paired-seed comparisons paired; a neural
+    teacher trains on its own child for the same reason."""
+    return np.random.SeedSequence(int(seed)).spawn(4)
 
 
 def build_student_net(cfg: DistillConfig, dim: int,

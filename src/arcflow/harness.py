@@ -347,12 +347,12 @@ def energy_distance(xs, ys, chunk=128) -> float:
 
     A call with at least MIN_PROCESS_PAIRS pairs per process splits the
     chunks of the three blocks, in that order, into contiguous ranges of
-    about equal pair counts, one per usable CPU: the caller computes the
-    first range and forked workers the others, and every range sends back
-    its per-chunk sums.  The sums and their order are those of a one-process
-    run, so the result has its bits; a smaller call, one CPU, a platform
-    without fork and a daemon caller run in one process.  Memory is bounded
-    by one float64 buffer of chunk * max(n, m) entries per process,
+    about equal pair counts, one per usable CPU, each computed by a forked
+    worker while the caller waits, and every range sends back its per-chunk
+    sums.  The sums and their order are those of a one-process run, so the
+    result has its bits; a smaller call, one CPU, a platform without fork
+    and a daemon caller get one range, computed in the caller.  Memory is
+    bounded by one float64 buffer of chunk * max(n, m) entries per process,
     allocated once per call.  xs (n, D) and ys (m, D) must be finite, with
     at least one row each; otherwise InvalidParameterError, before any
     fork."""
@@ -377,21 +377,16 @@ def energy_distance(xs, ys, chunk=128) -> float:
     sizes = [a.shape[0] * b.shape[0] for a, b in blocks]
     processes = fork_workers(min(len(chunks),
                                  sum(sizes) // MIN_PROCESS_PAIRS))
-    if processes > 1:
-        # cut after the chunk that reaches each k / processes share of pairs
-        pairs = np.cumsum([min(chunk, len(blocks[block][0]) - start)
-                           * len(blocks[block][1])
-                           for block, start in chunks])
-        cuts = np.searchsorted(pairs, [k * pairs[-1] / processes
-                                       for k in range(1, processes)]) + 1
-        edges = [0, *cuts.tolist(), len(chunks)]
-        sums = [total for part in map_forked(
-                    _chunk_sums, shared,
-                    [slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
-                    processes - 1, in_caller=1)
-                for total in part]
-    else:
-        sums = _chunk_sums(shared, slice(None))
+    # cut after the chunk that reaches each k / processes share of pairs
+    pairs = np.cumsum([min(chunk, len(blocks[block][0]) - start)
+                       * len(blocks[block][1]) for block, start in chunks])
+    cuts = np.searchsorted(pairs, [k * pairs[-1] / processes
+                                   for k in range(1, processes)]) + 1
+    edges = [0, *cuts.tolist(), len(chunks)]
+    sums = [total for part in map_forked(
+                _chunk_sums, shared,
+                [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
+            for total in part]
     totals = [0.0] * len(blocks)
     for (block, _), total in zip(chunks, sums):
         totals[block] += total
@@ -436,9 +431,7 @@ def build_teacher(cfg: RunConfig):
     spec = cfg.teacher.build_spec()
     if cfg.teacher.kind == "analytic":
         return AnalyticGmmTeacher(spec)
-    # Child streams 0..2 belong to the student run; the teacher gets child 3
-    # of the same root so the pairing contract stays intact.
-    teacher_stream = np.random.SeedSequence(cfg.distill.seed).spawn(4)[3]
+    teacher_stream = training_streams(cfg.distill.seed)[3]
     net = StudentNet(
         NetConfig(dim=spec.dim, num_modes=1, gamma_mode="frozen_one"),
         seed=teacher_stream,
@@ -641,14 +634,10 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
                              []).append(f"{study}/{name}")
     units = list(names)
     shared = (cfg, {seed: _seed_context(cfg, seed) for seed in seeds}, names)
-    workers = fork_workers(len(units))
-    if workers > 1:
-        # Longest budget first, so the long cells do not form the tail.
-        results = map_forked(_ablation_unit, shared, units, workers,
-                             priority=lambda unit: -unit.total_steps)
-    else:
-        results = [_ablation_unit(shared, unit) for unit in units]
-    results = dict(zip(units, results))
+    # Longest budget first, so the long cells do not form a pool's tail.
+    results = dict(zip(units, map_forked(
+        _ablation_unit, shared, units,
+        priority=lambda unit: -unit.total_steps)))
     return [(study, name, seed,
              *results[dataclasses.replace(dcfg, seed=seed)])
             for study, name, dcfg in cells for seed in seeds]

@@ -165,6 +165,17 @@ def eval_velocity(theta: MomentumParams, t) -> np.ndarray:
     return np.einsum("...k,...kd->...d", weights, theta.base_velocities)
 
 
+def check_gamma_range(lo, hi) -> tuple:
+    """(lo, hi) as floats; InvalidParameterError unless they bound the
+    momentum factors of a bundle: 0 < lo < 1 < hi < inf."""
+    lo, hi = float(lo), float(hi)
+    if not 0.0 < lo < 1.0 < hi < np.inf:
+        raise InvalidParameterError(
+            f"gamma_range must satisfy 0 < lo < 1 < hi < inf, got "
+            f"({lo}, {hi})")
+    return lo, hi
+
+
 def init_log_gammas(num_modes, range_lo=0.4, range_hi=5.0):
     """Default log-momentum initialization for a K-mode bundle.
 
@@ -179,12 +190,7 @@ def init_log_gammas(num_modes, range_lo=0.4, range_hi=5.0):
     num_modes = int(num_modes)
     if num_modes < 1:
         raise InvalidParameterError("need at least one mode")
-    lo, hi = float(range_lo), float(range_hi)
-    if not 0.0 < lo < 1.0 < hi < np.inf:
-        raise InvalidParameterError(
-            f"momentum range must satisfy 0 < lo < 1 < hi < inf, got "
-            f"({lo}, {hi})"
-        )
+    lo, hi = check_gamma_range(range_lo, range_hi)
     if num_modes == 1:
         return np.zeros(1), 0
     logs = np.log(np.geomspace(lo, hi, num_modes))

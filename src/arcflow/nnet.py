@@ -39,7 +39,7 @@ from .errors import (
     NumericError,
     StateError,
 )
-from .momentum import MomentumParams, init_log_gammas
+from .momentum import MomentumParams, check_gamma_range, init_log_gammas
 
 GAMMA_MODES = ("learnable", "fixed", "frozen_one")
 
@@ -67,8 +67,6 @@ class NetConfig:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         object.__setattr__(self, "time_freqs",
                            tuple(float(f) for f in self.time_freqs))
-        object.__setattr__(self, "gamma_range",
-                           tuple(float(g) for g in self.gamma_range))
         if self.dim < 1 or self.num_modes < 1:
             raise InvalidParameterError("dim and num_modes must be >= 1")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
@@ -80,6 +78,8 @@ class NetConfig:
             )
         if len(self.gamma_range) != 2:
             raise InvalidParameterError("gamma_range must be (lo, hi)")
+        object.__setattr__(self, "gamma_range",
+                           check_gamma_range(*self.gamma_range))
 
     @property
     def feature_dim(self) -> int:
@@ -388,6 +388,10 @@ class StudentNet:
             raise CheckpointFormatError(
                 f"unknown momentum mode index {mode_idx} in {path}"
             )
+        try:
+            check_gamma_range(*gamma_range)
+        except InvalidParameterError as exc:
+            raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
         cfg = NetConfig(dim=int(dim), num_modes=int(num_modes),
                         hidden=hidden, time_freqs=freqs,
                         gamma_mode=GAMMA_MODES[mode_idx],

@@ -235,10 +235,10 @@ def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
     trajectory has the same bits whichever rows share the calls.  Such a
     batch is split into contiguous row blocks, one per usable CPU and each
     at least MIN_BLOCK_WORK rows x steps, and every block is integrated over
-    all steps on its own: block 0 by the caller, the others by forked
-    workers writing into the same shared positions buffer.  The record is
-    identical to a one-process run, which is what any other field, a small
-    batch, one CPU, a platform without fork and a daemon caller get."""
+    all steps on its own by a forked worker, writing into one shared
+    positions buffer while the caller waits.  The record is identical to a
+    one-process run, which is what any other field, a small batch, one CPU,
+    a platform without fork and a daemon caller get."""
     steps = int(steps)
     if steps < 1:
         raise InvalidParameterError("need at least one integration step")
@@ -249,7 +249,6 @@ def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
     if x.ndim >= 2 and x.size and getattr(owner, "_rowwise", False):
         work = x.size // x.shape[-1] * steps
         blocks = fork_workers(min(x.shape[0], work // MIN_BLOCK_WORK))
-    shared = (velocity_field, x, steps)
     if blocks > 1:
         import mmap
 
@@ -257,13 +256,12 @@ def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
         positions = np.frombuffer(mmap.mmap(-1, x.nbytes * (steps + 1)),
                                   dtype=float).reshape(shape)
         edges = [k * x.shape[0] // blocks for k in range(blocks + 1)]
-        failed = map_forked(_euler_rows, shared + (positions,),
-                            [slice(lo, hi) for lo, hi in zip(edges, edges[1:])],
-                            blocks - 1, in_caller=1)
-        failed = min((i for i in failed if i is not None), default=None)
+        units = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     else:
-        positions = np.empty(shape)
-        failed = _euler_rows(shared + (positions,), ...)
+        positions, units = np.empty(shape), [...]
+    failed = map_forked(_euler_rows, (velocity_field, x, steps, positions),
+                        units)
+    failed = min((i for i in failed if i is not None), default=None)
     if failed is not None:
         raise NumericError(f"non-finite state at integration step {failed} "
                            f"(t={(steps - failed - 1) / steps:.6f})")

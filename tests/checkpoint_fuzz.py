@@ -1,7 +1,7 @@
 """Fuzz property for StudentNet.load: mutated, truncated and extended
 checkpoint bytes load or raise an ArcFlowError, and nothing else; a NaN or
-infinity written over a time frequency, a frozen log gamma or a parameter
-raises CheckpointFormatError.
+infinity written over a time frequency, a gamma range bound, a frozen log
+gamma or a parameter raises CheckpointFormatError.
 
     python tests/checkpoint_fuzz.py CKPT LIMIT_BYTES
 
@@ -43,11 +43,13 @@ def main(path, limit):
     hidden_at = offsets[3]
     frozen_len_at = offsets[-2 - net.frozen_log_gammas.size]
     freqs_from = 4 + len(net.config.hidden)
-    # every float the net is built from: the time frequencies, the frozen
-    # log gammas and the parameters
-    float_at = [*offsets[freqs_from:freqs_from + len(net.config.time_freqs)],
-                *offsets[-1 - net.frozen_log_gammas.size:-1],
-                *range(header_end, len(seed), 8)]
+    # every float of the header the net is built from: the time
+    # frequencies, the gamma range and the frozen log gammas
+    header_floats = [
+        *offsets[freqs_from:freqs_from + len(net.config.time_freqs)],
+        *offsets[-4 - net.frozen_log_gammas.size:
+                 -2 - net.frozen_log_gammas.size],
+        *offsets[-1 - net.frozen_log_gammas.size:-1]]
 
     def with_int(offset, size, value):
         raw = bytearray(seed)
@@ -96,11 +98,9 @@ def main(path, limit):
 
     loads_or_raises_arcflow_error()
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=100)
-    @given(st.sampled_from(float_at),
-           st.sampled_from([math.nan, math.inf, -math.inf]))
-    def non_finite_floats_raise(at, value):
+    non_finite = [math.nan, math.inf, -math.inf]
+
+    def non_finite_float_raises(at, value):
         raw = bytearray(seed)
         raw[at:at + 8] = struct.pack("<d", value)
         target.write_bytes(bytes(raw))
@@ -110,7 +110,19 @@ def main(path, limit):
             return
         raise AssertionError(f"{value} at byte {at} loaded")
 
-    non_finite_floats_raise()
+    # the few header floats all, the many parameters by sample
+    for at in header_floats:
+        for value in non_finite:
+            non_finite_float_raises(at, value)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(st.sampled_from(range(header_end, len(seed), 8)),
+           st.sampled_from(non_finite))
+    def non_finite_parameters_raise(at, value):
+        non_finite_float_raises(at, value)
+
+    non_finite_parameters_raise()
 
 
 if __name__ == "__main__":

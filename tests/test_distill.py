@@ -128,7 +128,7 @@ def test_linear_baseline_strips_momentum_machinery():
 def test_training_streams_deterministic_and_distinct():
     a = training_streams(42)
     b = training_streams(42)
-    assert len(a) == 3
+    assert len(a) == 4
     for sa, sb in zip(a, b):
         ra = np.random.default_rng(sa).uniform(size=4)
         rb = np.random.default_rng(sb).uniform(size=4)

@@ -1,8 +1,10 @@
 """Run configs, metrics, artifact writers, orchestration, and the CLI."""
 
+import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
+import os
 import time
 import tracemalloc
 import warnings
@@ -469,36 +471,21 @@ def test_energy_distance_rejects_bad_input(xs, ys, chunk):
         energy_distance(xs, ys, chunk=chunk)
 
 
-def _count_distance_maps(monkeypatch, cpus):
-    """Pretend to have `cpus` usable CPUs; the returned list grows by the
-    unit count of every map_forked call energy_distance makes."""
-    calls = []
-    real = harness_module.map_forked
-
-    def counted(work, shared, units, *args, **kwargs):
-        calls.append(len(units))
-        return real(work, shared, units, *args, **kwargs)
-
-    monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(harness_module, "map_forked", counted)
-    return calls
-
-
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_pooled_energy_distance_has_the_one_process_bits(monkeypatch, cpus):
+def test_pooled_energy_distance_has_the_one_process_bits(count_pools, cpus):
     # n != m, and 97 divides neither row count
     rng = np.random.default_rng(67)
     xs = rng.normal(size=(2300, 2))
     ys = rng.normal(size=(1700, 2)) + 0.3
     pairs = 2300 * 1700 + 2300 ** 2 + 1700 ** 2
     assert pairs >= cpus * harness_module.MIN_PROCESS_PAIRS
-    calls = _count_distance_maps(monkeypatch, cpus)
+    pools = count_pools(cpus)
     pooled = energy_distance(xs, ys, chunk=97)
-    assert calls == [cpus]
+    assert pools == [cpus]
     assert multiprocessing.active_children() == []
-    monkeypatch.setattr(harness_module, "fork_workers", lambda wanted: 1)
+    pools = count_pools(1)
     assert pooled.hex() == energy_distance(xs, ys, chunk=97).hex()
-    assert calls == [cpus]
+    assert pools == []
 
 
 @pytest.mark.parametrize("n, m, chunk", [(50, 30, 128), (50, 30, 7),
@@ -510,7 +497,7 @@ def test_energy_distance_below_the_floor_never_forks(monkeypatch, n, m,
 
     assert n * m + n * n + m * m < 2 * harness_module.MIN_PROCESS_PAIRS
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness_module, "map_forked", no_fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     rng = np.random.default_rng(68)
     energy_distance(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)),
                     chunk=chunk)
@@ -528,7 +515,7 @@ def test_energy_distance_rejects_bad_input_before_any_fork(monkeypatch, xs,
 
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(harness_module, "fork_workers", no_fork)
-    monkeypatch.setattr(harness_module, "map_forked", no_fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     with pytest.raises(InvalidParameterError):
         energy_distance(xs, ys, chunk=chunk)
 
@@ -840,63 +827,128 @@ def test_pooled_ablation_rows_equal_in_process_rows(monkeypatch):
 
 
 needs_openblas = pytest.mark.skipif(
-    not pool_module.blas_threads(),
+    not pool_module._blas_controls(),
     reason="no loaded OpenBLAS exports a known thread-count symbol")
 
 
-def _blas_threads_in_unit(shared, unit):
+def _blas_counts():
+    return tuple(get() for _, get in pool_module._blas_controls())
+
+
+def _set_blas_counts(counts):
+    for (set_count, _), count in zip(pool_module._blas_controls(), counts):
+        set_count(count)
+
+
+def _blas_counts_in_unit(shared, unit):
     if unit == "raise":
         raise NumericError("unit failed")
-    return pool_module.blas_threads()
+    return _blas_counts()
 
 
 @needs_openblas
-def test_map_forked_runs_one_blas_thread_and_restores_the_callers():
-    before = pool_module.blas_threads()
-    pool_module.set_blas_threads([3] * len(before))
+def test_map_forked_runs_one_blas_thread_and_restores_the_callers(
+        monkeypatch):
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    before = _blas_counts()
+    _set_blas_counts([3] * len(before))
     try:
-        seen = pool_module.map_forked(_blas_threads_in_unit, None,
-                                      ["caller", "worker", "worker"], 2,
-                                      in_caller=1)
+        seen = pool_module.map_forked(_blas_counts_in_unit, None,
+                                      ["worker"] * 3)
         assert seen == [(1,) * len(before)] * 3
-        assert pool_module.blas_threads() == (3,) * len(before)
-        with pytest.raises(NumericError, match="unit failed"):
-            pool_module.map_forked(_blas_threads_in_unit, None,
-                                   ["worker", "raise"], 2)
-        assert pool_module.blas_threads() == (3,) * len(before)
-        with pytest.raises(NumericError, match="unit failed"):
-            pool_module.map_forked(_blas_threads_in_unit, None,
-                                   ["raise", "worker"], 1, in_caller=1)
-        assert pool_module.blas_threads() == (3,) * len(before)
+        assert _blas_counts() == (3,) * len(before)
+        for units in (["worker", "raise"], ["raise", "worker"]):
+            with pytest.raises(NumericError, match="unit failed"):
+                pool_module.map_forked(_blas_counts_in_unit, None, units)
+            assert _blas_counts() == (3,) * len(before)
         assert multiprocessing.active_children() == []
     finally:
-        pool_module.set_blas_threads(before)
+        _set_blas_counts(before)
 
 
 @needs_openblas
 def test_blas_pin_is_a_no_op_without_a_known_symbol(monkeypatch):
     controls = pool_module._blas_controls()
     counts = tuple(get() for _, get in controls)
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pool_module, "BLAS_THREAD_SYMBOLS",
                         (("no_such_set_threads", "no_such_get_threads"),))
-    assert pool_module.blas_threads() == ()
-    pool_module.set_blas_threads([1] * len(counts))
+    assert pool_module._blas_controls() == []
 
     def real_counts(shared, unit):
         return tuple(get() for _, get in controls)
 
-    # the worker inherits the caller's counts, untouched
-    assert pool_module.map_forked(real_counts, None, [0, 1], 1,
-                                  in_caller=1) == [counts, counts]
+    # the workers inherit the caller's counts, untouched
+    assert pool_module.map_forked(real_counts, None, [0, 1]) == [counts,
+                                                                 counts]
     assert tuple(get() for _, get in controls) == counts
 
 
 def test_pooled_ablation_rows_equal_without_the_blas_pin(monkeypatch):
     cfg = tiny_run_config()
     pinned = _grid_with_workers(monkeypatch, 2, cfg, studies=("gamma_mode",))
-    monkeypatch.setattr(pool_module, "set_blas_threads", lambda counts: None)
+    monkeypatch.setattr(pool_module, "_blas_controls", lambda: [])
     unpinned = _grid_with_workers(monkeypatch, 2, cfg, studies=("gamma_mode",))
     assert _hex_rows(pinned) == _hex_rows(unpinned)
+
+
+def _pid_or_raise(error, unit):
+    if unit == "raise":
+        raise error
+    return os.getpid()
+
+
+def _map_in_this_process(units):
+    """True when map_forked computed every unit in this process and a
+    failing unit's error came out as the very object the unit raised."""
+    error = NumericError("unit failed")
+    try:
+        pids = pool_module.map_forked(_pid_or_raise, error, units)
+    except NumericError as exc:
+        return exc is error
+    return pids == [os.getpid()] * len(units)
+
+
+def _map_in_daemon(queue, units):
+    queue.put(_map_in_this_process(units))
+
+
+@pytest.mark.parametrize("route", ["one-unit", "one-cpu", "daemon"])
+def test_map_forked_computes_in_the_caller_where_one_process(monkeypatch,
+                                                            route):
+    # the forked daemon inherits the patches that make a pool or a BLAS
+    # change fail
+    def no_pool(*args, **kwargs):
+        raise AssertionError("map_forked started a pool")
+
+    monkeypatch.setattr(pool_module, "usable_cpus",
+                        lambda: 1 if route == "one-cpu" else 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(pool_module, "_blas_controls", no_pool)
+    grids = ([["ok"], ["raise"]] if route == "one-unit"
+             else [["ok", "ok"], ["ok", "raise", "ok"]])
+    for units in grids:
+        if route != "daemon":
+            assert _map_in_this_process(units)
+            continue
+        context = multiprocessing.get_context("fork")
+        queue = context.Queue()
+        child = context.Process(target=_map_in_daemon, args=(queue, units),
+                                daemon=True)
+        child.start()
+        done = queue.get(timeout=60)
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+        assert done
+    assert multiprocessing.active_children() == []
+
+
+def test_map_forked_computes_no_unit_in_the_caller(count_pools):
+    pools = count_pools(2)
+    pids = pool_module.map_forked(_pid_or_raise, None, ["ok"] * 3)
+    assert pools == [2]
+    assert os.getpid() not in pids
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_ablation_raises_the_in_process_error(monkeypatch):

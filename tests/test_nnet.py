@@ -515,6 +515,31 @@ def test_checkpoint_rejects_non_finite_floats(field, value, tmp_path):
     assert str(err.value) == f"non-finite {field} in checkpoint {path}"
 
 
+@pytest.mark.parametrize("gamma_mode", ["learnable", "frozen_one"])
+@pytest.mark.parametrize("bound, value", [(0, np.nan), (0, 2.0),
+                                          (1, np.inf), (1, 0.5)])
+def test_checkpoint_rejects_bad_gamma_range(gamma_mode, bound, value,
+                                            tmp_path, monkeypatch):
+    """The range must hold 0 < lo < 1 < hi < inf, and a checkpoint that
+    breaks it fails naming the file and the field, before the net is
+    allocated."""
+    cfg = NetConfig(dim=2, num_modes=8, gamma_mode=gamma_mode)
+    path = tmp_path / "net.ckpt"
+    StudentNet(cfg, seed=0).save(path)
+    raw = bytearray(path.read_bytes())
+    at = _mode_flag_offset(cfg) + 3 + 4 + 8 * bound
+    raw[at:at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+
+    def no_net(*args, **kwargs):
+        raise AssertionError("load allocated a net")
+
+    monkeypatch.setattr(StudentNet, "__init__", no_net)
+    with pytest.raises(CheckpointFormatError) as err:
+        StudentNet.load(path)
+    assert str(err.value).startswith(f"checkpoint {path}: gamma_range must ")
+
+
 def test_corrupt_checkpoints_fail_as_arcflow_errors(tmp_path):
     """tests/checkpoint_fuzz.py under a 1 GiB address-space limit: corrupt
     headers raise CheckpointFormatError before anything large is allocated,

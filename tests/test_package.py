@@ -91,3 +91,10 @@ def test_harness_and_cli_imports_load_no_process_pool():
     assert "arcflow.harness" in loaded and "arcflow.cli" in loaded
     assert [m for m in loaded
             if m.split(".")[0] in ("concurrent", "multiprocessing")] == []
+
+
+def test_one_unit_map_loads_no_process_pool():
+    loaded = fresh_modules("from arcflow._pool import map_forked\n"
+                           "assert map_forked(pow, 2, [10]) == [1024]\n")
+    assert [m for m in loaded
+            if m.split(".")[0] in ("concurrent", "multiprocessing")] == []

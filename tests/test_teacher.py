@@ -1,5 +1,6 @@
 """Analytic mixture teacher, Euler reference sampler, neural teacher."""
 
+import concurrent.futures
 import hashlib
 import multiprocessing
 import warnings
@@ -18,7 +19,6 @@ from arcflow import (
     euler_sample,
 )
 import arcflow._pool as pool_module
-import arcflow.teacher as teacher_module
 from arcflow.nnet import NetConfig, StudentNet
 from arcflow.teacher import (
     CfmTrainConfig,
@@ -409,54 +409,40 @@ def inline_euler(velocity, x1, steps):
     return np.stack(xs), (steps - np.arange(steps + 1)) / steps
 
 
-def count_forked_maps(monkeypatch, cpus):
-    """Pretend to have `cpus` usable CPUs; the returned list grows by the
-    unit count of every map_forked call euler_sample makes."""
-    calls = []
-    real = teacher_module.map_forked
-
-    def counted(work, shared, units, *args, **kwargs):
-        calls.append(len(units))
-        return real(work, shared, units, *args, **kwargs)
-
-    monkeypatch.setattr(pool_module, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(teacher_module, "map_forked", counted)
-    return calls
-
-
 # 40 steps give B = 4,099 at least three blocks of MIN_BLOCK_WORK
 SPLIT_STEPS = 40
 
 
 @pytest.mark.parametrize("batch", [4099, 10_000])
-def test_row_split_euler_equals_inline_oracle(monkeypatch, batch):
+def test_row_split_euler_equals_inline_oracle(count_pools, batch):
     teacher = AnalyticGmmTeacher(ring_spec())
     x1 = np.random.default_rng(57).standard_normal((batch, 2))
     want_positions, want_times = inline_euler(teacher.velocity, x1,
                                               SPLIT_STEPS)
     for cpus in (1, 2, 3):
-        calls = count_forked_maps(monkeypatch, cpus)
+        pools = count_pools(cpus)
         rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
-        assert calls == ([cpus] if cpus > 1 else [])
+        assert pools == ([cpus] if cpus > 1 else [])
         assert np.array_equal(rec.positions, want_positions)
         assert np.array_equal(rec.times, want_times)
         assert not rec.positions.flags.writeable
         assert multiprocessing.active_children() == []
 
 
-def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch):
+def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch,
+                                                             count_pools):
     teacher = AnalyticGmmTeacher(ring_spec())
     x1 = np.random.default_rng(60).standard_normal((4099, 2))
-    calls = count_forked_maps(monkeypatch, 2)
+    pools = count_pools(2)
     pinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
-    monkeypatch.setattr(pool_module, "set_blas_threads", lambda counts: None)
+    monkeypatch.setattr(pool_module, "_blas_controls", lambda: [])
     unpinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
-    assert calls == [2, 2]
+    assert pools == [2, 2]
     assert pinned.tobytes() == unpinned.tobytes()
 
 
-def test_neural_teacher_and_plain_field_are_never_split(monkeypatch):
-    calls = count_forked_maps(monkeypatch, 3)
+def test_neural_teacher_and_plain_field_are_never_split(count_pools):
+    pools = count_pools(3)
     neural = oracle_neural_teacher()
     x1 = np.random.default_rng(58).standard_normal((4099, 2))
     rec = euler_sample(neural.velocity, x1, SPLIT_STEPS)
@@ -464,7 +450,7 @@ def test_neural_teacher_and_plain_field_are_never_split(monkeypatch):
                           inline_euler(neural.velocity, x1, SPLIT_STEPS)[0])
     analytic = AnalyticGmmTeacher(ring_spec())
     euler_sample(lambda x, t: analytic.velocity(x, t), x1, SPLIT_STEPS)
-    assert calls == []
+    assert pools == []
 
 
 class _RunawayTeacher:
@@ -478,7 +464,7 @@ class _RunawayTeacher:
         return np.where(x >= 10.0, np.inf, -1.0)
 
 
-def test_row_split_euler_raises_the_one_process_error(monkeypatch):
+def test_row_split_euler_raises_the_one_process_error(count_pools):
     steps, batch = SPLIT_STEPS, 4099
     x1 = np.zeros((batch, 2))
     x1[0] = 10.0 - 6.5 / steps     # block 0 first fails at step 7
@@ -486,10 +472,10 @@ def test_row_split_euler_raises_the_one_process_error(monkeypatch):
     teacher = _RunawayTeacher()
     texts = []
     for cpus in (1, 3):
-        calls = count_forked_maps(monkeypatch, cpus)
+        pools = count_pools(cpus)
         with pytest.raises(NumericError) as err:
             euler_sample(teacher.velocity, x1, steps)
-        assert calls == ([cpus] if cpus > 1 else [])
+        assert pools == ([cpus] if cpus > 1 else [])
         assert multiprocessing.active_children() == []
         texts.append(str(err.value))
     assert texts[0].startswith("non-finite state at integration step 4 ")
@@ -504,12 +490,12 @@ def _euler_digest_in_daemon(queue, x1):
 
 def test_daemon_caller_integrates_in_one_process(monkeypatch):
     # a daemon process may not have children; the fork inherits the patch
-    # that makes any forked map fail
+    # that makes any process pool fail
     def no_fork(*args, **kwargs):
         raise AssertionError("a daemon caller forked workers")
 
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(teacher_module, "map_forked", no_fork)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     x1 = np.random.default_rng(59).standard_normal((4099, 2))
     want = inline_euler(AnalyticGmmTeacher(ring_spec()).velocity, x1,
                         SPLIT_STEPS)[0]
