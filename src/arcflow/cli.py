@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -103,8 +104,21 @@ def cli_sample(args) -> int:
     cfg = _load_config(args)
     net = StudentNet.load(args.checkpoint)
     base_net = StudentNet.load(args.baseline) if args.baseline else None
-    teacher = harness.build_teacher(cfg)
     nfe = args.nfe if args.nfe is not None else cfg.distill.nfe
+    if nfe < 1:
+        raise InvalidParameterError(f"--nfe must be >= 1, got {nfe}")
+    # the trajectories held at once: the student's (and the baseline's)
+    # nfe * dense_per_shelf + 1 states per row and the reference's 201
+    records = 2 if base_net is not None else 1
+    states = (nfe * cfg.run.dense_per_shelf + 1) * records + 201
+    need = 8 * count * net.config.dim * states
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InvalidParameterError(
+            f"--count {count} at --nfe {nfe} needs {need / 2**30:.3g} GiB "
+            f"of trajectories, more than the {have / 2**30:.3g} GiB of "
+            f"memory here")
+    teacher = harness.build_teacher(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
     noise = rng.standard_normal((count, teacher.dim))
@@ -189,6 +203,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ArcFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

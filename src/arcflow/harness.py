@@ -122,8 +122,11 @@ class TeacherConfig:
             raise InvalidParameterError(
                 "explicit teacher layout needs weights, means and stds"
             )
-        # A mixture the spec would reject fails here, not at build time.
+        # A mixture or training config that would be rejected fails here,
+        # not at build time; build_teacher reuses the training config.
         self.build_spec()
+        object.__setattr__(self, "cfm_train", CfmTrainConfig(
+            self.cfm_steps, self.cfm_batch, self.cfm_lr))
 
     def build_spec(self) -> GmmTeacherSpec:
         if self.layout == "ring":
@@ -436,9 +439,7 @@ def build_teacher(cfg: RunConfig):
         NetConfig(dim=spec.dim, num_modes=1, gamma_mode="frozen_one"),
         seed=teacher_stream,
     )
-    train_cfg = CfmTrainConfig(cfg.teacher.cfm_steps, cfg.teacher.cfm_batch,
-                               cfg.teacher.cfm_lr)
-    trained, _ = train_cfm_teacher(net, spec, train_cfg,
+    trained, _ = train_cfm_teacher(net, spec, cfg.teacher.cfm_train,
                                    np.random.default_rng(teacher_stream))
     return trained
 

@@ -9,13 +9,14 @@ step of the solver is
 
 where the per-mode coefficient is the exact integral of gamma**(1-t):
 
-    C(gamma, t_s, t_e) = (gamma**(1-t_e) - gamma**(1-t_s)) / ln gamma
+    C(gamma, t_s, t_e) = gamma**(1-t_s) expm1((t_s - t_e) ln gamma) / ln gamma
 
-For |ln gamma| below LN_GAMMA_EPS the mode is treated as linear and the
-coefficient is t_s - t_e, the exact limit.  The formula is antisymmetric in
-its time arguments and additive over interval splits; the solver is exact up
-to floating-point rounding, so step size never trades off against accuracy,
-and a dense sub-step is one such pass over its own interval.
+or t_s - t_e where ln gamma == 0 exactly.  It takes no difference of two
+exponentials, so it stays within a few ulps on short intervals and beside
+gamma = 1.  It is antisymmetric in its time arguments and additive over
+interval splits; the solver is exact up to floating-point rounding, so step
+size never trades off against accuracy, and a dense sub-step is one such
+pass over its own interval.
 """
 
 from __future__ import annotations
@@ -25,37 +26,35 @@ import numpy as np
 from .errors import InvalidIntervalError, InvalidParameterError, NumericError
 from .momentum import LatentState, MomentumParams
 
-# Below this |ln gamma| the exponential integral is evaluated in its linear
-# limit.  Keep in sync with the checkpoint docs; changing it changes rollouts.
-LN_GAMMA_EPS = 1e-6
+
+def _integral(lg, elapsed):
+    # Integral of exp(s ln gamma) for s over [0, elapsed]: expm1(elapsed lg)
+    # / lg, or elapsed itself where lg == 0 exactly.
+    flat = lg == 0.0
+    return np.where(flat, elapsed,
+                    np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
 
 
-def _coefficients_from_log(log_gammas, t_start, t_end):
+def _coefficients_from_log(lg, t_start, t_end):
     # Integral of gamma**(1-t) over [t_end, t_start], computed from ln gamma.
-    lg = np.asarray(log_gammas, dtype=float)
-    expo = np.exp((1.0 - t_end) * lg) - np.exp((1.0 - t_start) * lg)
-    return _divide_by_log(lg, expo, t_start - t_end)
-
-
-def _divide_by_log(lg, expo, elapsed):
-    # expo / ln gamma, or the linear limit elapsed for |ln gamma| below
-    # LN_GAMMA_EPS.
-    linear = np.abs(lg) < LN_GAMMA_EPS
-    return np.where(linear, elapsed, expo / np.where(linear, 1.0, lg))
+    return np.exp((1.0 - t_start) * lg) * _integral(lg, t_start - t_end)
 
 
 def momentum_coefficient(gamma, t_start, t_end):
     """Exact integral of gamma**(1-t) from t_end to t_start.
 
-    gamma must be positive; all three arguments broadcast, and the
-    coefficient is antisymmetric under swapping the times.  All-scalar input
-    gives a float back.
+    gamma must be positive and finite and the times finite; all three
+    arguments broadcast, and the coefficient is antisymmetric under swapping
+    the times.  All-scalar input gives a float back.
     """
     gamma = np.asarray(gamma, dtype=float)
-    if (gamma <= 0.0).any():
-        raise InvalidParameterError("momentum factor gamma must be positive")
-    out = _coefficients_from_log(np.log(gamma), np.asarray(t_start, dtype=float),
-                                 np.asarray(t_end, dtype=float))
+    t_start = np.asarray(t_start, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    if not ((0.0 < gamma) & (gamma < np.inf)).all():   # NaN fails too
+        raise InvalidParameterError("gamma must be positive and finite")
+    if not (np.isfinite(t_start).all() and np.isfinite(t_end).all()):
+        raise InvalidIntervalError("coefficient times must be finite")
+    out = _coefficients_from_log(np.log(gamma), t_start, t_end)
     if out.ndim == 0:
         return float(out)
     return out
@@ -129,16 +128,15 @@ def _anchored_rows(theta: MomentumParams, times) -> tuple:
 
     Row j of the displacements equals displacement(theta, 1.0, times[j])
     bit for bit: each row gets its own einsum over the same (..., K) layout,
-    and the coefficient's exp((1 - 1) ln gamma) term, which is exactly 1 for
-    the finite ln gamma every bundle holds, is not computed.
+    and the coefficient's factor exp((1 - 1) ln gamma), which is exactly 1
+    for the finite ln gamma every bundle holds, is not computed.
     """
     times = np.asarray(times, dtype=float)
-    t_end = times.reshape(times.shape + (1,) * theta.gating.ndim)
+    elapsed = 1.0 - times.reshape(times.shape + (1,) * theta.gating.ndim)
     lg = theta.log_gammas
-    powers = np.exp((1.0 - t_end) * lg)
-    weights = theta.gating * _divide_by_log(lg, powers - 1.0, 1.0 - t_end)
+    weights = theta.gating * _integral(lg, elapsed)
     disp = np.empty(times.shape + theta.base_velocities.shape[:-2]
                     + (theta.dim,))
     for w, out in zip(weights, disp):
         np.einsum("...k,...kd->...d", w, theta.base_velocities, out=out)
-    return disp, powers
+    return disp, np.exp(elapsed * lg)

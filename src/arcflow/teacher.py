@@ -88,9 +88,11 @@ class GmmTeacherSpec:
                 f"component stds must be >= {STD_FLOOR}"
             )
         # Constants of gmm_velocity and sample_data, computed once per spec.
-        with np.errstate(divide="ignore"):   # a zero weight's log is -inf
-            object.__setattr__(self, "_log_weights", np.log(w))
-        object.__setattr__(self, "_variances", sd ** 2)
+        with np.errstate(divide="ignore", over="ignore"):
+            object.__setattr__(self, "_log_weights", np.log(w))  # 0 -> -inf
+            object.__setattr__(self, "_variances", sd ** 2)
+        if not np.isfinite(self._variances).all():
+            raise InvalidProblemError("component variances must be finite")
         cdf = w.cumsum()
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
@@ -103,15 +105,21 @@ class GmmTeacherSpec:
 def ring_spec(components=8, radius=2.0, std=0.25, dim=2) -> GmmTeacherSpec:
     """Equal-weight mixture with means evenly spaced on a circle of the given
     radius in the first two coordinates."""
-    if dim < 2:
-        raise InvalidProblemError("ring layout needs dim >= 2")
-    angles = 2.0 * np.pi * np.arange(components) / components
-    means = np.zeros((components, dim))
-    means[:, 0] = radius * np.cos(angles)
-    means[:, 1] = radius * np.sin(angles)
-    weights = np.full(components, 1.0 / components)
-    stds = np.full(components, float(std))
-    return GmmTeacherSpec(weights, means, stds)
+    if dim < 2 or components < 1:
+        raise InvalidProblemError("ring layout needs dim >= 2 and "
+                                  "components >= 1")
+    try:
+        angles = 2.0 * np.pi * np.arange(components) / components
+        means = np.zeros((components, dim))
+        means[:, 0] = radius * np.cos(angles)
+        means[:, 1] = radius * np.sin(angles)
+        weights = np.full(components, 1.0 / components)
+        return GmmTeacherSpec(weights, means,
+                              np.full(components, float(std)))
+    except (MemoryError, ValueError):   # numpy's "too big" is a ValueError
+        raise InvalidParameterError(
+            f"a ring of {components} components in {dim} dimensions does "
+            f"not fit in memory") from None
 
 
 def sample_data(spec: GmmTeacherSpec, rng: np.random.Generator,
@@ -295,7 +303,10 @@ class CfmTrainConfig:
     def __post_init__(self):
         if (self.total_steps < 0 or self.batch < 1
                 or not 0.0 < self.base_lr < np.inf):
-            raise InvalidParameterError("bad teacher training config")
+            raise InvalidParameterError(
+                f"teacher training needs steps >= 0, batch >= 1 and "
+                f"0 < lr < inf, got {self.total_steps}, {self.batch}, "
+                f"{self.base_lr}")
 
 
 class NeuralTeacher:

@@ -3,8 +3,10 @@
 Each test covers one release criterion and prints a single [PASS]/[FAIL]
 line with the measured quantity next to its bound, so a log scan shows the
 whole gate at a glance.  The first seven delegate to the oracle suites in
-arcflow.verify; the last three exercise distillation efficacy, the ablation
-orderings, and bitwise reproducibility through the public entry points.
+arcflow.verify; the next three exercise distillation efficacy, the ablation
+orderings, and bitwise reproducibility through the public entry points; the
+last checks the closed-form coefficient against mpmath, which keeps that
+oracle, like the training lines, out of the scipy-only verify module.
 
 Budget note: the efficacy and ablation tests train real (desk-scale)
 students and together take a couple of minutes of CPU.
@@ -15,9 +17,13 @@ import json
 import statistics
 import time
 
+import numpy as np
+
+from arcflow import MomentumParams
 from arcflow.cli import main
 from arcflow.distill import make_linear_baseline
 from arcflow.harness import RunConfig, run_ablation, run_distillation
+from arcflow.solver import _anchored_rows, momentum_coefficient
 from arcflow.verify import (
     coefficient_continuity_suite,
     degenerate_mixing_suite,
@@ -171,3 +177,69 @@ def test_repeated_cli_runs_are_byte_identical(tmp_path, capsys):
           f"({verdicts}; metrics.json without wall_time_s)")
     for name, ok in same.items():
         assert ok, name
+
+
+def test_coefficient_matches_mpmath(capsys):
+    """The closed-form coefficient, and the anchored rows of single-mode
+    unit bundles, against the integral written with mpmath's own exp and
+    log at 50 digits: worst relative error in ulps over |ln gamma| in
+    [1e-12, 4] on both sides of gamma = 1, ln gamma == 0 exactly, and
+    intervals from 1e-12 to 1."""
+    import mpmath
+
+    started = time.perf_counter()
+    rng = np.random.default_rng(1014)
+
+    def log_uniform(lo, hi, size):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    def signed_log_gammas(size):
+        lg = log_uniform(1e-12, 4.0, size) * rng.choice([-1.0, 1.0], size)
+        lg[::16] = 0.0
+        return lg
+
+    def integral(lg, t_start, t_end):
+        # integral of exp((1 - t) lg) over [t_end, t_start], from floats
+        lg, t_start, t_end = (mpmath.mpf(float(v))
+                              for v in (lg, t_start, t_end))
+        if lg == 0:
+            return t_start - t_end
+        return (mpmath.exp((1 - t_end) * lg)
+                - mpmath.exp((1 - t_start) * lg)) / lg
+
+    def worst_ulps(got, want):
+        return max(float(abs(mpmath.mpf(float(g)) - w))
+                   / np.spacing(abs(float(w))) for g, w in zip(got, want))
+
+    with mpmath.workdps(50):
+        n = 2048
+        gamma = np.exp(signed_log_gammas(n))
+        elapsed = log_uniform(1e-12, 1.0, n)
+        t_end = rng.uniform(0.0, 1.0 - elapsed)
+        t_start = t_end + elapsed
+        got = momentum_coefficient(gamma, t_start, t_end)
+        want = [integral(mpmath.log(g), ts, te)
+                for g, ts, te in zip(gamma, t_start, t_end)]
+        coef_ulps = worst_ulps(got, want)
+
+        # rows (time, bundle) of D(1, t) for 64 one-mode bundles with unit
+        # gating and velocity (1, 0), so each row is its coefficient
+        lg = signed_log_gammas(64)
+        times = 1.0 - log_uniform(1e-12, 1.0, 64)
+        theta = MomentumParams(np.ones((64, 1)),
+                               np.tile([[[1.0, 0.0]]], (64, 1, 1)),
+                               lg[:, None])
+        rows = _anchored_rows(theta, times)[0][..., 0]
+        want = [integral(g, 1.0, t) for t in times for g in lg]
+        rows_ulps = worst_ulps(rows.ravel(), want)
+
+    bound = 8.0
+    elapsed_s = time.perf_counter() - started
+    ok = coef_ulps <= bound and rows_ulps <= bound
+    tag = "PASS" if ok else "FAIL"
+    _emit(capsys,
+          f"[{tag}] coefficient_vs_mpmath: worst {coef_ulps:.3g} ulps over "
+          f"{n} coefficients, {rows_ulps:.3g} ulps over {rows.size} anchored "
+          f"rows (bound {bound:.0f} ulps) ({elapsed_s:.2f}s)")
+    assert coef_ulps <= bound, coef_ulps
+    assert rows_ulps <= bound, rows_ulps

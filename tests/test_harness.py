@@ -5,15 +5,19 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import arcflow
 from arcflow import (
     AnalyticGmmTeacher,
     ConfigError,
@@ -47,6 +51,7 @@ from arcflow.harness import (
 )
 from arcflow.teacher import NeuralTeacher
 from arcflow import _pool as pool_module
+from arcflow import cli as cli_module
 from arcflow import harness as harness_module
 from arcflow.cli import main
 
@@ -297,6 +302,39 @@ def test_explicit_layout_shape_mismatch_reports_section_line():
         parse_run_config(text)
     assert str(err.value).startswith("3:")
     assert "[teacher]" in str(err.value)
+
+
+@pytest.mark.parametrize("body", [
+    "components = 0", "components = -3",
+    "components = 100000000000000000000", "std = 1e200",
+    "kind = neural\ncfm_batch = 0", "kind = neural\ncfm_lr = -1",
+])
+def test_teacher_section_rejections_report_header_line(body):
+    # each was a raw ZeroDivisionError, ValueError or RuntimeWarning, or
+    # failed only when the neural teacher was built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(f"[run]\nmetric_samples = 64\n[teacher]\n"
+                             f"{body}\n")
+    assert str(err.value).startswith("3: [teacher]")
+
+
+def test_build_teacher_trains_with_the_configs_own_training_config(
+        monkeypatch):
+    seen = []
+
+    def fake_train(net, spec, config, rng):
+        seen.append(config)
+        return net, []
+
+    monkeypatch.setattr(harness_module, "train_cfm_teacher", fake_train)
+    cfg = RunConfig(teacher=TeacherConfig(kind="neural", cfm_steps=7,
+                                          cfm_batch=5, cfm_lr=0.5))
+    build_teacher(cfg)
+    assert len(seen) == 1 and seen[0] is cfg.teacher.cfm_train
+    assert (seen[0].total_steps, seen[0].batch, seen[0].base_lr) == (7, 5,
+                                                                     0.5)
 
 
 def test_gamma_range_out_of_order_fails_at_parse_with_line():
@@ -1254,6 +1292,51 @@ def test_cli_sample_count_below_one_exits_two(tmp_path, capsys, count):
                             "--out", str(out)], capsys)
     assert "--count" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--count", "100000000000"],
+                                   ["--nfe", "1000000000"]])
+def test_cli_sample_too_big_exits_two_before_the_teacher(
+        monkeypatch, tmp_path, capsys, flags):
+    # each ended in a raw MemoryError traceback with exit 1
+    counts = _count_calls(monkeypatch, "build_teacher")
+    out = tmp_path / "out"
+    line = _cli_error_line(["sample", "--checkpoint",
+                            str(_saved_student(tmp_path)), "--out",
+                            str(out)] + flags, capsys)
+    assert "GiB of trajectories" in line and flags[1] in line
+    assert counts == {"build_teacher": 0}
+    assert not out.exists()
+
+
+def test_cli_memory_error_is_one_error_line(monkeypatch, tmp_path, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.58 GiB for an array")
+
+    monkeypatch.setattr(cli_module, "student_sample", no_memory)
+    line = _cli_error_line(["sample", "--checkpoint",
+                            str(_saved_student(tmp_path)), "--out",
+                            str(tmp_path / "out")], capsys)
+    assert line == "error: out of memory: Unable to allocate 3.58 GiB for " \
+                   "an array"
+
+
+def test_config_text_and_argv_fail_as_arcflow_errors(tmp_path):
+    """tests/input_fuzz.py under a 1 GiB address-space limit: mutated config
+    text parses or raises a ConfigError with a line number, and fuzzed
+    `arcflow sample` argv exits 0 or 2 with one error line, with no other
+    exception and no warning."""
+    path = _saved_student(tmp_path)
+    src = str(Path(arcflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # one BLAS thread keeps the child's address space far below the limit
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("input_fuzz.py")),
+         str(1 << 30), str(path), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,12 @@
 """Closed-form trajectory steps checked against quadrature and hand values."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arcflow import (
@@ -42,14 +45,14 @@ def test_coefficient_gamma_four_hand_value():
     assert_allclose(got, 0.7213475204444817, rtol=1e-15)
 
 
-def test_coefficient_near_one_uses_linear_branch():
-    # just inside the series cutoff the value must land on the gamma = 1 limit
+def test_coefficient_near_one_lands_on_elapsed_time():
+    # a gamma one part in 1e9 from 1 gives the gamma = 1 limit to 1e-8
     got = momentum_coefficient(1.0 + 1e-9, 1.0, 0.0)
     assert abs(got - 1.0) < 1e-8
 
 
-def test_coefficient_continuous_across_branch_cutoff():
-    # approach gamma = 1 from both sides; the two branches must agree
+def test_coefficient_continuous_approaching_gamma_one():
+    # approach gamma = 1 from both sides, at two offsets each
     for sign in (-1.0, 1.0):
         outside = momentum_coefficient(np.exp(sign * 2e-6), 0.9, 0.2)
         inside = momentum_coefficient(np.exp(sign * 5e-7), 0.9, 0.2)
@@ -97,6 +100,57 @@ def test_coefficient_rejects_nonpositive_gamma():
         momentum_coefficient(0.0, 1.0, 0.0)
     with pytest.raises(InvalidParameterError):
         momentum_coefficient(-2.0, 1.0, 0.0)
+    # non-finite input fails before anything is computed: no NaN back and
+    # no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (np.nan, np.inf, [2.0, np.nan]):
+            with pytest.raises(InvalidParameterError):
+                momentum_coefficient(gamma, 1.0, 0.0)
+        for t_start, t_end in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0),
+                               (1.0, [0.5, -np.inf])):
+            with pytest.raises(InvalidIntervalError):
+                momentum_coefficient(2.0, t_start, t_end)
+
+
+# The closed form's identities as properties, over |ln gamma| up to 4 and
+# both sides of gamma = 1, with fixed draws.
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)
+gammas = st.one_of(st.floats(np.exp(-4.0), np.exp(4.0)),
+                   st.floats(1.0 - 1e-6, 1.0 + 1e-6), st.just(1.0))
+times = st.floats(0.0, 1.0)
+
+
+@PROPERTY
+@given(gammas, times, times)
+def test_coefficient_antisymmetry_property(gamma, ta, tb):
+    assert_allclose(momentum_coefficient(gamma, ta, tb),
+                    -momentum_coefficient(gamma, tb, ta), rtol=1e-14, atol=0)
+
+
+@PROPERTY
+@given(gammas, times, times, times)
+def test_coefficient_additivity_property(gamma, ta, tb, tc):
+    # every part has the whole's sign, so the sum does not cancel
+    t0, t1, t2 = sorted((ta, tb, tc), reverse=True)
+    whole = momentum_coefficient(gamma, t0, t2)
+    split = momentum_coefficient(gamma, t0, t1) \
+        + momentum_coefficient(gamma, t1, t2)
+    assert_allclose(split, whole, rtol=1e-14, atol=0)
+
+
+@PROPERTY
+@given(st.floats(1.0 - 1e-3, 1.0 + 1e-3), times, times)
+def test_coefficient_gamma_one_limit_property(gamma, ta, tb):
+    # gamma**(1-t) lies within exp(+-|ln gamma|) of 1 on [0, 1], so the
+    # coefficient is within expm1(|ln gamma|) of the elapsed time
+    elapsed = ta - tb
+    got = momentum_coefficient(gamma, ta, tb)
+    slack = np.expm1(abs(np.log(gamma))) + 4 * np.finfo(float).eps
+    assert abs(got - elapsed) <= slack * abs(elapsed)
+    if gamma == 1.0:
+        assert got == elapsed
 
 
 # -- displacement / transition ------------------------------------------------

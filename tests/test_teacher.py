@@ -80,6 +80,30 @@ def test_spec_rejects_shape_mismatch():
         GmmTeacherSpec([1.0], [[0.0, 0.0], [1.0, 1.0]], [0.5])
 
 
+def test_spec_rejects_non_finite_variances():
+    # finite stds whose squares overflow, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidProblemError, match="variances"):
+            GmmTeacherSpec([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
+                           [0.5, 1e200])
+
+
+@pytest.mark.parametrize("components", [0, -3])
+def test_ring_spec_rejects_fewer_than_one_component(components):
+    with pytest.raises(InvalidProblemError, match="components >= 1"):
+        ring_spec(components=components)
+
+
+@pytest.mark.parametrize("components,dim", [(10 ** 20, 2), (8, 10 ** 14)])
+def test_ring_spec_too_big_to_allocate(components, dim):
+    # numpy's ValueError for a size past its index range, and a
+    # MemoryError for one past the address space, both become parameter
+    # errors
+    with pytest.raises(InvalidParameterError, match="does not fit"):
+        ring_spec(components=components, dim=dim)
+
+
 # -- closed-form velocity ---------------------------------------------------------
 
 
