@@ -13,14 +13,15 @@ One training step:
    down to the switching time t_sw = lam * start + (1 - lam) * end, then take
    the closed-form momentum step for the remainder.  Every closed-form
    segment comes from one batched pass.  At lam = 1 there is no teacher
-   segment: the rollout is the student's closed-form chain alone.  Anchors
-   are recorded as fixed arrays, so gradients never flow through the
-   rollout.
+   segment: the rollout is the student's closed-form chain alone.  It returns
+   two plain arrays, the anchor states and the teacher velocities there, so
+   gradients never flow through it.
 5. Match the mixture's instantaneous velocity at every anchor time against
    the teacher's velocity at the anchor state; squared error averaged over
-   anchors, batch and coordinates.  The rollout evaluates the teacher at
-   every anchor state, and at lam = 1 in one call, so the loss calls no
-   teacher.
+   anchors, batch and coordinates.  The loss computes the gamma powers
+   gamma**(1 - t_j) itself; the rollout computes none.  The rollout
+   evaluates the teacher at every anchor state, and at lam = 1 in one call,
+   so the loss calls no teacher.
 6. Adam step.  lam ramps linearly from 0 (anchors follow the teacher) to 1
    (anchors follow the student's own closed-form rollout) over
    guidance_steps and stays at 1 afterwards.
@@ -45,11 +46,25 @@ from .errors import (
     NumericError,
 )
 from .momentum import MomentumParams, check_gamma_range
-from .nnet import MomentumParamGrads, NetConfig, StudentNet, adam_step, \
-    init_optim_state
+from .nnet import NetConfig, StudentNet, adam_step, init_optim_state
 from .solver import _anchored_rows, _check_intervals, \
     sub_interval_displacement
 from .teacher import TrajectoryRecord
+
+# Ceiling of every size key of [distill] and [run]: far past what a machine
+# can hold, so a run asking for it fails as out of memory, yet low enough
+# that numpy can still shape each array one such count sizes.
+MAX_COUNT = 2**40
+
+
+def _check_counts(config, low, *names):
+    """InvalidParameterError unless every named count field of config lies
+    in [low, MAX_COUNT]."""
+    for name in names:
+        value = getattr(config, name)
+        if not low <= value <= MAX_COUNT:
+            raise InvalidParameterError(
+                f"{name} = {value} outside [{low}, MAX_COUNT = {MAX_COUNT}]")
 
 
 @dataclass(frozen=True)
@@ -71,14 +86,10 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nfe < 1 or self.num_modes < 1 or self.n_intermediate < 1:
-            raise InvalidParameterError(
-                "nfe, num_modes and n_intermediate must be >= 1"
-            )
+        _check_counts(self, 1, "nfe", "num_modes", "n_intermediate", "batch")
         if self.guidance_steps < 1:
             raise InvalidParameterError("guidance_steps must be >= 1")
-        if (self.total_steps < 0 or self.batch < 1
-                or not 0.0 < self.base_lr < math.inf):
+        if self.total_steps < 0 or not 0.0 < self.base_lr < math.inf:
             raise InvalidParameterError("bad training config")
         check_gamma_range(self.gamma_lo, self.gamma_hi)
         if (isinstance(self.seed, bool)
@@ -149,34 +160,18 @@ def init_shelf_state(teacher, rng: np.random.Generator, t_src: float,
     return (1.0 - t_src) * x0 + t_src * x1
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    """One shelf's rollout: anchor times and states, the teacher velocity at
-    every anchor state, and theta's powers gamma**(1 - t_j) at the anchor
-    times.  mixed_integration builds it and checks the times.
-
-    All arrays are plain values: nothing here carries gradients, which is
-    what detaching the anchors means in this codebase.
-    """
-
-    theta: MomentumParams          # bundle used for the student segments
-    anchor_times: np.ndarray       # (n,) strictly decreasing, <= t_start
-    anchor_states: np.ndarray      # (n, B, D)
-    teacher_velocities: np.ndarray  # (n, B, D)
-    gamma_powers: np.ndarray       # (n, B, K) of theta
-
-
 def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
-                      lam: float, teacher) -> AnchorSet:
+                      lam: float, teacher) -> tuple:
     """Roll a batch from t_start through the anchor times with the mixed
-    teacher/student rule described in the module docstring.
+    teacher/student rule described in the module docstring; returns the
+    plain arrays (anchor_states, teacher_velocities), each (n, B, D).
 
     Sub-interval j runs from t_(j-1) (t_start for j = 0) through the
     switching time s_j = lam * t_(j-1) + (1 - lam) * t_j to t_j; its
     student segment is the anchored difference D(1, t_j) - D(1, s_j), with
-    D(1, t) = displacement(theta, 1, t).  All those D(1, .), and the powers
-    gamma**(1 - t_j) the loss needs, come from one batched pass before the
-    rollout.
+    D(1, t) = displacement(theta, 1, t).  All those D(1, .) come from one
+    batched pass before the rollout; no gamma power is computed here, as
+    velocity_matching_loss computes its own.
 
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
     has no teacher segment: the anchors are the closed-form chain, and the
@@ -206,27 +201,36 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     t_prev = np.concatenate(([t_start], times[:-1]))
     t_sw = lam * t_prev + (1.0 - lam) * times
     _check_intervals(t_sw, times)
+    anchors = np.empty((n,) + x_src.shape)
     if lam == 1.0:
-        # s_j = t_(j-1): one row per time of the chain t_start -> t_1 -> ...
-        disp, powers = _anchored_rows(theta, np.concatenate(([t_start],
-                                                             times)))
-        powers = powers[1:]
-        anchors, targets = _closed_form_rollout(x_src, t_prev, times,
-                                                disp[1:] - disp[:-1], teacher)
-    else:
-        disp, powers = _anchored_rows(theta, np.concatenate((times, t_sw)))
-        powers, steps = powers[:n], disp[:n] - disp[n:]
-        anchors = np.empty((n,) + x_src.shape)
-        targets = np.empty_like(anchors)
-        x, u = x_src, teacher.velocity(x_src, t_start)
-        for j in range(n):
-            x = x - u * (t_prev[j] - t_sw[j])
-            x = x - steps[j]
-            if not np.isfinite(x).all():
-                raise _non_finite_state(j, t_prev[j], times[j])
-            anchors[j] = x
-            u = targets[j] = teacher.velocity(x, float(times[j]))
-    return AnchorSet(theta, times, anchors, targets, powers)
+        # s_j = t_(j-1): one row per time of the chain t_start -> t_1 -> ...,
+        # x_j = x_(j-1) - (D(1, t_j) - D(1, t_(j-1))); then the teacher
+        disp = _anchored_rows(theta, np.concatenate(([t_start], times)))
+        x = x_src
+        for j, step in enumerate(disp[1:] - disp[:-1]):
+            x = anchors[j] = x - step
+        if not np.isfinite(anchors).all():
+            j = next(j for j in range(n) if not np.isfinite(anchors[j]).all())
+            raise _non_finite_state(j, t_prev[j], times[j])
+        if getattr(teacher, "_rowwise", False):
+            rows = anchors.reshape(-1, anchors.shape[-1])
+            row_times = np.repeat(times, x_src.size // x_src.shape[-1])
+            targets = teacher.velocity(rows, row_times)
+            return anchors, targets.reshape(anchors.shape)
+        return anchors, np.stack([teacher.velocity(state, float(t))
+                                  for state, t in zip(anchors, times)])
+    disp = _anchored_rows(theta, np.concatenate((times, t_sw)))
+    steps = disp[:n] - disp[n:]
+    targets = np.empty_like(anchors)
+    x, u = x_src, teacher.velocity(x_src, t_start)
+    for j in range(n):
+        x = x - u * (t_prev[j] - t_sw[j])
+        x = x - steps[j]
+        if not np.isfinite(x).all():
+            raise _non_finite_state(j, t_prev[j], times[j])
+        anchors[j] = x
+        u = targets[j] = teacher.velocity(x, float(times[j]))
+    return anchors, targets
 
 
 def _non_finite_state(j, t_prev, t_next) -> NumericError:
@@ -235,46 +239,22 @@ def _non_finite_state(j, t_prev, t_next) -> NumericError:
     )
 
 
-def _closed_form_rollout(x_src, t_prev, times, steps, teacher):
-    # The lam = 1 branch of mixed_integration: the chain
-    # x_j = x_(j-1) - steps[j], then the teacher on every anchor.
-    anchors = np.empty((times.size,) + x_src.shape)
-    x = x_src
-    for j, step in enumerate(steps):
-        x = anchors[j] = x - step
-    if not np.isfinite(anchors).all():
-        j = next(j for j in range(times.size)
-                 if not np.isfinite(anchors[j]).all())
-        raise _non_finite_state(j, t_prev[j], times[j])
-    if getattr(teacher, "_rowwise", False):
-        rows = anchors.reshape(-1, anchors.shape[-1])
-        row_times = np.repeat(times, x_src.size // x_src.shape[-1])
-        targets = teacher.velocity(rows, row_times).reshape(anchors.shape)
-    else:
-        targets = np.stack([teacher.velocity(state, float(t))
-                            for state, t in zip(anchors, times)])
-    return anchors, targets
-
-
-def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet):
+def velocity_matching_loss(theta: MomentumParams, anchor_times, targets):
     """Mean squared velocity mismatch at the anchors, plus its closed-form
-    gradient with respect to theta's fields.
+    gradient (d_gating, d_base, d_logg) with respect to theta's fields.
 
     The student side evaluates the bundle predicted at the shelf start at
-    each anchor time (velocities extrapolate, they are not re-predicted);
-    the gamma powers come from the rollout when theta is the bundle it used.
-    Targets are the rollout's teacher velocities.  Anchor states enter as
+    each anchor time (velocities extrapolate, they are not re-predicted),
+    and the loss computes the gamma powers gamma**(1 - t_j) for it itself.
+    targets are the rollout's teacher velocities.  Anchor states enter as
     constants, so the gradient sees only the explicit dependence on theta.
     """
-    times = anchors.anchor_times
-    expo = (1.0 - times)[:, None, None]                         # (n,1,1)
-    gpow = anchors.gamma_powers                                 # (n,B,K)
-    if theta is not anchors.theta:
-        gpow = np.exp(expo * theta.log_gammas[None])
+    expo = (1.0 - np.asarray(anchor_times, dtype=float))[:, None, None]
+    gpow = np.exp(expo * theta.log_gammas[None])                # (n,B,K)
     v_student = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
                           theta.base_velocities)
 
-    diff = v_student - anchors.teacher_velocities
+    diff = v_student - targets
     loss = float(np.mean(diff * diff))
     if not np.isfinite(loss):
         raise NumericError("non-finite velocity matching loss")
@@ -285,23 +265,22 @@ def velocity_matching_loss(theta: MomentumParams, anchors: AnchorSet):
     d_gating = proj_pow.sum(axis=0)
     d_base = np.einsum("nbd,nbk->bkd", up, gpow) * theta.gating[..., None]
     d_logg = (proj_pow * expo).sum(axis=0) * theta.gating
-    return loss, MomentumParamGrads(d_gating, d_base, d_logg)
+    return loss, (d_gating, d_base, d_logg)
 
 
-def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
+def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
     """Run the full distillation loop, mutating net in place.
 
-    rng defaults to the training child stream of cfg.seed; pass one
-    explicitly to share a stream across paired runs.  Returns the loss log,
-    one (step, lambda, loss, shelf_start) row per step.  Any ArcFlowError
-    inside a step aborts the run as the same error type with the step index
-    attached.  Overflow and invalid-value warnings are silenced for the
-    loop: every value it computes ends in a finiteness check (bundles,
-    rollout states, loss, gradients, and the parameters after the last
-    update), so a diverging run reports one step-tagged NumericError.
+    The loop draws from the training child stream of cfg.seed.  Returns the
+    loss log, one (step, lambda, loss, shelf_start) row per step.  Any
+    ArcFlowError inside a step aborts the run as the same error type with
+    the step index attached.  Overflow and invalid-value warnings are
+    silenced for the loop: every value it computes ends in a finiteness
+    check (bundles, rollout states, loss, gradients, and the parameters
+    after the last update), so a diverging run reports one step-tagged
+    NumericError.
     """
-    if rng is None:
-        rng = np.random.default_rng(training_streams(cfg.seed)[1])
+    rng = np.random.default_rng(training_streams(cfg.seed)[1])
     if net.config.num_modes != cfg.num_modes:
         raise InvalidParameterError(
             f"net has {net.config.num_modes} modes, config wants "
@@ -319,11 +298,11 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig, rng=None):
                 times = sample_anchor_times(rng, t_src, width,
                                             cfg.n_intermediate)
                 theta = net.forward(x0, t_src)
-                anchors = mixed_integration(x0, t_src, theta, times, lam,
-                                            teacher)
-                loss, grad = velocity_matching_loss(theta, anchors)
+                _, targets = mixed_integration(x0, t_src, theta, times, lam,
+                                               teacher)
+                loss, grads = velocity_matching_loss(theta, times, targets)
                 net.zero_grads()
-                net.backward(grad)
+                net.backward(*grads)
                 adam_step(net, opt, cfg.base_lr)
             except ArcFlowError as exc:
                 raise type(exc)(f"training step {step_idx}: {exc}") from exc

@@ -34,6 +34,7 @@ import numpy as np
 from ._pool import fork_workers, map_forked
 from .distill import (
     DistillConfig,
+    _check_counts,
     build_student_net,
     distill_train,
     student_sample,
@@ -153,10 +154,10 @@ class RunOptions:
     export_svg: bool = True
 
     def __post_init__(self):
-        if self.metric_samples < 2 or self.trajectory_samples < 1:
-            raise InvalidParameterError("evaluation sample counts too small")
-        if self.teacher_steps < 1 or self.dense_per_shelf < 1:
-            raise InvalidParameterError("step counts must be >= 1")
+        _check_counts(self, 2, "metric_samples")
+        _check_counts(self, 1, "teacher_steps", "dense_per_shelf")
+        if self.trajectory_samples < 1:
+            raise InvalidParameterError("trajectory_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -509,10 +510,8 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
             f"Euler reference of seed {reference.seed} with noise "
             f"{reference.noise.shape} does not fit seed {cfg.distill.seed} "
             f"with {cfg.run.metric_samples} samples")
-    streams = training_streams(cfg.distill.seed)
-    net = build_student_net(cfg.distill, teacher.dim, init_seed=streams[0])
-    log = distill_train(teacher, net, cfg.distill,
-                        rng=np.random.default_rng(streams[1]))
+    net = build_student_net(cfg.distill, teacher.dim)
+    log = distill_train(teacher, net, cfg.distill)
     if reference is None:
         reference = euler_reference(teacher, cfg)
     evaluation = evaluate_student(net, cfg, reference)

@@ -118,16 +118,6 @@ class NetConfig:
         return sum(math.prod(shape) for _, shape in self.blocks)
 
 
-@dataclass(frozen=True)
-class MomentumParamGrads:
-    """Upstream gradient of a scalar loss with respect to the three fields of
-    a MomentumParams batch."""
-
-    gating: np.ndarray
-    base_velocities: np.ndarray
-    log_gammas: np.ndarray
-
-
 class StudentNet:
     """Flat-parameter MLP; see module docstring for the head layout."""
 
@@ -271,12 +261,14 @@ class StudentNet:
         # Every array here is new, so the bundle takes them without a copy.
         return MomentumParams._trusted(gating, base, log_g, self.anchor_index)
 
-    def backward(self, upstream: MomentumParamGrads) -> np.ndarray:
+    def backward(self, d_gating, d_base, d_logg) -> np.ndarray:
         """Accumulate parameter gradients for the most recent forward.
 
-        upstream fields must match that forward's output shapes.  Returns the
-        flat gradient buffer (accumulated, not overwritten; call zero_grads
-        between optimization steps).
+        d_gating, d_base and d_logg are a loss's gradients with respect to
+        that forward's gating, base velocities and log gammas, in their
+        shapes; the loss has folded in the gamma powers it computed.  Returns
+        the flat gradient buffer (accumulated, not overwritten; call
+        zero_grads between optimization steps).
         """
         if self._tape is None:
             raise StateError("backward called before forward")
@@ -284,13 +276,9 @@ class StudentNet:
         acts = self._tape["acts"]
         gating = self._tape["gating"]
 
-        g_gate = np.asarray(upstream.gating, dtype=float)
-        g_vel = np.asarray(upstream.base_velocities, dtype=float)
-        g_logg = np.asarray(upstream.log_gammas, dtype=float)
-        if self._tape["squeeze"]:
-            g_gate = g_gate[None]
-            g_vel = g_vel[None]
-            g_logg = g_logg[None]
+        lead = (None,) if self._tape["squeeze"] else ()
+        g_gate, g_vel, g_logg = (np.asarray(g, dtype=float)[lead]
+                                 for g in (d_gating, d_base, d_logg))
 
         # softmax jacobian
         inner = (g_gate * gating).sum(axis=-1, keepdims=True)

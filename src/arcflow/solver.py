@@ -122,21 +122,21 @@ def _check_intervals(t_hi, t_lo):
         )
 
 
-def _anchored_rows(theta: MomentumParams, times) -> tuple:
-    """disp(1, t) and gamma**(1 - t) at every time of a 1-D array, each
-    stacked on a new leading axis.  The caller validates the times.
+def _anchored_rows(theta: MomentumParams, times) -> np.ndarray:
+    """disp(1, t) at every time of a 1-D array, stacked on a new leading
+    axis; no gamma powers (the loss computes its own).  The caller validates
+    the times.
 
-    Row j of the displacements equals displacement(theta, 1.0, times[j])
-    bit for bit: each row gets its own einsum over the same (..., K) layout,
-    and the coefficient's factor exp((1 - 1) ln gamma), which is exactly 1
-    for the finite ln gamma every bundle holds, is not computed.
+    Row j equals displacement(theta, 1.0, times[j]) bit for bit: each row
+    gets its own einsum over the same (..., K) layout, and the coefficient's
+    factor exp((1 - 1) ln gamma), which is exactly 1 for the finite ln gamma
+    every bundle holds, is not computed.
     """
     times = np.asarray(times, dtype=float)
     elapsed = 1.0 - times.reshape(times.shape + (1,) * theta.gating.ndim)
-    lg = theta.log_gammas
-    weights = theta.gating * _integral(lg, elapsed)
+    weights = theta.gating * _integral(theta.log_gammas, elapsed)
     disp = np.empty(times.shape + theta.base_velocities.shape[:-2]
                     + (theta.dim,))
     for w, out in zip(weights, disp):
         np.einsum("...k,...kd->...d", w, theta.base_velocities, out=out)
-    return disp, np.exp(elapsed * lg)
+    return disp

@@ -35,7 +35,7 @@ import numpy as np
 from ._pool import fork_workers, map_forked
 from .errors import InvalidParameterError, InvalidProblemError, NumericError
 from .momentum import LatentState
-from .nnet import MomentumParamGrads, StudentNet, adam_step, init_optim_state
+from .nnet import StudentNet, adam_step, init_optim_state
 
 # Component scales below this would make early-time responsibilities
 # numerically degenerate.
@@ -261,8 +261,12 @@ def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
         import mmap
 
         # shared with the forked workers, so their rows need no copy back
-        positions = np.frombuffer(mmap.mmap(-1, x.nbytes * (steps + 1)),
-                                  dtype=float).reshape(shape)
+        try:
+            shared = mmap.mmap(-1, x.nbytes * (steps + 1))
+        except OSError as exc:  # ENOMEM: a map too big to hold
+            raise MemoryError(f"cannot map {x.nbytes * (steps + 1)} bytes "
+                              f"of positions: {exc.strerror}") from None
+        positions = np.frombuffer(shared, dtype=float).reshape(shape)
         edges = [k * x.shape[0] // blocks for k in range(blocks + 1)]
         units = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
     else:
@@ -367,11 +371,8 @@ def train_cfm_teacher(net: StudentNet, spec: GmmTeacherSpec,
         v_grad = np.zeros_like(theta.base_velocities)
         v_grad[:, 0, :] = 2.0 * diff / diff.size
         net.zero_grads()
-        net.backward(MomentumParamGrads(
-            gating=np.zeros_like(theta.gating),
-            base_velocities=v_grad,
-            log_gammas=np.zeros_like(theta.log_gammas),
-        ))
+        net.backward(np.zeros_like(theta.gating), v_grad,
+                     np.zeros_like(theta.log_gammas))
         adam_step(net, opt, config.base_lr)
         losses.append(loss)
     return NeuralTeacher(net, spec), losses

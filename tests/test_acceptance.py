@@ -229,7 +229,7 @@ def test_coefficient_matches_mpmath(capsys):
         theta = MomentumParams(np.ones((64, 1)),
                                np.tile([[[1.0, 0.0]]], (64, 1, 1)),
                                lg[:, None])
-        rows = _anchored_rows(theta, times)[0][..., 0]
+        rows = _anchored_rows(theta, times)[..., 0]
         want = [integral(g, 1.0, t) for t in times for g in lg]
         rows_ulps = worst_ulps(rows.ravel(), want)
 

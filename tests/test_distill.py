@@ -1,7 +1,6 @@
 """Distillation loop pieces: shelf sampling, mixed rollouts, the matching
 loss and its closed-form gradient, few-step sampling."""
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -21,7 +20,6 @@ from arcflow import (
     student_sample,
 )
 from arcflow.distill import (
-    AnchorSet,
     DistillConfig,
     build_student_net,
     distill_train,
@@ -286,13 +284,13 @@ def test_mixed_integration_lambda_zero_is_teacher_euler():
     x = rng.standard_normal((8, 2))
     times = sample_anchor_times(rng, 1.0, 0.5, 4)
     theta = single_mode_theta([0.3, -0.2], 0.4)
-    rolled = mixed_integration(x, 1.0, theta, times, 0.0, teacher)
+    states, _ = mixed_integration(x, 1.0, theta, times, 0.0, teacher)
     # hand-composed Euler steps between consecutive anchor times
     y = x.copy()
     t_prev = 1.0
     for j, t_next in enumerate(times):
         y = y - teacher.velocity(y, t_prev) * (t_prev - t_next)
-        assert (rolled.anchor_states[j] == y).all()
+        assert (states[j] == y).all()
         t_prev = float(t_next)
 
 
@@ -304,10 +302,10 @@ def test_mixed_integration_lambda_one_is_pure_closed_form():
     gating = np.array([0.6, 0.4])
     base = rng.normal(size=(2, 2))
     theta = MomentumParams(gating, base, [0.0, 0.9])
-    rolled = mixed_integration(x, 1.0, theta, times, 1.0, teacher)
+    states, _ = mixed_integration(x, 1.0, theta, times, 1.0, teacher)
     for j, t_next in enumerate(times):
         direct = step(LatentState(x, 1.0), theta, float(t_next))
-        assert_allclose(rolled.anchor_states[j], direct.x, rtol=1e-12,
+        assert_allclose(states[j], direct.x, rtol=1e-12,
                         atol=1e-12)
 
 
@@ -319,9 +317,9 @@ def test_mixed_integration_half_lambda_hand_value():
     teacher = ConstantTeacher(u)
     x1 = np.array([[0.0, 0.0], [1.0, 1.0]])
     theta = single_mode_theta(v)
-    rolled = mixed_integration(x1, 1.0, theta, [0.5], 0.5, teacher)
+    states, _ = mixed_integration(x1, 1.0, theta, [0.5], 0.5, teacher)
     want = x1 - 0.25 * u - 0.25 * v
-    assert_allclose(rolled.anchor_states[0], want, rtol=1e-15)
+    assert_allclose(states[0], want, rtol=1e-15)
 
 
 def test_mixed_integration_caches_every_row():
@@ -332,10 +330,11 @@ def test_mixed_integration_caches_every_row():
     times = np.array([0.9, 0.8, 0.7, 0.6])
     theta = single_mode_theta([0.1, 0.1])
     for lam in (0.0, 0.7, 1.0):
-        rolled = mixed_integration(x, 1.0, theta, times, lam, teacher)
+        states, targets = mixed_integration(x, 1.0, theta, times, lam,
+                                            teacher)
         for j in range(4):
-            want = teacher.velocity(rolled.anchor_states[j], float(times[j]))
-            assert (rolled.teacher_velocities[j] == want).all()
+            want = teacher.velocity(states[j], float(times[j]))
+            assert (targets[j] == want).all()
 
 
 def small_neural_teacher():
@@ -373,10 +372,6 @@ def rollout_draws(rng, batched):
             yield x, t_start, times, MomentumParams(gating, base, logg)
 
 
-def gamma_powers_at(theta, t):
-    return np.exp((1.0 - t) * theta.log_gammas)
-
-
 @ROLLOUT_TEACHERS
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
 def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
@@ -387,16 +382,15 @@ def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
     teacher = make_teacher()
     rng = np.random.default_rng(43)
     for x, t_start, times, theta in rollout_draws(rng, batched):
-        rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
+        states, targets = mixed_integration(x, t_start, theta, times, 1.0,
+                                            teacher)
         y, t_prev = x, t_start
         for j, t_next in enumerate(times):
             y = y - (displacement(theta, 1.0, t_next)
                      - displacement(theta, 1.0, t_prev))
-            assert np.array_equal(rolled.anchor_states[j], y)
-            assert np.array_equal(rolled.teacher_velocities[j],
+            assert np.array_equal(states[j], y)
+            assert np.array_equal(targets[j],
                                   teacher.velocity(y, float(t_next)))
-            assert np.array_equal(rolled.gamma_powers[j],
-                                  gamma_powers_at(theta, t_next))
             t_prev = t_next
 
 
@@ -411,7 +405,8 @@ def test_guided_rollout_equals_sequential_route(make_teacher, batched):
     rng = np.random.default_rng(46)
     for lam in (0.0, 0.002, 0.5, 0.998):
         for x, t_start, times, theta in rollout_draws(rng, batched):
-            rolled = mixed_integration(x, t_start, theta, times, lam, teacher)
+            states, targets = mixed_integration(x, t_start, theta, times,
+                                                lam, teacher)
             y, t_prev = x, t_start
             u = teacher.velocity(y, t_prev)
             for j, t_next in enumerate(times):
@@ -420,10 +415,8 @@ def test_guided_rollout_equals_sequential_route(make_teacher, batched):
                 y = y - (displacement(theta, 1.0, float(t_next))
                          - displacement(theta, 1.0, t_sw))
                 u = teacher.velocity(y, float(t_next))
-                assert np.array_equal(rolled.anchor_states[j], y)
-                assert np.array_equal(rolled.teacher_velocities[j], u)
-                assert np.array_equal(rolled.gamma_powers[j],
-                                      gamma_powers_at(theta, t_next))
+                assert np.array_equal(states[j], y)
+                assert np.array_equal(targets[j], u)
                 t_prev = float(t_next)
 
 
@@ -462,11 +455,11 @@ def test_lambda_one_loss_needs_no_fresh_teacher_call():
     rng = np.random.default_rng(45)
     theta = batched_theta([0.5, 0.5], rng.normal(size=(2, 2)), [0.0, 0.5],
                           batch=6)
-    rolled = mixed_integration(rng.standard_normal((6, 2)), 1.0, theta,
-                               sample_anchor_times(rng, 1.0, 0.5, 4), 1.0,
-                               teacher)
+    times = sample_anchor_times(rng, 1.0, 0.5, 4)
+    _, targets = mixed_integration(rng.standard_normal((6, 2)), 1.0, theta,
+                                   times, 1.0, teacher)
     assert CountingTeacher.calls == 1
-    velocity_matching_loss(theta, rolled)
+    velocity_matching_loss(theta, times, targets)
     assert CountingTeacher.calls == 1
 
 
@@ -480,16 +473,10 @@ def test_mixed_integration_rejects_bad_lambda():
 # -- velocity matching loss ----------------------------------------------------------------
 
 
-def anchor_gamma_powers(theta, times):
-    return np.stack([gamma_powers_at(theta, float(t)) for t in times])
-
-
-def constant_anchor_set(theta, times, states, teacher):
-    """AnchorSet with fresh teacher targets at the given states."""
-    targets = np.stack([teacher.velocity(x, float(t))
-                        for x, t in zip(states, times)])
-    return AnchorSet(theta, np.asarray(times), states, targets,
-                     anchor_gamma_powers(theta, times))
+def fresh_targets(times, states, teacher):
+    """Teacher velocities at the given anchor states and times."""
+    return np.stack([teacher.velocity(x, float(t))
+                     for x, t in zip(states, times)])
 
 
 def test_loss_zero_when_student_matches_teacher():
@@ -498,11 +485,12 @@ def test_loss_zero_when_student_matches_teacher():
     theta = batched_theta([1.0], [v], [0.0], batch=3)
     teacher = ConstantTeacher(v)
     states = np.zeros((2, 3, 2))
-    loss, grads = velocity_matching_loss(
-        theta, constant_anchor_set(theta, [0.8, 0.6], states, teacher))
+    times = [0.8, 0.6]
+    loss, (_, d_base, d_logg) = velocity_matching_loss(
+        theta, times, fresh_targets(times, states, teacher))
     assert loss == 0.0
-    assert (grads.base_velocities == 0.0).all()
-    assert (grads.log_gammas == 0.0).all()
+    assert (d_base == 0.0).all()
+    assert (d_logg == 0.0).all()
 
 
 def test_loss_hand_value_single_anchor():
@@ -511,11 +499,11 @@ def test_loss_hand_value_single_anchor():
     theta = batched_theta([1.0], [[1.0, 0.0]], [0.0], batch=1)
     teacher = ConstantTeacher([0.0, 0.0])
     states = np.zeros((1, 1, 2))
-    loss, grads = velocity_matching_loss(
-        theta, constant_anchor_set(theta, [0.5], states, teacher))
+    loss, (_, d_base, _) = velocity_matching_loss(
+        theta, [0.5], fresh_targets([0.5], states, teacher))
     assert loss == pytest.approx(0.5, abs=1e-15)
     # d loss / d base = 2 diff / size * gating * gamma-power = (1, 0)
-    assert_allclose(grads.base_velocities, [[[1.0, 0.0]]], rtol=1e-15)
+    assert_allclose(d_base, [[[1.0, 0.0]]], rtol=1e-15)
 
 
 def test_loss_scales_quadratically():
@@ -523,10 +511,10 @@ def test_loss_scales_quadratically():
     theta2 = batched_theta([1.0], [[2.0, 0.0]], [0.0], batch=4)
     teacher = ConstantTeacher([0.0, 0.0])
     states = np.zeros((2, 4, 2))
-    l1, _ = velocity_matching_loss(
-        theta1, constant_anchor_set(theta1, [0.8, 0.4], states, teacher))
-    l2, _ = velocity_matching_loss(
-        theta2, constant_anchor_set(theta2, [0.8, 0.4], states, teacher))
+    times = [0.8, 0.4]
+    targets = fresh_targets(times, states, teacher)
+    l1, _ = velocity_matching_loss(theta1, times, targets)
+    l2, _ = velocity_matching_loss(theta2, times, targets)
     assert l2 == pytest.approx(4.0 * l1, rel=1e-14)
 
 
@@ -539,50 +527,40 @@ def test_loss_uses_cache_and_fresh_teacher_identically():
     times = sample_anchor_times(rng, 1.0, 0.5, 4)
     theta = batched_theta([0.5, 0.5], rng.normal(size=(2, 2)), [0.0, 0.5],
                           batch=6)
-    cached = mixed_integration(x, 1.0, theta, times, 0.5, teacher)
-    uncached = constant_anchor_set(theta, cached.anchor_times,
-                                   cached.anchor_states, teacher)
-    l_a, g_a = velocity_matching_loss(theta, cached)
-    l_b, g_b = velocity_matching_loss(theta, uncached)
+    states, cached = mixed_integration(x, 1.0, theta, times, 0.5, teacher)
+    l_a, g_a = velocity_matching_loss(theta, times, cached)
+    l_b, g_b = velocity_matching_loss(theta, times,
+                                      fresh_targets(times, states, teacher))
     assert l_a == l_b
-    assert (g_a.gating == g_b.gating).all()
-    assert (g_a.base_velocities == g_b.base_velocities).all()
-    assert (g_a.log_gammas == g_b.log_gammas).all()
+    for got, want in zip(g_a, g_b):
+        assert (got == want).all()
 
 
-def test_loss_shares_rollout_gamma_powers_bit_for_bit():
-    # the loss takes gamma**(1 - t_j) from the rollout when it gets the
-    # rollout's own bundle; an equal bundle that is another object, as the
-    # bundle passed or the one the anchor set names, makes it compute them,
-    # with the same bits
+def test_loss_matches_explicit_gamma_power_reference_bit_for_bit():
+    # the loss takes its own gamma powers exp((1 - t_j) ln gamma); the loss
+    # and all three gradients must have the bits of that formula written
+    # out here, whatever lambda built the targets
     teacher = ring_teacher()
     rng = np.random.default_rng(53)
     for lam in (0.0, 0.4, 1.0):
         for x, t_start, times, theta in rollout_draws(rng, batched=True):
-            rolled = mixed_integration(x, t_start, theta, times, lam, teacher)
-            twin = MomentumParams(theta.gating, theta.base_velocities,
-                                  theta.log_gammas)
-            renamed = dataclasses.replace(rolled, theta=twin)
-            shared = velocity_matching_loss(theta, rolled)
-            for other in (velocity_matching_loss(twin, rolled),
-                          velocity_matching_loss(theta, renamed)):
-                assert shared[0] == other[0]
-                for field in ("gating", "base_velocities", "log_gammas"):
-                    assert np.array_equal(getattr(shared[1], field),
-                                          getattr(other[1], field))
-
-
-def test_loss_ignores_gamma_powers_of_another_bundle():
-    teacher = ring_teacher()
-    rng = np.random.default_rng(54)
-    x, t_start, times, theta = next(rollout_draws(rng, batched=True))
-    rolled = mixed_integration(x, t_start, theta, times, 1.0, teacher)
-    other = MomentumParams(theta.gating, theta.base_velocities,
-                           theta.log_gammas * 0.5)
-    want = velocity_matching_loss(other, dataclasses.replace(
-        rolled, theta=other,
-        gamma_powers=anchor_gamma_powers(other, rolled.anchor_times)))
-    assert velocity_matching_loss(other, rolled)[0] == want[0]
+            _, targets = mixed_integration(x, t_start, theta, times, lam,
+                                           teacher)
+            expo = (1.0 - times)[:, None, None]
+            gpow = np.exp(expo * theta.log_gammas[None])
+            diff = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
+                             theta.base_velocities) - targets
+            up = 2.0 * diff / diff.size
+            proj_pow = np.einsum("nbd,bkd->nbk", up,
+                                 theta.base_velocities) * gpow
+            want = (proj_pow.sum(axis=0),
+                    np.einsum("nbd,nbk->bkd", up, gpow)
+                    * theta.gating[..., None],
+                    (proj_pow * expo).sum(axis=0) * theta.gating)
+            loss, grads = velocity_matching_loss(theta, times, targets)
+            assert loss == float(np.mean(diff * diff))
+            for got, ref in zip(grads, want):
+                assert np.array_equal(got, ref)
 
 
 def test_loss_gradients_match_finite_differences():
@@ -595,13 +573,14 @@ def test_loss_gradients_match_finite_differences():
     base = rng.normal(size=(1, 2, 2))
     logg = np.array([[-0.4, 0.6]])
     theta = MomentumParams(gating, base, logg)
-    anchors = mixed_integration(x, 1.0, theta, times, 0.5, teacher)
+    _, targets = mixed_integration(x, 1.0, theta, times, 0.5, teacher)
 
     def loss_at(g, b, lg):
         th = MomentumParams(g, b, lg)
-        return velocity_matching_loss(th, anchors)[0]
+        return velocity_matching_loss(th, times, targets)[0]
 
-    _, grads = velocity_matching_loss(theta, anchors)
+    _, (d_gating, d_base, d_logg) = velocity_matching_loss(theta, times,
+                                                           targets)
     h = 1e-6
     # base velocities and log rates: plain central differences
     for (k, d) in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -609,20 +588,20 @@ def test_loss_gradients_match_finite_differences():
         bp[0, k, d] += h
         bm[0, k, d] -= h
         fd = (loss_at(gating, bp, logg) - loss_at(gating, bm, logg)) / (2 * h)
-        assert_allclose(grads.base_velocities[0, k, d], fd, rtol=1e-5,
+        assert_allclose(d_base[0, k, d], fd, rtol=1e-5,
                         atol=1e-9)
     for k in range(2):
         lp, lm = logg.copy(), logg.copy()
         lp[0, k] += h
         lm[0, k] -= h
         fd = (loss_at(gating, base, lp) - loss_at(gating, base, lm)) / (2 * h)
-        assert_allclose(grads.log_gammas[0, k], fd, rtol=1e-5, atol=1e-9)
+        assert_allclose(d_logg[0, k], fd, rtol=1e-5, atol=1e-9)
     # gating lives on the simplex: probe the (+h, -h) pairwise direction,
     # whose directional derivative is the gradient-entry difference
     gp = gating + np.array([[h, -h]])
     gm = gating + np.array([[-h, h]])
     fd = (loss_at(gp, base, logg) - loss_at(gm, base, logg)) / (2 * h)
-    assert_allclose(grads.gating[0, 0] - grads.gating[0, 1], fd, rtol=1e-5,
+    assert_allclose(d_gating[0, 0] - d_gating[0, 1], fd, rtol=1e-5,
                     atol=1e-9)
 
 

@@ -25,7 +25,7 @@ from arcflow import (
     NumericError,
     TrajectoryRecord,
 )
-from arcflow.distill import DistillConfig, training_streams
+from arcflow.distill import MAX_COUNT, DistillConfig, training_streams
 from arcflow.harness import (
     RunConfig,
     RunOptions,
@@ -1183,6 +1183,32 @@ def test_cli_bad_config_exits_two(tmp_path, capsys):
     assert code == 2
     assert "error:" in captured.err
     assert ":2:" in captured.err
+
+
+@pytest.mark.parametrize("section,key", [
+    ("distill", "batch"), ("distill", "num_modes"),
+    ("distill", "n_intermediate"), ("distill", "nfe"),
+    ("run", "dense_per_shelf"), ("run", "metric_samples"),
+    ("run", "teacher_steps")])
+def test_oversized_count_is_a_config_error_at_its_header(tmp_path, capsys,
+                                                         section, key):
+    # the ceiling itself parses; one past it, and a count numpy cannot
+    # shape at all, fail at the section header before anything allocates
+    parse_run_config(f"[{section}]\n{key} = {MAX_COUNT}\n")
+    path = tmp_path / "big.cfg"
+    for value in (MAX_COUNT + 1, 10 ** 20):
+        text = f"# one key\n[{section}]\n{key} = {value}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(text)
+        assert err.value.line == 2 and key in str(err.value)
+        path.write_text(text)
+        code = main(["distill", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert key in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_diverging_run_prints_one_error_line(tmp_path, capsys):

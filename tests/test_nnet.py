@@ -21,7 +21,6 @@ from arcflow import (
 )
 from arcflow.momentum import init_log_gammas
 from arcflow.nnet import (
-    MomentumParamGrads,
     NetConfig,
     StudentNet,
     adam_step,
@@ -67,7 +66,7 @@ def linear_probe_loss(x, t, rng):
     def grad(net):
         theta = net.forward(x, t)
         net.zero_grads()
-        return net.backward(MomentumParamGrads(*weights(theta))).copy()
+        return net.backward(*weights(theta)).copy()
 
     return loss, grad
 
@@ -189,9 +188,9 @@ def test_copied_net_views_follow_its_own_params():
         assert not np.array_equal(theta.base_velocities, before)
         assert np.shares_memory(twin.view("vel_b"), twin.params)
         twin.zero_grads()
-        twin.backward(MomentumParamGrads(np.ones_like(theta.gating),
-                                         np.ones_like(theta.base_velocities),
-                                         np.ones_like(theta.log_gammas)))
+        twin.backward(np.ones_like(theta.gating),
+                      np.ones_like(theta.base_velocities),
+                      np.ones_like(theta.log_gammas))
         assert (twin.grads != 0.0).any()
     assert np.array_equal(net.forward(x, t).base_velocities, before)
 
@@ -235,13 +234,10 @@ def test_anchor_gradient_structurally_zero():
     rng = np.random.default_rng(7)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
-    upstream = MomentumParamGrads(
-        np.zeros_like(theta.gating),
-        np.zeros_like(theta.base_velocities),
-        np.ones_like(theta.log_gammas),
-    )
     net.zero_grads()
-    net.backward(upstream)
+    net.backward(np.zeros_like(theta.gating),
+                 np.zeros_like(theta.base_velocities),
+                 np.ones_like(theta.log_gammas))
     gam_b_grad = net.grads[net.slice_of("gam_b")]
     assert gam_b_grad[net.anchor_index] == 0.0
     others = np.delete(gam_b_grad, net.anchor_index)
@@ -276,9 +272,8 @@ def test_share_gamma_ties_rates():
 
 def test_backward_before_forward_raises():
     net = StudentNet(NetConfig(dim=2, num_modes=2), seed=0)
-    upstream = MomentumParamGrads(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(StateError):
-        net.backward(upstream)
+        net.backward(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 
 
 def test_backward_zero_upstream_gives_zero_grads():
@@ -287,11 +282,9 @@ def test_backward_zero_upstream_gives_zero_grads():
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
     net.zero_grads()
-    grads = net.backward(MomentumParamGrads(
-        np.zeros_like(theta.gating),
-        np.zeros_like(theta.base_velocities),
-        np.zeros_like(theta.log_gammas),
-    ))
+    grads = net.backward(np.zeros_like(theta.gating),
+                         np.zeros_like(theta.base_velocities),
+                         np.zeros_like(theta.log_gammas))
     assert (grads == 0.0).all()
 
 
@@ -300,16 +293,14 @@ def test_backward_accumulates_across_calls():
     rng = np.random.default_rng(11)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
-    upstream = MomentumParamGrads(
-        np.full_like(theta.gating, 0.3),
-        np.full_like(theta.base_velocities, -0.7),
-        np.full_like(theta.log_gammas, 0.2),
-    )
+    upstream = (np.full_like(theta.gating, 0.3),
+                np.full_like(theta.base_velocities, -0.7),
+                np.full_like(theta.log_gammas, 0.2))
     net.zero_grads()
-    net.backward(upstream)
+    net.backward(*upstream)
     once = net.grads.copy()
     net.forward(x, t)
-    net.backward(upstream)
+    net.backward(*upstream)
     assert_allclose(net.grads, 2.0 * once, rtol=1e-15)
 
 
@@ -576,9 +567,9 @@ def test_gradient_suite_runs_backward_once(monkeypatch):
     calls = []
     real = StudentNet.backward
 
-    def counted(self, upstream):
+    def counted(self, *upstream):
         calls.append(1)
-        return real(self, upstream)
+        return real(self, *upstream)
 
     monkeypatch.setattr(StudentNet, "backward", counted)
     result = gradient_suite(probes=20)

@@ -477,6 +477,25 @@ def test_neural_teacher_and_plain_field_are_never_split(count_pools):
     assert pools == []
 
 
+def test_row_split_euler_too_big_to_map_is_out_of_memory(monkeypatch,
+                                                         count_pools):
+    # an anonymous map that cannot be had fails with ENOMEM, an OSError;
+    # the one-process route's allocation raises MemoryError, and so must
+    # the row-split one, which the CLI reports as out of memory
+    import errno
+    import mmap
+
+    def no_memory(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", no_memory)
+    pools = count_pools(2)
+    teacher = AnalyticGmmTeacher(ring_spec())
+    with pytest.raises(MemoryError, match="^cannot map "):
+        euler_sample(teacher.velocity, np.zeros((4099, 2)), SPLIT_STEPS)
+    assert pools == []
+
+
 class _RunawayTeacher:
     """Rowwise field -1, and +inf from x >= 10 on: a row started at
     10 - k.5 dt goes non-finite at integration step k + 1."""
