@@ -536,6 +536,28 @@ def test_loss_uses_cache_and_fresh_teacher_identically():
         assert (got == want).all()
 
 
+def explicit_loss(theta, times, targets):
+    """The loss and its three gradients with exp((1 - t_j) ln gamma) and
+    every contraction written out, the reference the loss must match bit
+    for bit."""
+    expo = (1.0 - times)[:, None, None]
+    gpow = np.exp(expo * theta.log_gammas[None])
+    diff = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
+                     theta.base_velocities) - targets
+    up = 2.0 * diff / diff.size
+    proj_pow = np.einsum("nbd,bkd->nbk", up, theta.base_velocities) * gpow
+    grads = (proj_pow.sum(axis=0),
+             np.einsum("nbd,nbk->bkd", up, gpow) * theta.gating[..., None],
+             (proj_pow * expo).sum(axis=0) * theta.gating)
+    return float(np.mean(diff * diff)), grads
+
+
+def assert_same_loss_bits(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1], want[1]):
+        assert np.array_equal(g, w)
+
+
 def test_loss_matches_explicit_gamma_power_reference_bit_for_bit():
     # the loss takes its own gamma powers exp((1 - t_j) ln gamma); the loss
     # and all three gradients must have the bits of that formula written
@@ -546,21 +568,40 @@ def test_loss_matches_explicit_gamma_power_reference_bit_for_bit():
         for x, t_start, times, theta in rollout_draws(rng, batched=True):
             _, targets = mixed_integration(x, t_start, theta, times, lam,
                                            teacher)
-            expo = (1.0 - times)[:, None, None]
-            gpow = np.exp(expo * theta.log_gammas[None])
-            diff = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
-                             theta.base_velocities) - targets
-            up = 2.0 * diff / diff.size
-            proj_pow = np.einsum("nbd,bkd->nbk", up,
-                                 theta.base_velocities) * gpow
-            want = (proj_pow.sum(axis=0),
-                    np.einsum("nbd,nbk->bkd", up, gpow)
-                    * theta.gating[..., None],
-                    (proj_pow * expo).sum(axis=0) * theta.gating)
-            loss, grads = velocity_matching_loss(theta, times, targets)
-            assert loss == float(np.mean(diff * diff))
-            for got, ref in zip(grads, want):
-                assert np.array_equal(got, ref)
+            assert_same_loss_bits(
+                velocity_matching_loss(theta, times, targets),
+                explicit_loss(theta, times, targets))
+
+
+def test_loss_shares_rollout_gamma_powers_bit_for_bit():
+    # the loss on the rollout's targets has the same bits whether it gets
+    # the bundle that drove the rollout or an equal bundle that is another
+    # object: nothing rides on the bundle's identity
+    teacher = ring_teacher()
+    rng = np.random.default_rng(53)
+    for lam in (0.0, 0.4, 1.0):
+        for x, t_start, times, theta in rollout_draws(rng, batched=True):
+            _, targets = mixed_integration(x, t_start, theta, times, lam,
+                                           teacher)
+            twin = MomentumParams(theta.gating, theta.base_velocities,
+                                  theta.log_gammas)
+            assert_same_loss_bits(
+                velocity_matching_loss(theta, times, targets),
+                velocity_matching_loss(twin, times, targets))
+
+
+def test_loss_ignores_gamma_powers_of_another_bundle():
+    # targets rolled out under one bundle, loss taken for another: the
+    # loss uses the gamma powers of the bundle it is given
+    teacher = ring_teacher()
+    rng = np.random.default_rng(54)
+    x, t_start, times, theta = next(rollout_draws(rng, batched=True))
+    _, targets = mixed_integration(x, t_start, theta, times, 1.0, teacher)
+    other = MomentumParams(theta.gating, theta.base_velocities,
+                           theta.log_gammas * 0.5)
+    got = velocity_matching_loss(other, times, targets)
+    assert_same_loss_bits(got, explicit_loss(other, times, targets))
+    assert got[0] != velocity_matching_loss(theta, times, targets)[0]
 
 
 def test_loss_gradients_match_finite_differences():
