@@ -107,12 +107,11 @@ def make_linear_baseline(cfg: DistillConfig) -> DistillConfig:
 
 
 def training_streams(seed: int):
-    """Independent child streams (net_init, training, evaluation, neural
-    teacher) of one run seed.  Keeping them separate means two configs with
-    different network sizes still consume identical training and evaluation
-    streams, which is what makes paired-seed comparisons paired; a neural
-    teacher trains on its own child for the same reason."""
-    return np.random.SeedSequence(int(seed)).spawn(4)
+    """Independent child streams (net_init, training, evaluation) of one run
+    seed.  Keeping them separate means two configs with different network
+    sizes still consume identical training and evaluation streams, which is
+    what makes paired-seed comparisons paired."""
+    return np.random.SeedSequence(int(seed)).spawn(3)
 
 
 def build_student_net(cfg: DistillConfig, dim: int,
@@ -176,9 +175,8 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
     has no teacher segment: the anchors are the closed-form chain, and the
     teacher is then evaluated on every anchor state in one call with per-row
-    times when the teacher computes each row on its own (a true _rowwise
-    attribute, as on AnalyticGmmTeacher), else once per anchor.  Either way
-    the result has the bits of the sequential rule.
+    times.  teacher.velocity computes each row on its own, so the result
+    has the bits of the sequential rule.
 
     Anchor times are checked before any teacher call: a non-empty 1-D
     array, strictly decreasing, in [0, t_start] with t_start <= 1.
@@ -212,13 +210,10 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
         if not np.isfinite(anchors).all():
             j = next(j for j in range(n) if not np.isfinite(anchors[j]).all())
             raise _non_finite_state(j, t_prev[j], times[j])
-        if getattr(teacher, "_rowwise", False):
-            rows = anchors.reshape(-1, anchors.shape[-1])
-            row_times = np.repeat(times, x_src.size // x_src.shape[-1])
-            targets = teacher.velocity(rows, row_times)
-            return anchors, targets.reshape(anchors.shape)
-        return anchors, np.stack([teacher.velocity(state, float(t))
-                                  for state, t in zip(anchors, times)])
+        rows = anchors.reshape(-1, anchors.shape[-1])
+        row_times = np.repeat(times, x_src.size // x_src.shape[-1])
+        targets = teacher.velocity(rows, row_times)
+        return anchors, targets.reshape(anchors.shape)
     disp = _anchored_rows(theta, np.concatenate((times, t_sw)))
     steps = disp[:n] - disp[n:]
     targets = np.empty_like(anchors)

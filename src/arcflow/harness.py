@@ -41,15 +41,13 @@ from .distill import (
     training_streams,
 )
 from .errors import ArcFlowError, ConfigError, InvalidParameterError
-from .nnet import NetConfig, StudentNet
+from .nnet import StudentNet
 from .teacher import (
     AnalyticGmmTeacher,
-    CfmTrainConfig,
     GmmTeacherSpec,
     TrajectoryRecord,
     euler_sample,
     ring_spec,
-    train_cfm_teacher,
 )
 
 
@@ -84,7 +82,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def _teacher_key(default, written_when, check=None):
-    """A [teacher] field that only one layout or kind reads: format_run_config
+    """A [teacher] field that only one layout reads: format_run_config
     writes it only when written_when = (key, value) holds.  check, for array
     text kept verbatim, parses the text so a malformed value fails on its
     own line."""
@@ -95,9 +93,10 @@ def _teacher_key(default, written_when, check=None):
 @dataclass(frozen=True)
 class TeacherConfig:
     """[teacher] section: either a ring layout or an explicit mixture, served
-    by the closed-form field or by a freshly trained neural stand-in."""
+    by the closed-form field.  kind has one accepted value, analytic; it is
+    kept so that config text and config_hash keep their bytes."""
 
-    kind: str = "analytic"        # analytic | neural
+    kind: str = "analytic"
     layout: str = "ring"          # ring | explicit
     components: int = _teacher_key(8, ("layout", "ring"))
     radius: float = _teacher_key(2.0, ("layout", "ring"))
@@ -109,12 +108,9 @@ class TeacherConfig:
                                      _parse_matrix)
     stds: str | None = _teacher_key(None, ("layout", "explicit"),
                                     _parse_vector)
-    cfm_steps: int = _teacher_key(2000, ("kind", "neural"))
-    cfm_batch: int = _teacher_key(128, ("kind", "neural"))
-    cfm_lr: float = _teacher_key(1e-3, ("kind", "neural"))
 
     def __post_init__(self):
-        if self.kind not in ("analytic", "neural"):
+        if self.kind != "analytic":
             raise InvalidParameterError(f"unknown teacher kind {self.kind!r}")
         if self.layout not in ("ring", "explicit"):
             raise InvalidParameterError(f"unknown teacher layout {self.layout!r}")
@@ -123,11 +119,8 @@ class TeacherConfig:
             raise InvalidParameterError(
                 "explicit teacher layout needs weights, means and stds"
             )
-        # A mixture or training config that would be rejected fails here,
-        # not at build time; build_teacher reuses the training config.
+        # A mixture that would be rejected fails here, not at build time.
         self.build_spec()
-        object.__setattr__(self, "cfm_train", CfmTrainConfig(
-            self.cfm_steps, self.cfm_batch, self.cfm_lr))
 
     def build_spec(self) -> GmmTeacherSpec:
         if self.layout == "ring":
@@ -160,11 +153,29 @@ class RunOptions:
             raise InvalidParameterError("trajectory_samples must be >= 1")
 
 
+# The most values an evaluation array, sized by a product of counts, may
+# hold: numpy cannot shape 2**63 bytes.  One count at MAX_COUNT stays below.
+MAX_ELEMENTS = 2**60 - 1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     teacher: TeacherConfig = TeacherConfig()
     distill: DistillConfig = DistillConfig()
     run: RunOptions = RunOptions()
+
+    def __post_init__(self):
+        # each count is capped alone; the trajectory arrays multiply them
+        per_state = self.run.metric_samples * self.teacher.build_spec().dim
+        for states, formula in (
+                (self.distill.nfe * self.run.dense_per_shelf + 1,
+                 "(nfe * dense_per_shelf + 1)"),
+                (2 * self.run.teacher_steps + 1, "(2 * teacher_steps + 1)")):
+            if states * per_state > MAX_ELEMENTS:
+                raise InvalidParameterError(
+                    f"{formula} * metric_samples * dim = "
+                    f"{states * per_state} values in one evaluation array, "
+                    f"above MAX_ELEMENTS = {MAX_ELEMENTS}")
 
 
 @dataclass(frozen=True)
@@ -258,7 +269,11 @@ def parse_run_config(text: str, path=None) -> RunConfig:
             built[name] = kind(**sections[name])
         except ArcFlowError as exc:
             raise ConfigError(f"[{name}] {exc}", path, headers.get(name))
-    return RunConfig(**built)
+    try:
+        return RunConfig(**built)
+    except ArcFlowError as exc:
+        # sizes from several sections: all are known at the last header
+        raise ConfigError(str(exc), path, max(headers.values()))
 
 
 def load_run_config(path) -> RunConfig:
@@ -271,9 +286,9 @@ def load_run_config(path) -> RunConfig:
 
 def format_run_config(cfg: RunConfig) -> str:
     """Emit config text: each section's fields as key = value lines, in
-    field order.  A [teacher] key that the config's layout or kind does not
-    read is left out, so it parses back as its default; the text parses
-    back to an equal RunConfig when every left-out key holds its default."""
+    field order.  A [teacher] key that the config's layout does not read is
+    left out, so it parses back as its default; the text parses back to an
+    equal RunConfig when every left-out key holds its default."""
     lines = []
     for section in dataclasses.fields(RunConfig):
         values = getattr(cfg, section.name)
@@ -429,20 +444,9 @@ def _chunk_sums(shared, span):
 # -- orchestration ----------------------------------------------------------------
 
 
-def build_teacher(cfg: RunConfig):
-    """Teacher object for a run config; the neural kind trains a fresh
-    flow-matching net on the mixture's data first (seeded from the run seed)."""
-    spec = cfg.teacher.build_spec()
-    if cfg.teacher.kind == "analytic":
-        return AnalyticGmmTeacher(spec)
-    teacher_stream = training_streams(cfg.distill.seed)[3]
-    net = StudentNet(
-        NetConfig(dim=spec.dim, num_modes=1, gamma_mode="frozen_one"),
-        seed=teacher_stream,
-    )
-    trained, _ = train_cfm_teacher(net, spec, cfg.teacher.cfm_train,
-                                   np.random.default_rng(teacher_stream))
-    return trained
+def build_teacher(cfg: RunConfig) -> AnalyticGmmTeacher:
+    """The closed-form teacher of a run config's mixture."""
+    return AnalyticGmmTeacher(cfg.teacher.build_spec())
 
 
 @dataclass(frozen=True)

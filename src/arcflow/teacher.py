@@ -21,9 +21,7 @@ w_j N(x; a mu_j, s_j^2 I), evaluated in log space for stability.
 Useful identities: u(x, 1) = x - E[x0], and u(x, 0) = -x.
 
 The same module hosts the discretized reference integrator (plain Euler down
-the time axis) and an optional neural teacher trained with conditional flow
-matching on the same data, for runs that want a learned field instead of the
-closed form.
+the time axis).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from ._pool import fork_workers, map_forked
 from .errors import InvalidParameterError, InvalidProblemError, NumericError
 from .momentum import LatentState
-from .nnet import StudentNet, adam_step, init_optim_state
 
 # Component scales below this would make early-time responsibilities
 # numerically degenerate.
@@ -170,13 +167,10 @@ def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
 
 class AnalyticGmmTeacher:
     """Closed-form teacher: velocity field plus data sampling for a mixture
-    spec.  Matches the duck type the distillation loop expects."""
-
-    # gmm_velocity is elementwise along rows, so a row's velocity has the
-    # same bits whichever rows share the call; the distillation rollout
-    # relies on this to stack its anchors into one call.  A matmul-based
-    # field like NeuralTeacher's does not have this property.
-    _rowwise = True
+    spec.  Matches the duck type the distillation loop expects: dim,
+    sample_data(rng, count) and velocity(x, t), where velocity computes
+    each row of x on its own, so a row's velocity has the same bits
+    whichever rows share the call."""
 
     def __init__(self, spec: GmmTeacherSpec):
         self.spec = spec
@@ -238,23 +232,22 @@ def euler_sample(velocity_field, x_start, steps) -> TrajectoryRecord:
     grid of the given step count.  Grid times are (steps - i) / steps so the
     endpoints are exact.
 
-    When the field is a method of a teacher that computes each row on its
-    own (a true _rowwise attribute, as on AnalyticGmmTeacher), a row's
-    trajectory has the same bits whichever rows share the calls.  Such a
-    batch is split into contiguous row blocks, one per usable CPU and each
-    at least MIN_BLOCK_WORK rows x steps, and every block is integrated over
-    all steps on its own by a forked worker, writing into one shared
-    positions buffer while the caller waits.  The record is identical to a
-    one-process run, which is what any other field, a small batch, one CPU,
-    a platform without fork and a daemon caller get."""
+    velocity_field(x, t) must compute each row of x on its own, as every
+    field in this package does, so a row's trajectory has the same bits
+    whichever rows share the calls.  A batch is split into contiguous row
+    blocks, one per usable CPU and each at least MIN_BLOCK_WORK rows x
+    steps, and every block is integrated over all steps on its own by a
+    forked worker, writing into one shared positions buffer while the
+    caller waits.  The record is identical to a one-process run, which is
+    what a small batch, one CPU, a platform without fork and a daemon
+    caller get."""
     steps = int(steps)
     if steps < 1:
         raise InvalidParameterError("need at least one integration step")
     x = np.asarray(x_start, dtype=float)
     shape = (steps + 1,) + x.shape
     blocks = 1
-    owner = getattr(velocity_field, "__self__", None)
-    if x.ndim >= 2 and x.size and getattr(owner, "_rowwise", False):
+    if x.ndim >= 2 and x.size:
         work = x.size // x.shape[-1] * steps
         blocks = fork_workers(min(x.shape[0], work // MIN_BLOCK_WORK))
     if blocks > 1:
@@ -294,85 +287,3 @@ def _euler_rows(shared, rows):
         if not np.isfinite(x).all():
             return i
     return None
-
-
-@dataclass(frozen=True)
-class CfmTrainConfig:
-    """Training knobs for the optional neural teacher."""
-
-    total_steps: int = 2000
-    batch: int = 128
-    base_lr: float = 1e-3
-
-    def __post_init__(self):
-        if (self.total_steps < 0 or self.batch < 1
-                or not 0.0 < self.base_lr < np.inf):
-            raise InvalidParameterError(
-                f"teacher training needs steps >= 0, batch >= 1 and "
-                f"0 < lr < inf, got {self.total_steps}, {self.batch}, "
-                f"{self.base_lr}")
-
-
-class NeuralTeacher:
-    """A trained velocity net wrapped with the teacher duck type; data
-    sampling still comes from the underlying mixture spec."""
-
-    def __init__(self, net: StudentNet, spec: GmmTeacherSpec):
-        self.net = net
-        self.spec = spec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    def velocity(self, x, t) -> np.ndarray:
-        theta = self.net.forward(x, t)
-        return theta.base_velocities[..., 0, :]
-
-    def sample_data(self, rng, count) -> np.ndarray:
-        return sample_data(self.spec, rng, count)
-
-
-def train_cfm_teacher(net: StudentNet, spec: GmmTeacherSpec,
-                      config: CfmTrainConfig,
-                      rng: np.random.Generator):
-    """Train a plain velocity net with conditional flow matching.
-
-    The regression target for a pair (x0, x1) at time t is x1 - x0 evaluated
-    at x_t on the linear path; the minimizer of the expected loss is the
-    marginal field gmm_velocity computes exactly.  The net must be the
-    degenerate one-mode, momentum-frozen variant so its output is a single
-    velocity vector.  Returns (NeuralTeacher, per-step losses); zero steps
-    returns the net untouched.
-    """
-    if net.config.num_modes != 1 or net.config.gamma_mode != "frozen_one":
-        raise InvalidParameterError(
-            "teacher net must be one-mode with momentum frozen at 1 so it "
-            "reduces to a plain velocity field"
-        )
-    if net.config.dim != spec.dim:
-        raise InvalidParameterError(
-            f"net dim {net.config.dim} != data dim {spec.dim}"
-        )
-    opt = init_optim_state(net)
-    losses = []
-    for step_idx in range(config.total_steps):
-        x0 = sample_data(spec, rng, config.batch)
-        x1 = rng.standard_normal((config.batch, spec.dim))
-        t = rng.uniform(size=config.batch)
-        xt = (1.0 - t)[:, None] * x0 + t[:, None] * x1
-        target = x1 - x0
-        theta = net.forward(xt, t)
-        v = theta.base_velocities[:, 0, :]
-        diff = v - target
-        loss = float(np.mean(diff * diff))
-        if not np.isfinite(loss):
-            raise NumericError(f"teacher training diverged at step {step_idx}")
-        v_grad = np.zeros_like(theta.base_velocities)
-        v_grad[:, 0, :] = 2.0 * diff / diff.size
-        net.zero_grads()
-        net.backward(np.zeros_like(theta.gating), v_grad,
-                     np.zeros_like(theta.log_gammas))
-        adam_step(net, opt, config.base_lr)
-        losses.append(loss)
-    return NeuralTeacher(net, spec), losses

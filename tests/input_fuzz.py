@@ -5,11 +5,12 @@ parse_run_config, and argv through cli.main.
 
 runs both.  Config: mutated config text parses, or raises a ConfigError
 that carries a line number, and nothing else; a ring too big to allocate
-fails at the [teacher] header line.  Argv: `arcflow sample` with fuzzed
---count, --nfe and --seed against the checkpoint at CKPT returns 0, or
-returns 2 with one `error:` line on stderr; an argparse rejection exits 2
-with its usage and one error line.  Neither may raise another exception or
-emit a warning.
+fails at the [teacher] header line, and counts whose evaluation arrays
+numpy cannot shape fail at the last header line.  Argv: `arcflow sample`
+with fuzzed --count, --nfe and --seed against the checkpoint at CKPT
+returns 0, or returns 2 with one `error:` line on stderr; an argparse
+rejection exits 2 with its usage and one error line.  Neither may raise
+another exception or emit a warning.
 
 Both run under an address-space limit of LIMIT_BYTES, set before numpy is
 imported, so a size that cannot be allocated fails here as a MemoryError
@@ -31,14 +32,14 @@ def config_property():
     from hypothesis import strategies as st
 
     from arcflow.errors import ConfigError
-    from arcflow.harness import (RunConfig, TeacherConfig, format_run_config,
-                                 parse_run_config)
-    from arcflow.teacher import CfmTrainConfig
+    from arcflow.harness import RunConfig, format_run_config, parse_run_config
 
-    # the neural kind writes every [teacher] key a ring layout reads
-    lines = format_run_config(RunConfig(
-        teacher=TeacherConfig(kind="neural"))).splitlines()
+    # the default ring layout writes every [teacher] key a ring reads
+    lines = format_run_config(RunConfig()).splitlines()
     keys = [i for i, line in enumerate(lines) if " = " in line]
+    sizes = [i for i in keys if lines[i].split(" = ")[0] in (
+        "components", "dim", "nfe", "num_modes", "n_intermediate", "batch",
+        "metric_samples", "teacher_steps", "dense_per_shelf")]
 
     def parses_or_config_error(text):
         with warnings.catch_warnings():
@@ -50,8 +51,6 @@ def config_property():
                 return exc
             # what building the teacher checks was checked at parse time
             teacher.build_spec()
-            CfmTrainConfig(teacher.cfm_steps, teacher.cfm_batch,
-                           teacher.cfm_lr)
         return None
 
     # rings past the address space fail at the [teacher] header, which
@@ -60,6 +59,11 @@ def config_property():
         exc = parses_or_config_error(f"[distill]\nseed = 3\n\n[teacher]\n"
                                      f"{body}\n")
         assert exc is not None and exc.line == 4, (body, exc)
+    # counts each under its own ceiling whose evaluation array numpy cannot
+    # shape fail at the last header, where every size is known
+    exc = parses_or_config_error(f"[distill]\nnfe = {2 ** 40}\n\n[run]\n"
+                                 f"dense_per_shelf = {2 ** 40}\n")
+    assert exc is not None and exc.line == 4, exc
 
     numbers = st.one_of(
         st.integers(-3, 3).map(str), st.integers(-10 ** 30, 10 ** 30).map(str),
@@ -69,20 +73,29 @@ def config_property():
                          "1_0"]))
     values = st.one_of(numbers, st.lists(numbers, max_size=4).map(" ".join),
                        st.text(max_size=8))
+    large = st.sampled_from([2 ** 20, 2 ** 30, 2 ** 40, 2 ** 40 + 1,
+                             10 ** 20]).map(str)
+    # each strategy draws a list of edits applied in order
     edit = st.one_of(
         st.tuples(st.sampled_from(keys), values).map(
-            lambda kv: ("set", kv[0], kv[1])),
+            lambda kv: [("set", kv[0], kv[1])]),
         st.tuples(st.integers(0, len(lines)),
                   st.sampled_from(["kind = analytic", "layout = explicit",
                                    "weights = 0.5 0.5", "stds = 0.1 0.2",
                                    "means = 0 0; 1 1", "[teacher]",
                                    "[run]", "[bogus]", "x"])).map(
-            lambda at: ("insert", *at)),
-        st.integers(0, len(lines) - 1).map(lambda at: ("drop", at, None)))
+            lambda at: [("insert", *at)]),
+        st.integers(0, len(lines) - 1).map(lambda at: [("drop", at, None)]),
+        # two size keys large at once: each may pass its own ceiling while
+        # the arrays they size together cannot be shaped
+        st.tuples(st.lists(st.sampled_from(sizes), min_size=2, max_size=2,
+                           unique=True), large, large).map(
+            lambda kv: [("set", kv[0][0], kv[1]),
+                        ("set", kv[0][1], kv[2])]))
 
-    def apply(edits):
+    def apply(groups):
         out = list(lines)
-        for kind, at, value in edits:
+        for kind, at, value in (edit for group in groups for edit in group):
             if kind == "set" and at < len(out) and " = " in out[at]:
                 out[at] = f"{out[at].split(' = ')[0]} = {value}"
             elif kind == "insert":

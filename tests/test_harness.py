@@ -49,7 +49,6 @@ from arcflow.harness import (
     write_loss_csv,
     write_trajectory_csv,
 )
-from arcflow.teacher import NeuralTeacher
 from arcflow import _pool as pool_module
 from arcflow import cli as cli_module
 from arcflow import harness as harness_module
@@ -119,12 +118,6 @@ def test_format_parse_round_trip_explicit_teacher():
     assert_allclose(spec.means, [[1.0, -2.0], [-0.5, 0.5]], rtol=0)
 
 
-def test_format_parse_round_trip_neural_teacher():
-    cfg = RunConfig(teacher=TeacherConfig(kind="neural", cfm_steps=50,
-                                          cfm_batch=32, cfm_lr=2e-3))
-    assert parse_run_config(format_run_config(cfg)) == cfg
-
-
 # The default config text as the formatter has always written it; the file
 # format and config_hash must not drift.
 DEFAULT_CONFIG_TEXT = """\
@@ -168,11 +161,7 @@ DEFAULT_TAIL = DEFAULT_CONFIG_TEXT[DEFAULT_CONFIG_TEXT.index("\n[distill]"):]
                    means="1.0, -2.0; -0.5, 0.5", stds="0.4, 0.8"),
      "kind = analytic\nlayout = explicit\nweights = 0.3, 0.7\n"
      "means = 1.0, -2.0; -0.5, 0.5\nstds = 0.4, 0.8\n"),
-    (TeacherConfig(kind="neural", cfm_steps=50, cfm_batch=32, cfm_lr=2e-3),
-     "kind = neural\nlayout = ring\ncomponents = 8\nradius = 2.0\n"
-     "std = 0.25\ndim = 2\ncfm_steps = 50\ncfm_batch = 32\n"
-     "cfm_lr = 0.002\n"),
-], ids=["explicit", "neural"])
+], ids=["explicit"])
 def test_format_run_config_text_is_pinned(teacher, head):
     text = format_run_config(RunConfig(teacher=teacher))
     assert text == "[teacher]\n" + head + DEFAULT_TAIL
@@ -183,8 +172,9 @@ def test_default_config_hash_is_pinned():
 
 
 # A value other than the default for each str-typed key, and the explicit
-# layout's keys, which are set together.
-NON_DEFAULT_TEXT = {"kind": "neural", "layout": "explicit",
+# layout's keys, which are set together.  kind has no other value: its only
+# accepted one is its default, and any other is rejected at the header.
+NON_DEFAULT_TEXT = {"layout": "explicit",
                     "weights": "0.25 0.75", "means": "1 0; 0 1",
                     "stds": "0.5 0.5", "gamma_mode": "fixed",
                     "out": "runs/elsewhere"}
@@ -210,6 +200,8 @@ def test_every_config_field_parses_back_and_round_trips():
     for section in dataclasses.fields(RunConfig):
         keys = dataclasses.fields(section.default)
         for field in keys:
+            if field.name == "kind":
+                continue
             names = EXPLICIT_KEYS if field.name in EXPLICIT_KEYS \
                 else (field.name,)
             lines = [f"[{section.name}]"] + [
@@ -273,7 +265,7 @@ def test_invalid_field_value_becomes_config_error():
 
 
 @pytest.mark.parametrize("section,key", [
-    ("teacher", "radius"), ("teacher", "std"), ("teacher", "cfm_lr"),
+    ("teacher", "radius"), ("teacher", "std"),
     ("distill", "base_lr"), ("distill", "gamma_lo"), ("distill", "gamma_hi"),
 ])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -306,35 +298,17 @@ def test_explicit_layout_shape_mismatch_reports_section_line():
 
 @pytest.mark.parametrize("body", [
     "components = 0", "components = -3",
-    "components = 100000000000000000000", "std = 1e200",
-    "kind = neural\ncfm_batch = 0", "kind = neural\ncfm_lr = -1",
+    "components = 100000000000000000000", "std = 1e200", "kind = neural",
 ])
 def test_teacher_section_rejections_report_header_line(body):
     # each was a raw ZeroDivisionError, ValueError or RuntimeWarning, or
-    # failed only when the neural teacher was built
+    # (kind = neural) trained a teacher kind the package no longer has
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as err:
             parse_run_config(f"[run]\nmetric_samples = 64\n[teacher]\n"
                              f"{body}\n")
     assert str(err.value).startswith("3: [teacher]")
-
-
-def test_build_teacher_trains_with_the_configs_own_training_config(
-        monkeypatch):
-    seen = []
-
-    def fake_train(net, spec, config, rng):
-        seen.append(config)
-        return net, []
-
-    monkeypatch.setattr(harness_module, "train_cfm_teacher", fake_train)
-    cfg = RunConfig(teacher=TeacherConfig(kind="neural", cfm_steps=7,
-                                          cfm_batch=5, cfm_lr=0.5))
-    build_teacher(cfg)
-    assert len(seen) == 1 and seen[0] is cfg.teacher.cfm_train
-    assert (seen[0].total_steps, seen[0].batch, seen[0].base_lr) == (7, 5,
-                                                                     0.5)
 
 
 def test_gamma_range_out_of_order_fails_at_parse_with_line():
@@ -622,17 +596,6 @@ def test_build_teacher_explicit_layout():
     assert_allclose(teacher.spec.means, [[0.5, -0.5]], rtol=0)
 
 
-def test_build_teacher_neural_kind():
-    cfg = RunConfig(teacher=TeacherConfig(kind="neural", cfm_steps=30,
-                                          cfm_batch=32))
-    teacher = build_teacher(cfg)
-    assert isinstance(teacher, NeuralTeacher)
-    rng = np.random.default_rng(0)
-    out = teacher.velocity(rng.normal(size=(5, 2)), np.full(5, 0.5))
-    assert out.shape == (5, 2)
-    assert np.isfinite(out).all()
-
-
 def test_evaluate_student_returns_finite_metrics():
     cfg = tiny_run_config()
     teacher = build_teacher(cfg)
@@ -789,15 +752,6 @@ def test_run_ablation_rows_equal_standalone_runs():
     for seed in seeds:
         assert by_cell[("gamma_mode", "learnable", seed)] == \
             by_cell[("sharing", "all_per_mode", seed)]
-
-
-def test_run_ablation_rows_equal_standalone_runs_neural_teacher():
-    cfg = dataclasses.replace(
-        tiny_run_config(),
-        teacher=TeacherConfig(kind="neural", cfm_steps=30, cfm_batch=32))
-    studies, seeds = ("gamma_mode",), (0, 2)
-    rows = run_ablation(cfg, studies=studies, seeds=seeds)
-    assert _hex_rows(rows) == _hex_rows(_standalone_rows(cfg, studies, seeds))
 
 
 class _CallCounts(Mapping):
@@ -1208,6 +1162,35 @@ def test_oversized_count_is_a_config_error_at_its_header(tmp_path, capsys,
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert key in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_joint_evaluation_size_is_a_config_error_before_training(
+        monkeypatch, tmp_path, capsys):
+    # each count passes its own ceiling, but the student trace's
+    # (nfe * dense_per_shelf + 1) * metric_samples * dim values do not fit
+    # one array; so too the doubled Euler reference's
+    counts = _count_calls(monkeypatch, "distill_train")
+    path = tmp_path / "joint.cfg"
+    for text, line, formula in (
+            (f"[distill]\nnfe = {MAX_COUNT}\ntotal_steps = 0\n\n"
+             f"[run]\ndense_per_shelf = {MAX_COUNT}\n", 5,
+             "(nfe * dense_per_shelf + 1)"),
+            (f"[run]\nteacher_steps = {MAX_COUNT}\n"
+             f"metric_samples = {MAX_COUNT}\n", 1,
+             "(2 * teacher_steps + 1)")):
+        with pytest.raises(ConfigError) as err:
+            parse_run_config(text)
+        assert err.value.line == line
+        assert formula in str(err.value) and "MAX_ELEMENTS" in str(err.value)
+        path.write_text(text)
+        for command in (["distill"], ["sample", "--checkpoint", "none.ckpt"]):
+            code = main(command + ["--config", str(path),
+                                   "--out", str(tmp_path / "out")])
+            lines = capsys.readouterr().err.splitlines()
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert counts["distill_train"] == 0
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,4 @@
-"""Analytic mixture teacher, Euler reference sampler, neural teacher."""
+"""Analytic mixture teacher and the Euler reference sampler."""
 
 import concurrent.futures
 import hashlib
@@ -19,14 +19,10 @@ from arcflow import (
     euler_sample,
 )
 import arcflow._pool as pool_module
-from arcflow.nnet import NetConfig, StudentNet
 from arcflow.teacher import (
-    CfmTrainConfig,
-    NeuralTeacher,
     gmm_velocity,
     ring_spec,
     sample_data,
-    train_cfm_teacher,
 )
 
 
@@ -374,18 +370,10 @@ def test_euler_first_order_convergence():
     assert 1.2 < e_coarse / e_fine < 3.5
 
 
-def oracle_neural_teacher():
-    net = StudentNet(NetConfig(dim=2, num_modes=1, gamma_mode="frozen_one",
-                               hidden=(8,)), seed=4)
-    net.params[:] = np.random.default_rng(5).normal(size=net.num_params)
-    return NeuralTeacher(net, ring_spec())
-
-
 @pytest.mark.parametrize("make_teacher", [
     lambda: AnalyticGmmTeacher(lopsided_spec()),
     lambda: AnalyticGmmTeacher(ring_spec()),
-    oracle_neural_teacher,
-], ids=["analytic", "ring", "neural"])
+], ids=["analytic", "ring"])
 @pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
                          ids=["unbatched", "b37", "b2048"])
 def test_euler_sample_equals_inline_euler_oracle(make_teacher, shape):
@@ -439,18 +427,21 @@ SPLIT_STEPS = 40
 
 @pytest.mark.parametrize("batch", [4099, 10_000])
 def test_row_split_euler_equals_inline_oracle(count_pools, batch):
+    # a teacher's method and a plain callable split alike: every field that
+    # computes each row on its own qualifies
     teacher = AnalyticGmmTeacher(ring_spec())
     x1 = np.random.default_rng(57).standard_normal((batch, 2))
     want_positions, want_times = inline_euler(teacher.velocity, x1,
                                               SPLIT_STEPS)
-    for cpus in (1, 2, 3):
-        pools = count_pools(cpus)
-        rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
-        assert pools == ([cpus] if cpus > 1 else [])
-        assert np.array_equal(rec.positions, want_positions)
-        assert np.array_equal(rec.times, want_times)
-        assert not rec.positions.flags.writeable
-        assert multiprocessing.active_children() == []
+    for field in (teacher.velocity, lambda x, t: teacher.velocity(x, t)):
+        for cpus in (1, 2, 3):
+            pools = count_pools(cpus)
+            rec = euler_sample(field, x1, SPLIT_STEPS)
+            assert pools == ([cpus] if cpus > 1 else [])
+            assert np.array_equal(rec.positions, want_positions)
+            assert np.array_equal(rec.times, want_times)
+            assert not rec.positions.flags.writeable
+            assert multiprocessing.active_children() == []
 
 
 def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch,
@@ -463,18 +454,6 @@ def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch,
     unpinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
     assert pools == [2, 2]
     assert pinned.tobytes() == unpinned.tobytes()
-
-
-def test_neural_teacher_and_plain_field_are_never_split(count_pools):
-    pools = count_pools(3)
-    neural = oracle_neural_teacher()
-    x1 = np.random.default_rng(58).standard_normal((4099, 2))
-    rec = euler_sample(neural.velocity, x1, SPLIT_STEPS)
-    assert np.array_equal(rec.positions,
-                          inline_euler(neural.velocity, x1, SPLIT_STEPS)[0])
-    analytic = AnalyticGmmTeacher(ring_spec())
-    euler_sample(lambda x, t: analytic.velocity(x, t), x1, SPLIT_STEPS)
-    assert pools == []
 
 
 def test_row_split_euler_too_big_to_map_is_out_of_memory(monkeypatch,
@@ -497,10 +476,9 @@ def test_row_split_euler_too_big_to_map_is_out_of_memory(monkeypatch,
 
 
 class _RunawayTeacher:
-    """Rowwise field -1, and +inf from x >= 10 on: a row started at
+    """Row-local field -1, and +inf from x >= 10 on: a row started at
     10 - k.5 dt goes non-finite at integration step k + 1."""
 
-    _rowwise = True
     dim = 2
 
     def velocity(self, x, t):
@@ -551,71 +529,3 @@ def test_daemon_caller_integrates_in_one_process(monkeypatch):
     child.join(timeout=60)
     assert not child.is_alive() and child.exitcode == 0
     assert got == hashlib.sha256(want.tobytes()).hexdigest()
-
-
-# -- neural teacher ----------------------------------------------------------------------
-
-
-def teacher_net(seed=0):
-    return StudentNet(NetConfig(dim=2, num_modes=1, gamma_mode="frozen_one"),
-                      seed=seed)
-
-
-def test_cfm_zero_steps_leaves_net_untouched():
-    net = teacher_net()
-    before = net.params.copy()
-    teacher, losses = train_cfm_teacher(
-        net, ring_spec(), CfmTrainConfig(total_steps=0),
-        np.random.default_rng(0))
-    assert losses == []
-    assert (net.params == before).all()
-    assert teacher.dim == 2
-
-
-def test_cfm_rejects_multi_mode_net():
-    net = StudentNet(NetConfig(dim=2, num_modes=4), seed=0)
-    with pytest.raises(InvalidParameterError):
-        train_cfm_teacher(net, ring_spec(), CfmTrainConfig(total_steps=1),
-                          np.random.default_rng(0))
-
-
-def test_cfm_rejects_learnable_momentum_net():
-    net = StudentNet(NetConfig(dim=2, num_modes=1, gamma_mode="learnable"),
-                     seed=0)
-    with pytest.raises(InvalidParameterError):
-        train_cfm_teacher(net, ring_spec(), CfmTrainConfig(total_steps=1),
-                          np.random.default_rng(0))
-
-
-def test_cfm_rejects_dimension_mismatch():
-    net = teacher_net()
-    spec = ring_spec(dim=3)
-    with pytest.raises(InvalidParameterError):
-        train_cfm_teacher(net, spec, CfmTrainConfig(total_steps=1),
-                          np.random.default_rng(0))
-
-
-def test_cfm_learns_tight_gaussian_field():
-    # for a single sharp component at mu the time-1 field is x - mu; check
-    # on 1000 fresh noise-marginal probes against the closed-form oracle
-    spec = GmmTeacherSpec([1.0], [[1.0, -1.0]], [0.1])
-    net = teacher_net(seed=3)
-    teacher, losses = train_cfm_teacher(
-        net, spec, CfmTrainConfig(total_steps=6000, batch=256, base_lr=1e-3),
-        np.random.default_rng(12))
-    assert np.mean(losses[-50:]) < np.mean(losses[:50])
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((1000, 2))
-    got = teacher.velocity(x, np.ones(1000))
-    want = gmm_velocity(spec, x, 1.0)
-    rms = float(np.sqrt(np.mean((got - want) ** 2)))
-    assert rms < 0.1
-
-
-def test_cfm_training_config_validation():
-    with pytest.raises(InvalidParameterError):
-        CfmTrainConfig(total_steps=-1)
-    with pytest.raises(InvalidParameterError):
-        CfmTrainConfig(batch=0)
-    with pytest.raises(InvalidParameterError):
-        CfmTrainConfig(base_lr=0.0)
