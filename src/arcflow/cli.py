@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,21 +32,15 @@ from .teacher import euler_sample
 
 
 def _load_config(args) -> harness.RunConfig:
-    if getattr(args, "config", None):
-        cfg = harness.load_run_config(args.config)
-    else:
-        cfg = harness.RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, distill=dataclasses.replace(cfg.distill, seed=args.seed))
-    if getattr(args, "steps", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, distill=dataclasses.replace(cfg.distill,
-                                             total_steps=args.steps))
-    if getattr(args, "out", None):
-        cfg = dataclasses.replace(
-            cfg, run=dataclasses.replace(cfg.run, out=args.out))
-    return cfg
+    cfg = (harness.load_run_config(args.config)
+           if getattr(args, "config", None) else harness.RunConfig())
+    distill = {key: value for key, value in (
+        ("seed", getattr(args, "seed", None)),
+        ("total_steps", getattr(args, "steps", None))) if value is not None}
+    run = {"out": args.out} if getattr(args, "out", None) else {}
+    return dataclasses.replace(
+        cfg, distill=dataclasses.replace(cfg.distill, **distill),
+        run=dataclasses.replace(cfg.run, **run))
 
 
 def cli_verify(args) -> int:
@@ -107,17 +100,12 @@ def cli_sample(args) -> int:
     nfe = args.nfe if args.nfe is not None else cfg.distill.nfe
     if nfe < 1:
         raise InvalidParameterError(f"--nfe must be >= 1, got {nfe}")
-    # the trajectories held at once: the student's (and the baseline's)
-    # nfe * dense_per_shelf + 1 states per row and the reference's 201
+    # the student's (and the baseline's) trajectory and the reference's 201
     records = 2 if base_net is not None else 1
-    states = (nfe * cfg.run.dense_per_shelf + 1) * records + 201
-    need = 8 * count * net.config.dim * states
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise InvalidParameterError(
-            f"--count {count} at --nfe {nfe} needs {need / 2**30:.3g} GiB "
-            f"of trajectories, more than the {have / 2**30:.3g} GiB of "
-            f"memory here")
+    harness.check_trajectory_memory(
+        f"--count {count} at --nfe {nfe}",
+        (nfe * cfg.run.dense_per_shelf + 1) * records + 201, count,
+        net.config.dim)
     teacher = harness.build_teacher(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
@@ -136,9 +124,8 @@ def cli_sample(args) -> int:
                                      out / "baseline_trajectories.csv")
         records.append((f"linear_{nfe}", "#d97706", baseline))
     records.append((f"student_{nfe}", "#1f6fd6", student))
-    spec = cfg.teacher.build_spec()
-    trajectory_overlay_svg(records, out / "overlay.svg", means=spec.means,
-                           limit=count)
+    trajectory_overlay_svg(records, out / "overlay.svg",
+                           means=teacher.spec.means, limit=count)
     print(f"wrote {count} trajectories to {out}")
     return 0
 

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,12 +330,9 @@ def positions_at(record: TrajectoryRecord, times) -> np.ndarray:
     pos = record.positions
     # np.interp wants increasing coordinates
     idx = np.searchsorted(-grid, -times, side="left").clip(1, grid.size - 1)
-    t_hi = grid[idx - 1]
-    t_lo = grid[idx]
-    w = (t_hi - times) / (t_hi - t_lo)
-    w = w.clip(0.0, 1.0)
-    shape = (times.size,) + (1,) * (pos.ndim - 1)
-    w = w.reshape(shape)
+    t_hi, t_lo = grid[idx - 1], grid[idx]
+    w = ((t_hi - times) / (t_hi - t_lo)).clip(0.0, 1.0)
+    w = w.reshape((times.size,) + (1,) * (pos.ndim - 1))
     return (1.0 - w) * pos[idx - 1] + w * pos[idx]
 
 
@@ -492,6 +490,17 @@ def evaluate_student(net: StudentNet, cfg: RunConfig,
     }
 
 
+def check_trajectory_memory(what: str, states, rows, dim) -> None:
+    """InvalidParameterError unless states (rows, dim) float64 arrays fit in
+    this machine's memory: the trajectories a command holds at once."""
+    need = 8 * rows * dim * states
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise InvalidParameterError(
+            f"{what} needs {need / 2**30:.3g} GiB of trajectories, more "
+            f"than the {have / 2**30:.3g} GiB of memory here")
+
+
 def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
                      reference: EulerReference | None = None):
     """Train a student per the config, evaluate it, optionally write
@@ -514,6 +523,14 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
             f"Euler reference of seed {reference.seed} with noise "
             f"{reference.noise.shape} does not fit seed {cfg.distill.seed} "
             f"with {cfg.run.metric_samples} samples")
+    # evaluation holds the student's trajectory and both Euler references
+    runs = cfg.run
+    check_trajectory_memory(
+        f"nfe {cfg.distill.nfe}, teacher_steps {runs.teacher_steps} and "
+        f"metric_samples {runs.metric_samples}",
+        (cfg.distill.nfe * runs.dense_per_shelf + 1)
+        + (runs.teacher_steps + 1) + (2 * runs.teacher_steps + 1),
+        runs.metric_samples, teacher.dim)
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
     if reference is None:
@@ -545,12 +562,11 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
             write_trajectory_csv(subset, out / "trajectories.csv",
                                  limit=cfg.run.trajectory_samples)
         if cfg.run.export_svg:
-            spec = cfg.teacher.build_spec()
             trajectory_overlay_svg(
                 [("teacher", "#888888", evaluation["reference_record"]),
                  ("student", "#1f6fd6", evaluation["student_record"])],
                 out / "overlay.svg",
-                means=spec.means,
+                means=teacher.spec.means,
                 limit=cfg.run.trajectory_samples,
             )
     return report, net, log

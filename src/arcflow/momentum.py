@@ -157,7 +157,8 @@ def eval_velocity(theta: MomentumParams, t) -> np.ndarray:
     """Instantaneous mixture velocity at time t.
 
     t is a scalar applied to the whole batch, or an array matching the batch
-    shape of theta.  Returns an array of shape (..., D).
+    shape of theta; for an unbatched theta, a 1-D t gives one (D,) row per
+    time.  Returns an array of shape (..., D).
     """
     t = np.asarray(t, dtype=float)
     exponent = 1.0 - t

@@ -2,18 +2,18 @@
 independent route.
 
 Each suite returns a SuiteResult and is deliberately written against a
-different computation than the code under test: adaptive quadrature for the
-closed-form displacement, composed Euler references for the mixed rollout,
-central finite differences for the hand-written backward pass, kernel
-regression on raw pairs plus an energy-distance transport test for the
-closed-form teacher field.  None of these reference routes may ever be
+different computation than the code under test: Gauss-Legendre quadrature
+for the closed-form displacement, composed Euler references for the mixed
+rollout, central finite differences for the hand-written backward pass,
+kernel regression on raw pairs plus an energy-distance transport test for
+the closed-form teacher field.  None of these reference routes may ever be
 replaced by calls into the code they check.
 
 The two general-purpose reference routes live here too, not in the modules
-they check: quadrature_displacement integrates eval_velocity with scipy's
-adaptive quadrature and never calls the solver's closed form, and grad_check
-differences loss values and never calls StudentNet.backward itself.  This is
-the only module that imports scipy.
+they check: quadrature_displacement integrates eval_velocity with a fixed
+pair of Gauss-Legendre rules and never calls the solver's closed form, and
+grad_check differences loss values and never calls StudentNet.backward
+itself.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distill import (
     DistillConfig,
@@ -52,7 +51,7 @@ from .teacher import (
 
 TOLERANCES = {
     "coefficient_continuity": "|C(1+d) - (t_s - t_e)| <= 10|d|, d in {1e-7, 1e-5}",
-    "operator_vs_quadrature": "rel err <= 1e-9 vs quadrature (tol 1e-12), 1000 mixtures",
+    "operator_vs_quadrature": "rel err <= 1e-9 vs 40-node Gauss-Legendre (20/40 gap <= 1e-12), 1000 mixtures",
     "operator_additivity": "split rel err <= 1e-12, 10^4 splits",
     "exact_interpolation": "fit rel err <= 1e-6 at N=K in {2,4,8}; 1000 basis draws nonsingular",
     "gradient_check": "max rel err <= 1e-4 vs central differences (h=1e-5), 100 probes",
@@ -114,40 +113,40 @@ def _random_mixture(rng, max_modes=16, dim=3):
     return MomentumParams(gating, base, np.log(gammas), anchor_index=None)
 
 
+# The 20- and 40-node Gauss-Legendre rules on [-1, 1]: the finer one gives
+# the reference value, its gap to the coarser one the error estimate.
+_GAUSS_LEGENDRE = [np.polynomial.legendre.leggauss(n) for n in (20, 40)]
+
+
 def quadrature_displacement(theta: MomentumParams, t_start, t_end,
                             tol=1e-12) -> np.ndarray:
-    """Reference displacement via adaptive quadrature of eval_velocity.
+    """Reference displacement via Gauss-Legendre quadrature of eval_velocity.
 
     Independent of the closed form on purpose; used by the quadrature suite.
     Only unbatched parameter bundles are supported.  Raises ConvergenceError
-    when the integrator cannot certify the requested absolute tolerance.
+    when a coordinate's 20/40-node gap is above the absolute tolerance (or
+    1e-11 of its value, if larger) or is not finite.
     """
     if float(tol) <= 0.0:
         raise InvalidParameterError("quadrature tolerance must be positive")
     if theta.batch_shape != ():
         raise InvalidParameterError(
-            "quadrature reference handles one parameter bundle at a time"
-        )
-    t_start, t_end = float(t_start), float(t_end)
-    out = np.empty(theta.dim)
-    for d in range(theta.dim):
-        val, err, info = integrate.quad(
-            lambda t, d=d: eval_velocity(theta, t)[d],
-            t_end, t_start, epsabs=tol, epsrel=0.0, limit=200,
-            full_output=True,
-        )[:3]
-        if err > max(tol, abs(val) * 1e-11):
-            raise ConvergenceError(
-                f"quadrature error estimate {err:.3e} above tolerance {tol:.3e} "
-                f"for coordinate {d}"
-            )
-        out[d] = val
-    return out
+            "quadrature reference handles one parameter bundle at a time")
+    mid, half = (t_start + t_end) / 2.0, (t_start - t_end) / 2.0
+    coarse, fine = (half * (weights @ eval_velocity(theta, mid + half * nodes))
+                    for nodes, weights in _GAUSS_LEGENDRE)
+    gap = np.abs(fine - coarse)
+    bad = ~(gap <= np.maximum(tol, 1e-11 * np.abs(fine)))
+    if bad.any():
+        d = int(np.argmax(bad))
+        raise ConvergenceError(f"quadrature error estimate {gap[d]:.3e} above "
+                               f"tolerance {tol:.3e} for coordinate {d}")
+    return fine
 
 
 def operator_quadrature_suite(mixtures=1000, seed=1002) -> SuiteResult:
-    """Closed-form displacement against adaptive quadrature of the same
-    velocity field."""
+    """Closed-form displacement against Gauss-Legendre quadrature of the
+    same velocity field."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -197,8 +196,7 @@ def exact_interpolation_suite(seed=1004, haar_draws=1000) -> SuiteResult:
     nonsingularity sweep."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_cond = 0.0
+    worst = worst_cond = 0.0
     for n in (2, 4, 8):
         for _ in range(50):
             # ratio 2 >= 1.3; wider spacing keeps the exponential basis far
@@ -226,8 +224,7 @@ def exact_interpolation_suite(seed=1004, haar_draws=1000) -> SuiteResult:
         ts = np.sort(rng.uniform(0.02, 1.0, n))
         while np.unique(ts).size != n:
             ts = np.sort(rng.uniform(0.02, 1.0, n))
-        ok, _ = verify_haar(gammas, ts)
-        singular += 0 if ok else 1
+        singular += not verify_haar(gammas, ts)[0]
     elapsed = time.perf_counter() - started
     passed = worst <= 1.0 and singular == 0
     return SuiteResult(
@@ -308,8 +305,7 @@ def degenerate_mixing_suite(shelves=1000, seed=1006) -> SuiteResult:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     teacher = AnalyticGmmTeacher(ring_spec())
-    worst0 = 0.0
-    worst1 = 0.0
+    worst0 = worst1 = 0.0
     for _ in range(shelves):
         nfe = int(rng.integers(1, 5))
         shelf = int(rng.integers(nfe))
@@ -405,11 +401,9 @@ def teacher_consistency_suite(seed=1010, probes=20,
     record = euler_sample(teacher.velocity, noise, 200)
     data_ref = sample_data(spec, rng, transport)
     ed_transport = energy_distance(record.endpoint, data_ref)
-    self_eds = []
-    for _ in range(10):
-        a = sample_data(spec, rng, transport)
-        b = sample_data(spec, rng, transport)
-        self_eds.append(energy_distance(a, b))
+    self_eds = [energy_distance(sample_data(spec, rng, transport),
+                                sample_data(spec, rng, transport))
+                for _ in range(10)]
     mu = float(np.mean(self_eds))
     sigma = float(np.std(self_eds))
     transport_ok = ed_transport < mu + 3.0 * sigma

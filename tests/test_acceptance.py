@@ -5,8 +5,9 @@ line with the measured quantity next to its bound, so a log scan shows the
 whole gate at a glance.  The first seven delegate to the oracle suites in
 arcflow.verify; the next three exercise distillation efficacy, the ablation
 orderings, and bitwise reproducibility through the public entry points; the
-last checks the closed-form coefficient against mpmath, which keeps that
-oracle, like the training lines, out of the scipy-only verify module.
+last checks the closed-form coefficient against mpmath, which is a test
+dependency only, so that oracle stays, like the training lines, out of the
+verify module the installed package ships.
 
 Budget note: the efficacy and ablation tests train real (desk-scale)
 students and together take a couple of minutes of CPU.

@@ -1194,6 +1194,25 @@ def test_joint_evaluation_size_is_a_config_error_before_training(
     assert not (tmp_path / "out").exists()
 
 
+def test_evaluation_past_memory_exits_two_before_training(
+        monkeypatch, tmp_path, capsys):
+    # nfe = 2**40 passes MAX_COUNT and MAX_ELEMENTS, but the student trace
+    # evaluation would hold needs far more memory than any machine has;
+    # it used to train every step and then fail as out of memory
+    counts = _count_calls(monkeypatch, "distill_train")
+    path = tmp_path / "big_nfe.cfg"
+    path.write_text(f"[distill]\nnfe = {2**40}\ntotal_steps = 200\n")
+    parse_run_config(path.read_text())
+    out = tmp_path / "out"
+    code = main(["distill", "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "GiB of trajectories" in lines[0] and str(2**40) in lines[0]
+    assert counts["distill_train"] == 0
+    assert not out.exists()
+
+
 def test_cli_diverging_run_prints_one_error_line(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path, base_lr=1e300)
     # a numpy warning would print above the error line outside pytest

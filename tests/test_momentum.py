@@ -70,6 +70,18 @@ def test_eval_velocity_matches_per_mode_extrapolation():
                         rtol=1e-12, atol=1e-14)
 
 
+def test_eval_velocity_time_array_gives_one_row_per_time():
+    # an unbatched bundle with a 1-D t: row i is the velocity at t[i], bit
+    # for bit (quadrature_displacement evaluates its nodes this way)
+    rng = np.random.default_rng(12)
+    theta = random_params(rng, modes=7, dim=3)
+    ts = rng.uniform(0.0, 1.0, 40)
+    rows = eval_velocity(theta, ts)
+    assert rows.shape == (40, 3)
+    for t, row in zip(ts, rows):
+        assert np.array_equal(row, eval_velocity(theta, float(t)))
+
+
 def test_eval_velocity_linear_in_base_velocities():
     rng = np.random.default_rng(3)
     theta = random_params(rng, modes=4, dim=2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from arcflow import (
+    ConvergenceError,
     InvalidIntervalError,
     InvalidParameterError,
     LatentState,
@@ -330,6 +331,18 @@ def test_quadrature_linear_mode_recovers_velocity():
     assert_allclose(got, [2.5, -0.5], rtol=1e-11)
 
 
+def test_quadrature_sign_follows_the_interval_direction():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        theta = random_theta(rng, modes=int(rng.integers(1, 7)))
+        lo, hi = (float(t) for t in np.sort(rng.uniform(0.0, 1.0, 2)))
+        forward = quadrature_displacement(theta, hi, lo)
+        assert_allclose(quadrature_displacement(theta, lo, hi), -forward,
+                        rtol=1e-14, atol=1e-15)
+        assert_allclose(forward, displacement(theta, hi, lo), rtol=1e-12,
+                        atol=1e-13)
+
+
 def test_quadrature_zero_bundle():
     theta = MomentumParams([1.0], [[0.0, 0.0]], [1.0])
     assert_allclose(quadrature_displacement(theta, 1.0, 0.0), np.zeros(2),
@@ -350,3 +363,11 @@ def test_quadrature_rejects_bad_tolerance():
     theta = MomentumParams([1.0], [[1.0, 0.0]], [0.0])
     with pytest.raises(InvalidParameterError):
         quadrature_displacement(theta, 1.0, 0.0, tol=0.0)
+
+
+def test_quadrature_gap_above_tolerance_is_a_convergence_error():
+    # gamma = e**200 over [0, 1]: the 20- and 40-node rules differ by
+    # about 2.4e-3 of the value, far above its 1e-11
+    theta = MomentumParams([1.0], [[1.0, 0.0]], [200.0])
+    with pytest.raises(ConvergenceError, match="coordinate 0"):
+        quadrature_displacement(theta, 1.0, 0.0)
