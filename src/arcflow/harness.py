@@ -32,6 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # no address-space limits to read on this platform
+    resource = None
+
 from ._pool import fork_workers, map_forked
 from .distill import (
     DistillConfig,
@@ -168,15 +173,23 @@ class RunConfig:
     def __post_init__(self):
         # each count is capped alone; the trajectory arrays multiply them
         per_state = self.run.metric_samples * self.teacher.build_spec().dim
-        for states, formula in (
-                (self.distill.nfe * self.run.dense_per_shelf + 1,
-                 "(nfe * dense_per_shelf + 1)"),
-                (2 * self.run.teacher_steps + 1, "(2 * teacher_steps + 1)")):
+        for formula, states in self.evaluation_trajectories():
             if states * per_state > MAX_ELEMENTS:
                 raise InvalidParameterError(
                     f"{formula} * metric_samples * dim = "
                     f"{states * per_state} values in one evaluation array, "
                     f"above MAX_ELEMENTS = {MAX_ELEMENTS}")
+
+    def evaluation_trajectories(self):
+        """(formula, states) for each trajectory that evaluation holds at
+        once, every state metric_samples * dim floats: the student's dense
+        trace, the doubled Euler reference, then the plain one, which is
+        never the first to break a bound."""
+        steps = self.run.teacher_steps
+        return (("(nfe * dense_per_shelf + 1)",
+                 self.distill.nfe * self.run.dense_per_shelf + 1),
+                ("(2 * teacher_steps + 1)", 2 * steps + 1),
+                ("(teacher_steps + 1)", steps + 1))
 
 
 @dataclass(frozen=True)
@@ -492,13 +505,19 @@ def evaluate_student(net: StudentNet, cfg: RunConfig,
 
 def check_trajectory_memory(what: str, states, rows, dim) -> None:
     """InvalidParameterError unless states (rows, dim) float64 arrays fit in
-    this machine's memory: the trajectories a command holds at once."""
+    this machine's memory and under this process's soft address-space limit
+    (RLIMIT_AS), where one is set: the trajectories a command holds at
+    once."""
     need = 8 * rows * dim * states
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if resource is not None:
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+        if limit != resource.RLIM_INFINITY:
+            have = min(have, limit)
     if need > have:
         raise InvalidParameterError(
             f"{what} needs {need / 2**30:.3g} GiB of trajectories, more "
-            f"than the {have / 2**30:.3g} GiB of memory here")
+            f"than the {have / 2**30:.3g} GiB of memory this process may use")
 
 
 def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
@@ -523,13 +542,11 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
             f"Euler reference of seed {reference.seed} with noise "
             f"{reference.noise.shape} does not fit seed {cfg.distill.seed} "
             f"with {cfg.run.metric_samples} samples")
-    # evaluation holds the student's trajectory and both Euler references
     runs = cfg.run
     check_trajectory_memory(
         f"nfe {cfg.distill.nfe}, teacher_steps {runs.teacher_steps} and "
         f"metric_samples {runs.metric_samples}",
-        (cfg.distill.nfe * runs.dense_per_shelf + 1)
-        + (runs.teacher_steps + 1) + (2 * runs.teacher_steps + 1),
+        sum(states for _, states in cfg.evaluation_trajectories()),
         runs.metric_samples, teacher.dim)
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
@@ -703,8 +720,7 @@ def write_loss_csv(rows, path):
 
 def write_trajectory_csv(record: TrajectoryRecord, path, limit=None):
     pos = record.positions
-    if pos.ndim == 2:  # single trajectory
-        pos = pos[:, None, :]
+    pos = pos.reshape(pos.shape[0], -1, pos.shape[-1])  # (T+1, N, D)
     count = pos.shape[1] if limit is None else min(int(limit), pos.shape[1])
     dim = pos.shape[2]
     header = "trajectory,t," + ",".join(f"x{d}" for d in range(dim))

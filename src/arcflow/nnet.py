@@ -218,9 +218,10 @@ class StudentNet:
         cfg = self.config
         x_arr = np.asarray(x, dtype=float)
         squeeze = x_arr.ndim == 1
-        if x_arr.shape[-1] != cfg.dim:
+        if x_arr.ndim not in (1, 2) or x_arr.shape[-1] != cfg.dim:
             raise InvalidParameterError(
-                f"input dim {x_arr.shape[-1]} != net dim {cfg.dim}"
+                f"input shape {x_arr.shape} is neither ({cfg.dim},) nor "
+                f"(B, {cfg.dim})"
             )
         feat = self.features(x_arr, t)
         batch = feat.shape[0]

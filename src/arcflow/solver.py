@@ -15,8 +15,9 @@ or t_s - t_e where ln gamma == 0 exactly.  It takes no difference of two
 exponentials, so it stays within a few ulps on short intervals and beside
 gamma = 1.  It is antisymmetric in its time arguments and additive over
 interval splits; the solver is exact up to floating-point rounding, so step
-size never trades off against accuracy, and a dense sub-step is one such
-pass over its own interval.
+size never trades off against accuracy.  displacement is the one checked
+entry: it holds every interval to 0 <= t_end <= t_start <= 1, and step and
+student_sample's dense sub-steps each make one pass through it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ def momentum_coefficient(gamma, t_start, t_end):
 def _align_time(t, theta):
     # Scalars pass through; per-sample time arrays gain a mode axis so they
     # broadcast against (..., K) coefficient arrays.
-    t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         return t
     if t.shape != theta.batch_shape:
@@ -79,8 +79,11 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
 
     This is the quantity subtracted from x when stepping down in time.
     Times are scalars or per-sample arrays matching theta's batch shape.
-    No interval validation here; the public entry points validate.
+    InvalidIntervalError unless 0 <= t_end <= t_start <= 1 (NaN fails).
     """
+    t_start = np.asarray(t_start, dtype=float)
+    t_end = np.asarray(t_end, dtype=float)
+    _check_intervals(t_start, t_end)
     coeffs = _coefficients_from_log(theta.log_gammas,
                                     _align_time(t_start, theta),
                                     _align_time(t_end, theta))
@@ -91,10 +94,6 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
 def step(state: LatentState, theta: MomentumParams, t_end) -> LatentState:
     """Advance a latent state down in time with one closed-form step."""
     t_end = float(t_end)
-    if t_end > state.t:
-        raise InvalidIntervalError(
-            f"cannot step up in time: t_end {t_end} > current t {state.t}"
-        )
     new_x = state.x - displacement(theta, state.t, t_end)
     if not np.isfinite(new_x).all():
         raise NumericError(
@@ -104,21 +103,19 @@ def step(state: LatentState, theta: MomentumParams, t_end) -> LatentState:
 
 
 def sub_interval_displacement(theta: MomentumParams, t_hi, t_lo) -> np.ndarray:
-    """Displacement over [t_lo, t_hi]: one closed-form pass, after checking
-    0 <= t_lo <= t_hi <= 1 (which a NaN time fails).  Times are scalars or
-    per-sample arrays matching theta's batch shape; nothing is kept between
-    calls."""
-    t_hi = np.asarray(t_hi, dtype=float)
-    t_lo = np.asarray(t_lo, dtype=float)
-    _check_intervals(t_hi, t_lo)
+    """displacement(theta, t_hi, t_lo), the name perfbench traces it by."""
     return displacement(theta, t_hi, t_lo)
 
 
-def _check_intervals(t_hi, t_lo):
+def _check_intervals(t_start, t_end):
     # negated so that a NaN time, which every comparison rejects, fails
-    if not ((0.0 <= t_lo) & (t_lo <= t_hi) & (t_hi <= 1.0)).all():
+    try:
+        ok = ((0.0 <= t_end) & (t_end <= t_start) & (t_start <= 1.0)).all()
+    except ValueError:  # time arrays that do not broadcast pair up nothing
+        ok = False
+    if not ok:
         raise InvalidIntervalError(
-            f"need 0 <= t_lo <= t_hi <= 1, got ({t_hi}, {t_lo})"
+            f"need 0 <= t_end <= t_start <= 1, got ({t_start}, {t_end})"
         )
 
 

@@ -18,10 +18,7 @@ MARGIN = 48
 def _data_box(records, means):
     pts = [np.asarray(means)[:, :2]] if means is not None else []
     for _, _, record in records:
-        pos = record.positions
-        if pos.ndim == 2:
-            pos = pos[:, None, :]
-        pts.append(pos[..., :2].reshape(-1, 2))
+        pts.append(record.positions[..., :2].reshape(-1, 2))
     allp = np.concatenate(pts, axis=0)
     lo = allp.min(axis=0)
     hi = allp.max(axis=0)
@@ -60,8 +57,7 @@ def trajectory_overlay_svg(records, path, means=None, limit=8):
             )
     for li, (label, color, record) in enumerate(records):
         pos = record.positions
-        if pos.ndim == 2:
-            pos = pos[:, None, :]
+        pos = pos.reshape(pos.shape[0], -1, pos.shape[-1])  # (T+1, N, D)
         count = min(int(limit), pos.shape[1])
         for b in range(count):
             px, py = to_px(pos[:, b, :2])

@@ -24,6 +24,7 @@ from arcflow import (
     InvalidParameterError,
     NumericError,
     TrajectoryRecord,
+    euler_sample,
 )
 from arcflow.distill import MAX_COUNT, DistillConfig, training_streams
 from arcflow.harness import (
@@ -49,6 +50,8 @@ from arcflow.harness import (
     write_loss_csv,
     write_trajectory_csv,
 )
+from arcflow.svg import trajectory_overlay_svg
+from arcflow.teacher import ring_spec
 from arcflow import _pool as pool_module
 from arcflow import cli as cli_module
 from arcflow import harness as harness_module
@@ -567,6 +570,28 @@ def test_write_trajectory_csv(tmp_path):
     assert set(by_traj) == {0, 1}
     for times in by_traj.values():
         assert times == [1.0, 0.5, 0.0]
+
+
+def test_trajectory_writers_take_any_batch_shape(tmp_path):
+    # a (2, 3, 2) batch writes the 6 trajectories of the flat (6, 2) batch,
+    # and a single (D,) trajectory writes the first of them
+    velocity = AnalyticGmmTeacher(ring_spec()).velocity
+    noise = np.random.default_rng(3).standard_normal((6, 2))
+    records = {"flat": euler_sample(velocity, noise, 4),
+               "nested": euler_sample(velocity, noise.reshape(2, 3, 2), 4),
+               "single": euler_sample(velocity, noise[0], 4)}
+    for name, record in records.items():
+        write_trajectory_csv(record, tmp_path / f"{name}.csv")
+        write_trajectory_csv(record, tmp_path / f"{name}_first.csv", limit=1)
+        trajectory_overlay_svg([("euler", "#888888", record)],
+                               tmp_path / f"{name}.svg")
+    flat = (tmp_path / "flat.csv").read_text().splitlines()
+    assert len(flat) == 1 + 6 * 5 and flat[-1].startswith("5,0,")
+    for suffix in (".csv", "_first.csv", ".svg"):
+        want = (tmp_path / f"flat{suffix}").read_bytes()
+        assert (tmp_path / f"nested{suffix}").read_bytes() == want
+    assert ((tmp_path / "single.csv").read_bytes()
+            == (tmp_path / "flat_first.csv").read_bytes())
 
 
 def test_write_ablation_csv(tmp_path):
@@ -1209,6 +1234,27 @@ def test_evaluation_past_memory_exits_two_before_training(
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "GiB of trajectories" in lines[0] and str(2**40) in lines[0]
+    assert counts["distill_train"] == 0
+    assert not out.exists()
+
+
+def test_evaluation_past_address_space_exits_two_before_training(
+        monkeypatch, tmp_path, capsys):
+    # nfe = 6000 needs 2.9 GiB of trajectories: less than this machine's
+    # memory, more than a 1 GiB soft RLIMIT_AS; it used to train every step
+    # and then fail as out of memory
+    import resource
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (2**30, resource.RLIM_INFINITY))
+    counts = _count_calls(monkeypatch, "distill_train")
+    path = tmp_path / "nfe_6000.cfg"
+    path.write_text("[distill]\nnfe = 6000\ntotal_steps = 20\n")
+    out = tmp_path / "out"
+    code = main(["distill", "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "2.94 GiB of trajectories" in lines[0] and "the 1 GiB" in lines[0]
     assert counts["distill_train"] == 0
     assert not out.exists()
 

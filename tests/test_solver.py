@@ -188,6 +188,23 @@ def test_transition_matches_quadrature_sweep():
         assert_allclose(closed, quad, rtol=1e-10, atol=1e-12)
 
 
+def test_displacement_checks_its_interval():
+    # the one checked entry: a NaN time, an upward interval or a time
+    # outside [0, 1] fails before any arithmetic, for scalar times, for
+    # per-row times with one bad row and for time arrays that do not pair up
+    rng = np.random.default_rng(11)
+    theta, batched = random_theta(rng), batched_random_theta(rng)
+    one_row = np.arange(6) == 3
+    for bundle, t_start, t_end in (
+            (theta, np.nan, 0.0), (theta, 0.3, 0.8), (theta, 1.1, 0.0),
+            (theta, 0.5, -0.1),
+            (batched, np.where(one_row, 0.1, 0.5), 0.2),
+            (batched, 0.9, np.where(one_row, np.nan, 0.2)),
+            (batched, np.full(5, 0.5), np.full(6, 0.2))):
+        with pytest.raises(InvalidIntervalError):
+            displacement(bundle, t_start, t_end)
+
+
 # -- step --------------------------------------------------------------------
 
 
