@@ -17,12 +17,7 @@ from .errors import (
 )
 from .momentum import LatentState, MomentumParams
 from .solver import displacement, step
-from .teacher import (
-    AnalyticGmmTeacher,
-    GmmTeacherSpec,
-    TrajectoryRecord,
-    euler_sample,
-)
+from .teacher import GmmTeacherSpec, TrajectoryRecord, euler_sample
 from .distill import student_sample
 
 __version__ = "0.1.0"

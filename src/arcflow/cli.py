@@ -30,6 +30,9 @@ from .nnet import StudentNet
 from .svg import trajectory_overlay_svg
 from .teacher import euler_sample
 
+# Euler steps of the teacher reference that arcflow sample draws.
+REFERENCE_STEPS = 200
+
 
 def _load_config(args) -> harness.RunConfig:
     cfg = (harness.load_run_config(args.config)
@@ -100,23 +103,23 @@ def cli_sample(args) -> int:
     nfe = args.nfe if args.nfe is not None else cfg.distill.nfe
     if nfe < 1:
         raise InvalidParameterError(f"--nfe must be >= 1, got {nfe}")
-    # the student's (and the baseline's) trajectory and the reference's 201
+    # the student's (and the baseline's) trajectory and the reference
     records = 2 if base_net is not None else 1
     harness.check_trajectory_memory(
         f"--count {count} at --nfe {nfe}",
-        (nfe * cfg.run.dense_per_shelf + 1) * records + 201, count,
-        net.config.dim)
+        (nfe * cfg.run.dense_per_shelf + 1) * records + REFERENCE_STEPS + 1,
+        count, net.config.dim)
     teacher = harness.build_teacher(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
     noise = rng.standard_normal((count, teacher.dim))
     student = student_sample(net, noise, nfe, cfg.run.dense_per_shelf)
-    reference = euler_sample(teacher.velocity, noise, 200)
+    reference = euler_sample(teacher.velocity, noise, REFERENCE_STEPS)
     out = Path(args.out if args.out else cfg.run.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_trajectory_csv(student, out / "student_trajectories.csv")
     harness.write_trajectory_csv(reference, out / "teacher_trajectories.csv")
-    records = [("teacher_200", "#888888", reference)]
+    records = [(f"teacher_{REFERENCE_STEPS}", "#888888", reference)]
     if base_net is not None:
         baseline = student_sample(base_net, noise, nfe,
                                   cfg.run.dense_per_shelf)
@@ -125,7 +128,7 @@ def cli_sample(args) -> int:
         records.append((f"linear_{nfe}", "#d97706", baseline))
     records.append((f"student_{nfe}", "#1f6fd6", student))
     trajectory_overlay_svg(records, out / "overlay.svg",
-                           means=teacher.spec.means, limit=count)
+                           means=teacher.means, limit=count)
     print(f"wrote {count} trajectories to {out}")
     return 0
 

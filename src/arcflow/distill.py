@@ -45,8 +45,9 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .momentum import MomentumParams, check_gamma_range
-from .nnet import NetConfig, StudentNet, adam_step, init_optim_state
+from .momentum import DEFAULT_GAMMA_RANGE, MomentumParams, check_gamma_range
+from .nnet import (GAMMA_MODES, NetConfig, StudentNet, adam_step,
+                   init_optim_state)
 from .solver import _anchored_rows, _check_intervals, \
     sub_interval_displacement
 from .teacher import TrajectoryRecord
@@ -78,8 +79,8 @@ class DistillConfig:
     total_steps: int = 3000
     batch: int = 64
     base_lr: float = 1e-4
-    gamma_lo: float = 0.4
-    gamma_hi: float = 5.0
+    gamma_lo: float = DEFAULT_GAMMA_RANGE[0]
+    gamma_hi: float = DEFAULT_GAMMA_RANGE[1]
     gamma_mode: str = "learnable"
     share_velocity: bool = False
     share_gamma: bool = False
@@ -92,6 +93,10 @@ class DistillConfig:
         if self.total_steps < 0 or not 0.0 < self.base_lr < math.inf:
             raise InvalidParameterError("bad training config")
         check_gamma_range(self.gamma_lo, self.gamma_hi)
+        if self.gamma_mode not in GAMMA_MODES:
+            raise InvalidParameterError(
+                f"gamma_mode must be one of {GAMMA_MODES}, got "
+                f"{self.gamma_mode!r}")
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)
                 or self.seed < 0):

@@ -49,7 +49,6 @@ from .distill import (
 from .errors import ArcFlowError, ConfigError, InvalidParameterError
 from .nnet import StudentNet
 from .teacher import (
-    AnalyticGmmTeacher,
     GmmTeacherSpec,
     TrajectoryRecord,
     euler_sample,
@@ -100,7 +99,8 @@ def _teacher_key(default, written_when, check=None):
 class TeacherConfig:
     """[teacher] section: either a ring layout or an explicit mixture, served
     by the closed-form field.  kind has one accepted value, analytic; it is
-    kept so that config text and config_hash keep their bytes."""
+    kept so that config text and config_hash keep their bytes.  The mixture
+    is built once, at construction, and kept as spec."""
 
     kind: str = "analytic"
     layout: str = "ring"          # ring | explicit
@@ -125,19 +125,18 @@ class TeacherConfig:
             raise InvalidParameterError(
                 "explicit teacher layout needs weights, means and stds"
             )
-        # A mixture that would be rejected fails here, not at build time.
-        self.build_spec()
-
-    def build_spec(self) -> GmmTeacherSpec:
+        # A mixture that would be rejected fails here, when it is parsed.
         if self.layout == "ring":
-            return ring_spec(self.components, self.radius, self.std, self.dim)
-        try:
-            weights = _parse_vector(self.weights)
-            stds = _parse_vector(self.stds)
-            means = _parse_matrix(self.means)
-        except ValueError as exc:
-            raise InvalidParameterError(f"explicit teacher layout: {exc}")
-        return GmmTeacherSpec(weights, means, stds)
+            spec = ring_spec(self.components, self.radius, self.std, self.dim)
+        else:
+            try:
+                weights = _parse_vector(self.weights)
+                stds = _parse_vector(self.stds)
+                means = _parse_matrix(self.means)
+            except ValueError as exc:
+                raise InvalidParameterError(f"explicit teacher layout: {exc}")
+            spec = GmmTeacherSpec(weights, means, stds)
+        object.__setattr__(self, "spec", spec)
 
 
 @dataclass(frozen=True)
@@ -172,7 +171,7 @@ class RunConfig:
 
     def __post_init__(self):
         # each count is capped alone; the trajectory arrays multiply them
-        per_state = self.run.metric_samples * self.teacher.build_spec().dim
+        per_state = self.run.metric_samples * self.teacher.spec.dim
         for formula, states in self.evaluation_trajectories():
             if states * per_state > MAX_ELEMENTS:
                 raise InvalidParameterError(
@@ -455,9 +454,9 @@ def _chunk_sums(shared, span):
 # -- orchestration ----------------------------------------------------------------
 
 
-def build_teacher(cfg: RunConfig) -> AnalyticGmmTeacher:
-    """The closed-form teacher of a run config's mixture."""
-    return AnalyticGmmTeacher(cfg.teacher.build_spec())
+def build_teacher(cfg: RunConfig) -> GmmTeacherSpec:
+    """The closed-form teacher of a run config: its [teacher] mixture."""
+    return cfg.teacher.spec
 
 
 @dataclass(frozen=True)
@@ -503,21 +502,31 @@ def evaluate_student(net: StudentNet, cfg: RunConfig,
     }
 
 
+def _address_space_in_use() -> int:
+    """Bytes of address space this process maps now, the first field of
+    /proc/self/statm in pages; 0 where the platform does not report it."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def check_trajectory_memory(what: str, states, rows, dim) -> None:
     """InvalidParameterError unless states (rows, dim) float64 arrays fit in
-    this machine's memory and under this process's soft address-space limit
-    (RLIMIT_AS), where one is set: the trajectories a command holds at
-    once."""
+    this machine's memory and in what is left of this process's soft
+    address-space limit (RLIMIT_AS), where one is set: the trajectories a
+    command holds at once."""
     need = 8 * rows * dim * states
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if resource is not None:
         limit = resource.getrlimit(resource.RLIMIT_AS)[0]
         if limit != resource.RLIM_INFINITY:
-            have = min(have, limit)
+            have = min(have, max(limit - _address_space_in_use(), 0))
     if need > have:
         raise InvalidParameterError(
-            f"{what} needs {need / 2**30:.3g} GiB of trajectories, more "
-            f"than the {have / 2**30:.3g} GiB of memory this process may use")
+            f"{what} needs {need / 2**30:.3g} GiB of trajectories, more than "
+            f"the {have / 2**30:.3g} GiB of memory this process has left")
 
 
 def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
@@ -583,7 +592,7 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
                 [("teacher", "#888888", evaluation["reference_record"]),
                  ("student", "#1f6fd6", evaluation["student_record"])],
                 out / "overlay.svg",
-                means=teacher.spec.means,
+                means=teacher.means,
                 limit=cfg.run.trajectory_samples,
             )
     return report, net, log

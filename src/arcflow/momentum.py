@@ -166,6 +166,10 @@ def eval_velocity(theta: MomentumParams, t) -> np.ndarray:
     return np.einsum("...k,...kd->...d", weights, theta.base_velocities)
 
 
+# The momentum factors' default (lo, hi), for the config and the net alike.
+DEFAULT_GAMMA_RANGE = (0.4, 5.0)
+
+
 def check_gamma_range(lo, hi) -> tuple:
     """(lo, hi) as floats; InvalidParameterError unless they bound the
     momentum factors of a bundle: 0 < lo < 1 < hi < inf."""
@@ -177,7 +181,7 @@ def check_gamma_range(lo, hi) -> tuple:
     return lo, hi
 
 
-def init_log_gammas(num_modes, range_lo=0.4, range_hi=5.0):
+def init_log_gammas(num_modes, range_lo, range_hi):
     """Default log-momentum initialization for a K-mode bundle.
 
     Builds the geometric progression from range_lo to range_hi (endpoints

@@ -39,7 +39,8 @@ from .errors import (
     NumericError,
     StateError,
 )
-from .momentum import MomentumParams, check_gamma_range, init_log_gammas
+from .momentum import (DEFAULT_GAMMA_RANGE, MomentumParams,
+                       check_gamma_range, init_log_gammas)
 
 GAMMA_MODES = ("learnable", "fixed", "frozen_one")
 
@@ -61,7 +62,7 @@ class NetConfig:
     gamma_mode: str = "learnable"
     share_velocity: bool = False
     share_gamma: bool = False
-    gamma_range: tuple = (0.4, 5.0)
+    gamma_range: tuple = DEFAULT_GAMMA_RANGE
 
     def __post_init__(self):
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._pool import fork_workers, map_forked
 from .errors import InvalidParameterError, InvalidProblemError, NumericError
-from .momentum import LatentState
+from .momentum import LatentState, _as_readonly
 
 # Component scales below this would make early-time responsibilities
 # numerically degenerate.
@@ -49,20 +49,21 @@ MIN_BLOCK_WORK = 50_000
 
 @dataclass(frozen=True)
 class GmmTeacherSpec:
-    """Gaussian mixture data distribution: weights (J,), means (J, D),
-    isotropic stds (J,)."""
+    """Gaussian mixture data distribution, weights (J,), means (J, D) and
+    isotropic stds (J,), copied and frozen at construction.  It is the
+    closed-form teacher the distillation loop expects: dim,
+    sample_data(rng, count) and velocity(x, t), where velocity computes
+    each row of x on its own, so a row's velocity has the same bits
+    whichever rows share the call."""
 
     weights: np.ndarray
     means: np.ndarray
     stds: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        mu = np.asarray(self.means, dtype=float)
-        sd = np.asarray(self.stds, dtype=float)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", mu)
-        object.__setattr__(self, "stds", sd)
+        for name in ("weights", "means", "stds"):
+            object.__setattr__(self, name, _as_readonly(getattr(self, name)))
+        w, mu, sd = self.weights, self.means, self.stds
         if w.ndim != 1 or sd.ndim != 1 or mu.ndim != 2:
             raise InvalidProblemError(
                 "weights (J,), means (J, D), stds (J,) expected"
@@ -97,6 +98,12 @@ class GmmTeacherSpec:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
+
+    def velocity(self, x, t) -> np.ndarray:
+        return gmm_velocity(self, x, t)
+
+    def sample_data(self, rng, count) -> np.ndarray:
+        return sample_data(self, rng, count)
 
 
 def ring_spec(components=8, radius=2.0, std=0.25, dim=2) -> GmmTeacherSpec:
@@ -163,27 +170,6 @@ def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
     diff *= ((b_j - a_j * sig2) / var)[..., None]       # coef * diff
     diff -= spec.means
     return np.einsum("...j,...jd->...d", resp, diff)
-
-
-class AnalyticGmmTeacher:
-    """Closed-form teacher: velocity field plus data sampling for a mixture
-    spec.  Matches the duck type the distillation loop expects: dim,
-    sample_data(rng, count) and velocity(x, t), where velocity computes
-    each row of x on its own, so a row's velocity has the same bits
-    whichever rows share the call."""
-
-    def __init__(self, spec: GmmTeacherSpec):
-        self.spec = spec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    def velocity(self, x, t) -> np.ndarray:
-        return gmm_velocity(self.spec, x, t)
-
-    def sample_data(self, rng, count) -> np.ndarray:
-        return sample_data(self.spec, rng, count)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,6 @@ from .interpolation import (
 from .momentum import MomentumParams, eval_velocity
 from .solver import displacement, momentum_coefficient
 from .teacher import (
-    AnalyticGmmTeacher,
     euler_sample,
     gmm_velocity,
     ring_spec,
@@ -271,7 +270,7 @@ def gradient_suite(probes=100, seed=1005) -> SuiteResult:
     there too).  The backward pass runs once, for the analytic gradient.
     """
     started = time.perf_counter()
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     cfg = DistillConfig()
     net = build_student_net(cfg, teacher.dim, init_seed=seed)
     rng = np.random.default_rng(seed)
@@ -304,7 +303,7 @@ def degenerate_mixing_suite(shelves=1000, seed=1006) -> SuiteResult:
     here without touching mixed_integration."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     worst0 = worst1 = 0.0
     for _ in range(shelves):
         nfe = int(rng.integers(1, 5))
@@ -396,9 +395,8 @@ def teacher_consistency_suite(seed=1010, probes=20,
         worst_z = max(worst_z, z)
     probes_ok = worst_z <= 3.0
 
-    teacher = AnalyticGmmTeacher(spec)
     noise = rng.standard_normal((transport, spec.dim))
-    record = euler_sample(teacher.velocity, noise, 200)
+    record = euler_sample(spec.velocity, noise, 200)
     data_ref = sample_data(spec, rng, transport)
     ed_transport = energy_distance(record.endpoint, data_ref)
     self_eds = [energy_distance(sample_data(spec, rng, transport),

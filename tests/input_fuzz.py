@@ -33,6 +33,7 @@ def config_property():
 
     from arcflow.errors import ConfigError
     from arcflow.harness import RunConfig, format_run_config, parse_run_config
+    from arcflow.teacher import GmmTeacherSpec
 
     # the default ring layout writes every [teacher] key a ring reads
     lines = format_run_config(RunConfig()).splitlines()
@@ -45,12 +46,12 @@ def config_property():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                teacher = parse_run_config(text).teacher
+                spec = parse_run_config(text).teacher.spec
             except ConfigError as exc:
                 assert exc.line is not None, exc
                 return exc
-            # what building the teacher checks was checked at parse time
-            teacher.build_spec()
+            # the teacher was built, and so checked, at parse time
+            assert isinstance(spec, GmmTeacherSpec)
         return None
 
     # rings past the address space fail at the [teacher] header, which

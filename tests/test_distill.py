@@ -8,7 +8,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arcflow import (
-    AnalyticGmmTeacher,
     GmmTeacherSpec,
     InvalidIntervalError,
     InvalidParameterError,
@@ -69,7 +68,7 @@ def batched_theta(gating, base, logg, batch):
 
 
 def ring_teacher():
-    return AnalyticGmmTeacher(ring_spec())
+    return ring_spec()
 
 
 # -- config ---------------------------------------------------------------------
@@ -214,8 +213,7 @@ def test_init_shelf_state_pure_data_at_time_zero():
 
 def test_init_shelf_state_midpoint_mean():
     # single offset component so the midpoint mean is nonzero
-    teacher = AnalyticGmmTeacher(
-        GmmTeacherSpec([1.0], [[2.0, -1.0]], [0.25]))
+    teacher = GmmTeacherSpec([1.0], [[2.0, -1.0]], [0.25])
     x = init_shelf_state(teacher, np.random.default_rng(35), 0.5, 100_000)
     want = 0.5 * np.array([2.0, -1.0])
     # var of x_t = 0.25 * (sigma^2 + 1); se = std / sqrt(n)
@@ -338,9 +336,9 @@ def test_mixed_integration_caches_every_row():
 
 
 def lopsided_teacher():
-    return AnalyticGmmTeacher(GmmTeacherSpec(
+    return GmmTeacherSpec(
         [0.2, 0.5, 0.3], [[1.0, -2.0], [-0.5, 0.5], [3.0, 1.0]],
-        [0.4, 0.8, 0.1]))
+        [0.4, 0.8, 0.1])
 
 
 ROLLOUT_TEACHERS = pytest.mark.parametrize("make_teacher", [
@@ -419,10 +417,9 @@ def test_analytic_teacher_rows_do_not_depend_on_their_batch():
     rng = np.random.default_rng(44)
     for _ in range(20):
         comps = int(rng.integers(1, 9))
-        spec = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
-                              rng.normal(size=(comps, 2)) * 2.0,
-                              rng.uniform(0.05, 1.0, comps))
-        teacher = AnalyticGmmTeacher(spec)
+        teacher = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
+                                 rng.normal(size=(comps, 2)) * 2.0,
+                                 rng.uniform(0.05, 1.0, comps))
         batch = int(rng.integers(1, 70))
         states = rng.normal(size=(4, batch, 2)) * 2.0
         times = rng.uniform(size=4)

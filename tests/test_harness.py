@@ -19,8 +19,8 @@ from numpy.testing import assert_allclose
 
 import arcflow
 from arcflow import (
-    AnalyticGmmTeacher,
     ConfigError,
+    GmmTeacherSpec,
     InvalidParameterError,
     NumericError,
     TrajectoryRecord,
@@ -34,6 +34,7 @@ from arcflow.harness import (
     ablation_budget,
     ablation_cells,
     build_teacher,
+    check_trajectory_memory,
     config_hash,
     endpoint_mse,
     energy_distance,
@@ -41,6 +42,7 @@ from arcflow.harness import (
     evaluate_student,
     fmt,
     format_run_config,
+    load_run_config,
     parse_run_config,
     positions_at,
     run_ablation,
@@ -116,7 +118,7 @@ def test_format_parse_round_trip_explicit_teacher():
         stds="0.4, 0.8",
     ))
     again = parse_run_config(format_run_config(cfg))
-    spec = again.teacher.build_spec()
+    spec = again.teacher.spec
     assert_allclose(spec.weights, [0.3, 0.7], rtol=0)
     assert_allclose(spec.means, [[1.0, -2.0], [-0.5, 0.5]], rtol=0)
 
@@ -329,6 +331,36 @@ def test_gamma_range_keys_merge_with_defaults():
     assert bounds("[distill]\ngamma_lo = 0.5\n") == (0.5, 5.0)
     assert bounds("[distill]\ngamma_hi = 4.0\n") == (0.4, 4.0)
     assert bounds("[distill]\ngamma_lo = 0.5\ngamma_hi = 4.0\n") == (0.5, 4.0)
+
+
+def test_bad_gamma_mode_fails_at_parse_with_file_and_line(tmp_path):
+    # it used to parse, then fail when the student was built, with neither
+    # the file nor the line in its message
+    path = tmp_path / "adaptive.cfg"
+    path.write_text("# ref\n[distill]\ngamma_mode = adaptive\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert err.value.path == str(path) and err.value.line == 2
+    assert str(err.value).startswith(
+        f"{path}:2: [distill] gamma_mode must be one of ")
+    assert "'adaptive'" in str(err.value)
+
+
+def test_run_config_builds_its_mixture_once(monkeypatch):
+    # the teacher section builds its ring and keeps it; the run config
+    # reads its dim from there, and build_teacher hands out that one spec
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return ring_spec(*args)
+
+    monkeypatch.setattr(harness_module, "ring_spec", counted)
+    cfg = RunConfig(TeacherConfig(components=4))
+    assert len(built) == 1
+    assert build_teacher(cfg) is cfg.teacher.spec
+    assert len(built) == 1
+    assert cfg.teacher.spec.weights.size == 4
 
 
 def test_bool_values_are_strict():
@@ -575,7 +607,7 @@ def test_write_trajectory_csv(tmp_path):
 def test_trajectory_writers_take_any_batch_shape(tmp_path):
     # a (2, 3, 2) batch writes the 6 trajectories of the flat (6, 2) batch,
     # and a single (D,) trajectory writes the first of them
-    velocity = AnalyticGmmTeacher(ring_spec()).velocity
+    velocity = ring_spec().velocity
     noise = np.random.default_rng(3).standard_normal((6, 2))
     records = {"flat": euler_sample(velocity, noise, 4),
                "nested": euler_sample(velocity, noise.reshape(2, 3, 2), 4),
@@ -607,18 +639,21 @@ def test_write_ablation_csv(tmp_path):
 
 
 def test_build_teacher_analytic_ring():
-    teacher = build_teacher(RunConfig())
-    assert isinstance(teacher, AnalyticGmmTeacher)
+    cfg = RunConfig()
+    teacher = build_teacher(cfg)
+    assert teacher is cfg.teacher.spec
+    assert isinstance(teacher, GmmTeacherSpec)
     assert teacher.dim == 2
-    assert teacher.spec.weights.size == 8
+    assert teacher.weights.size == 8
 
 
 def test_build_teacher_explicit_layout():
     cfg = RunConfig(teacher=TeacherConfig(
         layout="explicit", weights="1.0", means="0.5, -0.5", stds="0.3"))
     teacher = build_teacher(cfg)
-    assert teacher.spec.weights.size == 1
-    assert_allclose(teacher.spec.means, [[0.5, -0.5]], rtol=0)
+    assert teacher is cfg.teacher.spec
+    assert teacher.weights.size == 1
+    assert_allclose(teacher.means, [[0.5, -0.5]], rtol=0)
 
 
 def test_evaluate_student_returns_finite_metrics():
@@ -1246,6 +1281,7 @@ def test_evaluation_past_address_space_exits_two_before_training(
     import resource
     monkeypatch.setattr(resource, "getrlimit",
                         lambda which: (2**30, resource.RLIM_INFINITY))
+    monkeypatch.setattr(harness_module, "_address_space_in_use", lambda: 0)
     counts = _count_calls(monkeypatch, "distill_train")
     path = tmp_path / "nfe_6000.cfg"
     path.write_text("[distill]\nnfe = 6000\ntotal_steps = 20\n")
@@ -1257,6 +1293,60 @@ def test_evaluation_past_address_space_exits_two_before_training(
     assert "2.94 GiB of trajectories" in lines[0] and "the 1 GiB" in lines[0]
     assert counts["distill_train"] == 0
     assert not out.exists()
+
+
+def test_evaluation_past_address_space_left_exits_two_before_training(
+        monkeypatch, tmp_path, capsys):
+    # nfe = 1800 needs 0.89 GiB of trajectories: under a 1 GiB soft
+    # RLIMIT_AS, more than the 0.75 GiB left once 0.25 GiB is mapped; the
+    # whole limit let it train every step and then fail as out of memory
+    import resource
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (2**30, resource.RLIM_INFINITY))
+    monkeypatch.setattr(harness_module, "_address_space_in_use",
+                        lambda: 2**28)
+    counts = _count_calls(monkeypatch, "distill_train")
+    path = tmp_path / "nfe_1800.cfg"
+    path.write_text("[distill]\nnfe = 1800\ntotal_steps = 20\n")
+    out = tmp_path / "out"
+    code = main(["distill", "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "0.888 GiB of trajectories" in lines[0]
+    assert "the 0.75 GiB" in lines[0]
+    assert counts["distill_train"] == 0
+    assert not out.exists()
+
+
+def test_trajectory_memory_bound_is_the_limit_less_what_is_mapped(
+        monkeypatch):
+    import resource
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (2**30, resource.RLIM_INFINITY))
+    # 25 and 40 states of (2**20, 2) floats: 400 and 640 MiB
+    for in_use, fits in ((0, (25, 40)), (2**29, (25,)), (2**31, ())):
+        monkeypatch.setattr(harness_module, "_address_space_in_use",
+                            lambda: in_use)
+        for states in (25, 40):
+            if states in fits:
+                check_trajectory_memory("x", states, 2**20, 2)
+                continue
+            with pytest.raises(InvalidParameterError) as err:
+                check_trajectory_memory("x", states, 2**20, 2)
+            left = max(2**30 - in_use, 0) / 2**30
+            assert f"than the {left:.3g} GiB of memory" in str(err.value)
+
+
+def test_address_space_in_use_reads_statm_or_nothing(monkeypatch):
+    if os.path.exists("/proc/self/statm"):
+        assert harness_module._address_space_in_use() > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no statm here")
+
+    monkeypatch.setattr(harness_module, "open", unreadable, raising=False)
+    assert harness_module._address_space_in_use() == 0
 
 
 def test_cli_diverging_run_prints_one_error_line(tmp_path, capsys):

@@ -28,7 +28,6 @@ DOCUMENTED = {
     "displacement",
     "step",
     "GmmTeacherSpec",
-    "AnalyticGmmTeacher",
     "TrajectoryRecord",
     "euler_sample",
     "student_sample",

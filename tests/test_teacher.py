@@ -10,7 +10,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arcflow import (
-    AnalyticGmmTeacher,
     GmmTeacherSpec,
     InvalidParameterError,
     InvalidProblemError,
@@ -299,14 +298,39 @@ def test_sample_data_component_moments():
     assert_allclose(x.std(axis=0), [0.5, 0.5], atol=0.01)
 
 
-def test_analytic_teacher_wraps_spec():
-    teacher = AnalyticGmmTeacher(ring_spec())
+def test_spec_is_the_teacher():
+    teacher = ring_spec()
     assert teacher.dim == 2
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 2))
-    assert_allclose(teacher.velocity(x, 0.5),
-                    gmm_velocity(teacher.spec, x, 0.5), rtol=0)
-    assert teacher.sample_data(np.random.default_rng(1), 5).shape == (5, 2)
+    assert np.array_equal(teacher.velocity(x, 0.5),
+                          gmm_velocity(teacher, x, 0.5))
+    drawn = teacher.sample_data(np.random.default_rng(1), 5)
+    assert drawn.shape == (5, 2)
+    assert np.array_equal(drawn,
+                          sample_data(teacher, np.random.default_rng(1), 5))
+
+
+def test_spec_copies_and_freezes_its_arrays():
+    # a spec shared by every run of a config must not see its caller's
+    # later writes, nor take writes of its own
+    weights = np.array([0.5, 0.5])
+    means = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    stds = np.array([0.3, 0.3])
+    teacher = GmmTeacherSpec(weights, means, stds)
+    x = np.array([[0.2, 0.1], [-0.4, 0.3]])
+    want = teacher.velocity(x, 0.5)
+    weights[:] = [1.0, 0.0]
+    means[:] = 5.0
+    stds[:] = 1.0
+    assert all(arr.flags.writeable for arr in (weights, means, stds))
+    assert_allclose(teacher.weights, [0.5, 0.5], rtol=0)
+    assert_allclose(teacher.stds, [0.3, 0.3], rtol=0)
+    assert_allclose(teacher.means, [[1.0, 0.0], [-1.0, 0.0]], rtol=0)
+    assert np.array_equal(teacher.velocity(x, 0.5), want)
+    for name in ("weights", "means", "stds"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(teacher, name)[0] = 0.0
 
 
 # -- trajectory records ---------------------------------------------------------------
@@ -359,7 +383,7 @@ def test_euler_zero_field_keeps_position():
 
 def test_euler_first_order_convergence():
     # halving the step size should roughly halve the endpoint movement
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     rng = np.random.default_rng(11)
     x1 = rng.standard_normal((64, 2))
     ends = {s: euler_sample(teacher.velocity, x1, s).endpoint
@@ -371,8 +395,8 @@ def test_euler_first_order_convergence():
 
 
 @pytest.mark.parametrize("make_teacher", [
-    lambda: AnalyticGmmTeacher(lopsided_spec()),
-    lambda: AnalyticGmmTeacher(ring_spec()),
+    lambda: lopsided_spec(),
+    lambda: ring_spec(),
 ], ids=["analytic", "ring"])
 @pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
                          ids=["unbatched", "b37", "b2048"])
@@ -429,7 +453,7 @@ SPLIT_STEPS = 40
 def test_row_split_euler_equals_inline_oracle(count_pools, batch):
     # a teacher's method and a plain callable split alike: every field that
     # computes each row on its own qualifies
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     x1 = np.random.default_rng(57).standard_normal((batch, 2))
     want_positions, want_times = inline_euler(teacher.velocity, x1,
                                               SPLIT_STEPS)
@@ -446,7 +470,7 @@ def test_row_split_euler_equals_inline_oracle(count_pools, batch):
 
 def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch,
                                                              count_pools):
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     x1 = np.random.default_rng(60).standard_normal((4099, 2))
     pools = count_pools(2)
     pinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
@@ -469,7 +493,7 @@ def test_row_split_euler_too_big_to_map_is_out_of_memory(monkeypatch,
 
     monkeypatch.setattr(mmap, "mmap", no_memory)
     pools = count_pools(2)
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     with pytest.raises(MemoryError, match="^cannot map "):
         euler_sample(teacher.velocity, np.zeros((4099, 2)), SPLIT_STEPS)
     assert pools == []
@@ -504,7 +528,7 @@ def test_row_split_euler_raises_the_one_process_error(count_pools):
 
 
 def _euler_digest_in_daemon(queue, x1):
-    teacher = AnalyticGmmTeacher(ring_spec())
+    teacher = ring_spec()
     rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
     queue.put(hashlib.sha256(rec.positions.tobytes()).hexdigest())
 
@@ -518,7 +542,7 @@ def test_daemon_caller_integrates_in_one_process(monkeypatch):
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     x1 = np.random.default_rng(59).standard_normal((4099, 2))
-    want = inline_euler(AnalyticGmmTeacher(ring_spec()).velocity, x1,
+    want = inline_euler(ring_spec().velocity, x1,
                         SPLIT_STEPS)[0]
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
