@@ -2,9 +2,11 @@
 
 Three callers use it: run_ablation trains its distinct units here,
 euler_sample integrates its row blocks here and energy_distance sums its
-row chunks here.  A map with one unit, on one usable CPU, on a platform
-without fork or in a daemon caller computes its units in the caller;
-otherwise every unit goes to a forked worker and the caller only waits.
+row chunks here, in ranges of about equal pairs formed (a chunk of a
+self-block forms only its strip right of the diagonal).  A map with one
+unit, on one usable CPU, on a platform without fork or in a daemon caller
+computes its units in the caller; otherwise every unit goes to a forked
+worker and the caller only waits.
 The workers are forked, not spawned: they inherit the caller's state
 (teachers, Euler references, a shared positions buffer, sample sets)
 through the initializer's arguments, so none of it is pickled, and a unit

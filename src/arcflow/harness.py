@@ -357,11 +357,13 @@ def trajectory_deviation(student: TrajectoryRecord,
     return float(np.mean(gap))
 
 
-# Distance pairs each process must get before energy_distance splits its
-# chunks: below it, forking and joining a worker (about 12 ms) costs more
-# than the process's share of the pairs.  On a 2-core VM, n = m = 1,300
-# (5.1 million pairs) took 27 ms in one process and 33 ms in two, and
-# n = m = 1,600 (7.7 million) 42 ms against 37 ms.
+# Distance pairs formed that each process must get before energy_distance
+# splits its chunks.  On a 2-core VM one process and two meet near 12
+# million pairs formed: n = m = 2,000 (8.3 million) took 35 ms in one
+# process and 38 ms in two, and n = m = 2,800 (16.0 million) 63 ms against
+# 58 ms.  The floor stays below that, where forking costs a few ms at most,
+# so that a call of 8 million pairs or more keeps its strip buffer out of
+# the caller's memory.
 MIN_PROCESS_PAIRS = 4_000_000
 
 
@@ -369,22 +371,27 @@ def energy_distance(xs, ys, chunk=128) -> float:
     """Squared energy distance 2 E|x-y| - E|x-x'| - E|y-y'| with V-statistic
     means over the full x.y, x.x and y.y pair blocks.
 
-    Pairwise distances come from the gram expansion |x-y|^2 =
-    |x|^2 + |y|^2 - 2 x.y with a clip against tiny negative round-off, one
-    chunk of at most `chunk` rows of a block at a time.  Each block's mean
-    is the sum of its chunks' distance sums, added in serial chunk order.
+    Squared distances come from the gram expansion |x-y|^2 =
+    |x|^2 + |y|^2 - 2 x.y as one matrix product per chunk of at most `chunk`
+    rows of a block, clipped at 0 against round-off.  The norms are lowered
+    by a few ulps, so a coincident pair is exactly 0.  The x.x and y.y
+    blocks are symmetric: a chunk of their rows [s, e) forms only the
+    columns [s, n), and counts the pairs right of its diagonal square twice.
+    Each block's sum is the sum of its chunks' shares, added in serial chunk
+    order.
 
-    A call with at least MIN_PROCESS_PAIRS pairs per process splits the
-    chunks of the three blocks, in that order, into contiguous ranges of
-    about equal pair counts, one per usable CPU, each computed by a forked
-    worker while the caller waits, and every range sends back its per-chunk
-    sums.  The sums and their order are those of a one-process run, so the
-    result has its bits; a smaller call, one CPU, a platform without fork
-    and a daemon caller get one range, computed in the caller.  Memory is
-    bounded by one float64 buffer of chunk * max(n, m) entries per process,
-    allocated once per call.  xs (n, D) and ys (m, D) must be finite, with
-    at least one row each; otherwise InvalidParameterError, before any
-    fork."""
+    A call that forms at least MIN_PROCESS_PAIRS pairs per process splits
+    the chunks of the three blocks, in that order, into contiguous ranges of
+    about equal counts of pairs formed, one per usable CPU, each computed by
+    a forked worker while the caller waits, and every range sends back its
+    per-chunk shares.  The shares and their order are those of a one-process
+    run, so the result has its bits; a smaller call, one CPU, a platform
+    without fork and a daemon caller get one range, computed in the caller.
+    Memory is bounded by one float64 buffer of chunk * max(n, m) entries per
+    process, allocated once per call, and the two sides of a block's
+    products, (rows, D + 2) each, built in the process that computes it.
+    xs (n, D) and ys (m, D) must be finite, with at least one row each;
+    otherwise InvalidParameterError, before any fork."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or not (xs.shape[0] and ys.shape[0]):
@@ -400,55 +407,68 @@ def energy_distance(xs, ys, chunk=128) -> float:
     if not (isinstance(chunk, (int, np.integer)) and chunk >= 1):
         raise InvalidParameterError(f"chunk must be an int >= 1, got {chunk!r}")
     blocks = ((xs, ys), (xs, xs), (ys, ys))
-    chunks = [(block, start) for block, (a, _) in enumerate(blocks)
-              for start in range(0, a.shape[0], chunk)]
-    shared = (blocks, chunk, chunks)
-    sizes = [a.shape[0] * b.shape[0] for a, b in blocks]
+    chunks = []  # (block, first row, first column, strip shape)
+    for block, (a, b) in enumerate(blocks):
+        for start in range(0, a.shape[0], chunk):
+            # a self-block's strip starts at the chunk's first row
+            first = start if block else 0
+            rows = min(chunk, a.shape[0] - start)
+            chunks.append((block, start, first, (rows, b.shape[0] - first)))
+    pairs = np.cumsum([math.prod(shape) for *_, shape in chunks])
     processes = fork_workers(min(len(chunks),
-                                 sum(sizes) // MIN_PROCESS_PAIRS))
-    # cut after the chunk that reaches each k / processes share of pairs
-    pairs = np.cumsum([min(chunk, len(blocks[block][0]) - start)
-                       * len(blocks[block][1]) for block, start in chunks])
+                                 int(pairs[-1]) // MIN_PROCESS_PAIRS))
+    # cut after the chunk that reaches each k / processes share of pairs; a
+    # chunk larger than a share holds two cuts, which leave no range between
     cuts = np.searchsorted(pairs, [k * pairs[-1] / processes
                                    for k in range(1, processes)]) + 1
-    edges = [0, *cuts.tolist(), len(chunks)]
+    edges = sorted({0, *cuts.tolist(), len(chunks)})
     sums = [total for part in map_forked(
-                _chunk_sums, shared,
+                _chunk_sums, (blocks, chunks),
                 [slice(lo, hi) for lo, hi in zip(edges, edges[1:])])
             for total in part]
     totals = [0.0] * len(blocks)
-    for (block, _), total in zip(chunks, sums):
+    for (block, *_), total in zip(chunks, sums):
         totals[block] += total
+    sizes = [a.shape[0] * b.shape[0] for a, b in blocks]
     mean_xy, mean_xx, mean_yy = (total / size
                                  for total, size in zip(totals, sizes))
     return 2.0 * mean_xy - mean_xx - mean_yy
 
 
 def _chunk_sums(shared, span):
-    """The distance sum of each (block, start row) chunk in chunks[span], in
-    order, from one buffer allocated here."""
-    blocks, chunk, chunks = shared
-    width = max(blocks[0][0].shape[0], blocks[0][1].shape[0])
-    buf = np.empty(min(chunk, width) * width)
+    """The block-sum share of each chunk in chunks[span], in order, from one
+    buffer allocated here for the largest strip.  A self-block's strip of
+    rows [s, e) and columns [s, n) shares 2 sum(strip) -
+    sum(strip[:, :e - s]): each pair right of its square head stands for
+    its mirror image too."""
+    blocks, chunks = shared
+    buf = np.empty(max(math.prod(shape) for *_, shape in chunks[span]))
     sums, current = [], None
-    for block, start in chunks[span]:
-        a, b = blocks[block]
+    for block, start, first, shape in chunks[span]:
         if block != current:
             current = block
-            # -2 a is exact, so scaling the small operand gives the bits of
-            # scaling the block product
-            a_m2 = -2.0 * a
-            a_sq = np.sum(a * a, axis=1)[:, None]
-            b_sq = np.sum(b * b, axis=1)
-        stop = min(start + chunk, a.shape[0])
-        sq = buf[:(stop - start) * b.shape[0]].reshape(stop - start,
-                                                      b.shape[0])
-        np.matmul(a_m2[start:stop], b.T, out=sq)
-        sq += a_sq[start:stop]
-        sq += b_sq
-        np.maximum(sq, 0.0, out=sq)
-        sums.append(float(np.sqrt(sq, out=sq).sum()))
+            left, right = _gram_operands(*blocks[block])
+        strip = buf[:math.prod(shape)].reshape(shape)
+        np.matmul(left[start:start + shape[0]], right[:, first:], out=strip)
+        np.maximum(strip, 0.0, out=strip)
+        total = float(np.sqrt(strip, out=strip).sum())
+        if block:
+            total = 2.0 * total - float(strip[:, :shape[0]].sum())
+        sums.append(total)
     return sums
+
+
+def _gram_operands(a, b):
+    """Rows [-2a, |a|^2, 1] and columns [b, 1, |b|^2], whose products are
+    the |a-b|^2, each within (3 dim + 5) u (|a|^2 + |b|^2) of it in any
+    summation order (u the unit round-off).  Each norm is lowered by
+    2 (dim + 2) eps of itself, so a coincident pair comes out at or below 0
+    and the clip makes it exactly 0, not the square root of round-off."""
+    low = 1.0 - 2 * (a.shape[1] + 2) * np.finfo(float).eps
+    left = np.hstack((-2.0 * a, low * np.sum(a * a, axis=1)[:, None],
+                      np.ones((a.shape[0], 1))))
+    right = np.vstack((b.T, np.ones(b.shape[0]), low * np.sum(b * b, axis=1)))
+    return left, right
 
 
 # -- orchestration ----------------------------------------------------------------
@@ -538,7 +558,12 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
     euler_reference(teacher, cfg).  A caller running several configs at one
     seed may pass in ones it built for that seed, [teacher] and [run]; they
     must be what those defaults would build, or the report is not that of
-    cfg.  A reference drawn for another seed or sample count is rejected."""
+    cfg.  A reference drawn for another seed or sample count is rejected.
+
+    Before training, the trajectories evaluation holds are checked against
+    the memory this process has left (check_trajectory_memory), and once
+    the reference is built, the student's dense trace alone against what is
+    left then."""
     from .svg import trajectory_overlay_svg  # local import, no cycle
 
     started = time.perf_counter()
@@ -557,10 +582,16 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
         f"metric_samples {runs.metric_samples}",
         sum(states for _, states in cfg.evaluation_trajectories()),
         runs.metric_samples, teacher.dim)
+    if reference is None:
+        # Built before training, from its own stream: the check below then
+        # sees all it maps, the pooled transport's own mappings too.
+        reference = euler_reference(teacher, cfg)
+    check_trajectory_memory(
+        f"the student trace of nfe {cfg.distill.nfe}, dense_per_shelf "
+        f"{runs.dense_per_shelf} and metric_samples {runs.metric_samples}",
+        cfg.evaluation_trajectories()[0][1], runs.metric_samples, teacher.dim)
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
-    if reference is None:
-        reference = euler_reference(teacher, cfg)
     evaluation = evaluate_student(net, cfg, reference)
     report = MetricsReport(
         endpoint_mse=evaluation["endpoint_mse"],

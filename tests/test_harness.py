@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -439,6 +440,15 @@ def naive_energy_distance(xs, ys):
     return 2 * mean_pair(xs, ys) - mean_pair(xs, xs) - mean_pair(ys, ys)
 
 
+def formed_pairs(n, m, chunk):
+    """Pairs energy_distance forms: the whole x.y block, and of each
+    self-block one strip per chunk, from the chunk's first row rightwards."""
+    def strips(rows):
+        return sum(min(chunk, rows - start) * (rows - start)
+                   for start in range(0, rows, chunk))
+    return n * m + strips(n) + strips(m)
+
+
 def test_energy_distance_matches_naive_quadratic():
     rng = np.random.default_rng(60)
     xs = rng.normal(size=(40, 2))
@@ -453,6 +463,80 @@ def test_energy_distance_identical_sets_zero():
     rng = np.random.default_rng(61)
     xs = rng.normal(size=(64, 2))
     assert energy_distance(xs, xs.copy()) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 16, 17, 18])
+def test_energy_distance_of_a_permuted_copy_is_zero(dim, chunk):
+    # every coincident pair, on a self-block's diagonal or across x.y,
+    # comes out as exactly 0, whatever product shape computed it
+    rng = np.random.default_rng(69 + dim)
+    xs = rng.normal(size=(17, dim)) * 20.0 + 2.0
+    perm = rng.permutation(17)
+    assert energy_distance(xs, xs[perm], chunk=chunk) == pytest.approx(
+        0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 29, 30, 31])
+def test_energy_distance_matches_naive_at_equal_sizes(chunk):
+    # n == m: chunks n - 1, n and n + 1 put the triangle's edge at the last
+    # row, in no chunk, and past the end
+    rng = np.random.default_rng(70)
+    xs = rng.normal(size=(30, 2))
+    ys = rng.normal(size=(30, 2)) + 0.4
+    assert_allclose(energy_distance(xs, ys, chunk=chunk),
+                    naive_energy_distance(xs, ys), rtol=1e-9)
+
+
+class _PairProbe:
+    """Stands in for numpy in arcflow.harness and adds up the elements of
+    every array passed to sqrt: the pairs energy_distance forms."""
+
+    def __init__(self):
+        self.pairs = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, x, *args, **kwargs):
+        out = np.sqrt(x, *args, **kwargs)
+        self.pairs += out.size
+        return out
+
+
+@pytest.mark.parametrize("n, m, chunk, pairs", [
+    (50, 30, 7, 3_472), (50, 30, 128, 4_900), (50, 30, 1, 3_240),
+    (30, 50, 7, 3_472)])
+def test_energy_distance_forms_each_self_pair_once(monkeypatch, n, m, chunk,
+                                                   pairs):
+    probe = _PairProbe()
+    monkeypatch.setattr(harness_module, "np", probe)
+    rng = np.random.default_rng(71)
+    energy_distance(rng.normal(size=(n, 2)), rng.normal(size=(m, 2)),
+                    chunk=chunk)
+    assert probe.pairs == pairs == formed_pairs(n, m, chunk)
+
+
+def test_energy_distance_splits_by_pairs_formed(monkeypatch):
+    # cutting at half of the full blocks' pairs would give the first
+    # process 2.1 times the pairs the second forms
+    ranges = []
+
+    def in_caller(work, shared, units, priority=None):
+        ranges.extend((shared[1], unit) for unit in units)
+        return [work(shared, unit) for unit in units]
+
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness_module, "map_forked", in_caller)
+    rng = np.random.default_rng(72)
+    xs, ys = rng.normal(size=(3000, 2)), rng.normal(size=(3000, 2))
+    want = energy_distance(xs, ys, chunk=100)
+    shares = [sum(math.prod(shape) for *_, shape in chunks[span])
+              for chunks, span in ranges]
+    assert len(shares) == 2 and sum(shares) == formed_pairs(3000, 3000, 100)
+    assert max(shares) - min(shares) <= 2 * 100 * 3000
+    monkeypatch.setattr(pool_module, "usable_cpus", lambda: 1)
+    assert energy_distance(xs, ys, chunk=100).hex() == want.hex()
 
 
 def test_energy_distance_grows_with_separation():
@@ -522,9 +606,9 @@ def test_energy_distance_rejects_bad_input(xs, ys, chunk):
 def test_pooled_energy_distance_has_the_one_process_bits(count_pools, cpus):
     # n != m, and 97 divides neither row count
     rng = np.random.default_rng(67)
-    xs = rng.normal(size=(2300, 2))
-    ys = rng.normal(size=(1700, 2)) + 0.3
-    pairs = 2300 * 1700 + 2300 ** 2 + 1700 ** 2
+    xs = rng.normal(size=(3000, 2))
+    ys = rng.normal(size=(2200, 2)) + 0.3
+    pairs = formed_pairs(3000, 2200, 97)
     assert pairs >= cpus * harness_module.MIN_PROCESS_PAIRS
     pools = count_pools(cpus)
     pooled = energy_distance(xs, ys, chunk=97)
@@ -535,14 +619,30 @@ def test_pooled_energy_distance_has_the_one_process_bits(count_pools, cpus):
     assert pools == []
 
 
+def test_pooled_energy_distance_with_a_chunk_over_a_share(monkeypatch,
+                                                          count_pools):
+    # one chunk, the whole x.x strip, holds 97% of the pairs formed: both
+    # cuts of a three-way split fall after it, and the two ranges left run
+    monkeypatch.setattr(harness_module, "MIN_PROCESS_PAIRS", 200_000)
+    rng = np.random.default_rng(73)
+    xs, ys = rng.normal(size=(1000, 2)), rng.normal(size=(30, 2))
+    pools = count_pools(3)
+    pooled = energy_distance(xs, ys, chunk=4096)
+    assert pools == [2]
+    count_pools(1)
+    assert pooled.hex() == energy_distance(xs, ys, chunk=4096).hex()
+
+
 @pytest.mark.parametrize("n, m, chunk", [(50, 30, 128), (50, 30, 7),
-                                         (1600, 1600, 128)])
+                                         (1600, 1600, 128),
+                                         (1900, 1900, 128)])
 def test_energy_distance_below_the_floor_never_forks(monkeypatch, n, m,
                                                      chunk):
     def no_fork(*args, **kwargs):
         raise AssertionError("energy_distance forked below its floor")
 
-    assert n * m + n * n + m * m < 2 * harness_module.MIN_PROCESS_PAIRS
+    # 1900 rows: 10.8 million pairs in the full blocks, 7.5 million formed
+    assert formed_pairs(n, m, chunk) < 2 * harness_module.MIN_PROCESS_PAIRS
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     rng = np.random.default_rng(68)
@@ -1316,6 +1416,46 @@ def test_evaluation_past_address_space_left_exits_two_before_training(
     assert "0.888 GiB of trajectories" in lines[0]
     assert "the 0.75 GiB" in lines[0]
     assert counts["distill_train"] == 0
+    assert not out.exists()
+
+
+def test_student_trace_is_checked_after_the_reference_maps_its_memory(
+        monkeypatch, tmp_path, capsys):
+    # nfe = 1000 needs 0.50 GiB of trajectories, under a 1 GiB soft
+    # RLIMIT_AS with nothing mapped.  The Euler reference is built before
+    # training, and what it leaves mapped (a pooled transport keeps about
+    # 150 MiB) counts against the student's 0.49 GiB dense trace; checked
+    # only before the reference, such a run trained every step and then
+    # failed as out of memory
+    import resource
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (2**30, resource.RLIM_INFINITY))
+    mapped = [0]
+    real_reference = harness_module.euler_reference
+
+    def reference_then_map(*args, **kwargs):
+        built = real_reference(*args, **kwargs)
+        mapped[0] = 3 * 2**28
+        return built
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("distill_train ran past the memory check")
+
+    monkeypatch.setattr(harness_module, "euler_reference",
+                        reference_then_map)
+    monkeypatch.setattr(harness_module, "_address_space_in_use",
+                        lambda: mapped[0])
+    monkeypatch.setattr(harness_module, "distill_train", no_training)
+    path = tmp_path / "nfe_1000.cfg"
+    path.write_text("[distill]\nnfe = 1000\ntotal_steps = 20\n")
+    out = tmp_path / "out"
+    code = main(["distill", "--config", str(path), "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "student trace of nfe 1000" in lines[0]
+    assert "0.488 GiB of trajectories" in lines[0]
+    assert "the 0.25 GiB" in lines[0]
     assert not out.exists()
 
 
