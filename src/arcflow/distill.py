@@ -12,14 +12,16 @@ One training step:
    velocity (held constant, one Euler segment) from the sub-interval start
    down to the switching time t_sw = lam * start + (1 - lam) * end, then take
    the closed-form momentum step for the remainder.  Every closed-form
-   segment comes from one batched pass.  At lam = 1 there is no teacher
+   segment is displacement over its own interval, all n of them from one
+   call with the intervals stacked on a row axis; no segment is a
+   difference of two displacements.  At lam = 1 there is no teacher
    segment: the rollout is the student's closed-form chain alone.  It returns
    two plain arrays, the anchor states and the teacher velocities there, so
    gradients never flow through it.
 5. Match the mixture's instantaneous velocity at every anchor time against
    the teacher's velocity at the anchor state; squared error averaged over
    anchors, batch and coordinates.  The loss computes the gamma powers
-   gamma**(1 - t_j) itself; the rollout computes none.  The rollout
+   gamma**(1 - t_j) itself; the rollout keeps none of its own.  The rollout
    evaluates the teacher at every anchor state, and at lam = 1 in one call,
    so the loss calls no teacher.
 6. Adam step.  lam ramps linearly from 0 (anchors follow the teacher) to 1
@@ -48,8 +50,7 @@ from .errors import (
 from .momentum import DEFAULT_GAMMA_RANGE, MomentumParams, check_gamma_range
 from .nnet import (GAMMA_MODES, NetConfig, StudentNet, adam_step,
                    init_optim_state)
-from .solver import _anchored_rows, _check_intervals, \
-    sub_interval_displacement
+from .solver import displacement, sub_interval_displacement
 from .teacher import TrajectoryRecord
 
 # Ceiling of every size key of [distill] and [run]: far past what a machine
@@ -172,10 +173,11 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
 
     Sub-interval j runs from t_(j-1) (t_start for j = 0) through the
     switching time s_j = lam * t_(j-1) + (1 - lam) * t_j to t_j; its
-    student segment is the anchored difference D(1, t_j) - D(1, s_j), with
-    D(1, t) = displacement(theta, 1, t).  All those D(1, .) come from one
-    batched pass before the rollout; no gamma power is computed here, as
-    velocity_matching_loss computes its own.
+    student segment is displacement(theta, s_j, t_j).  All n segments come
+    from one displacement call over times stacked on a leading row axis,
+    which checks every sub-interval before any teacher call.  The gamma
+    powers its coefficients take are not kept: velocity_matching_loss
+    computes its own.
 
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
     has no teacher segment: the anchors are the closed-form chain, and the
@@ -203,15 +205,15 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
     n = times.size
     t_prev = np.concatenate(([t_start], times[:-1]))
     t_sw = lam * t_prev + (1.0 - lam) * times
-    _check_intervals(t_sw, times)
+    stack = (n,) + (1,) * (theta.gating.ndim - 1)
+    steps = displacement(theta, t_sw.reshape(stack), times.reshape(stack))
     anchors = np.empty((n,) + x_src.shape)
     if lam == 1.0:
-        # s_j = t_(j-1): one row per time of the chain t_start -> t_1 -> ...,
-        # x_j = x_(j-1) - (D(1, t_j) - D(1, t_(j-1))); then the teacher
-        disp = _anchored_rows(theta, np.concatenate(([t_start], times)))
+        # s_j = t_(j-1): the chain t_start -> t_1 -> ... of student steps
+        # alone, x_j = x_(j-1) - steps[j]; then the teacher on every anchor
         x = x_src
-        for j, step in enumerate(disp[1:] - disp[:-1]):
-            x = anchors[j] = x - step
+        for j in range(n):
+            x = anchors[j] = x - steps[j]
         if not np.isfinite(anchors).all():
             j = next(j for j in range(n) if not np.isfinite(anchors[j]).all())
             raise _non_finite_state(j, t_prev[j], times[j])
@@ -219,8 +221,6 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
         row_times = np.repeat(times, x_src.size // x_src.shape[-1])
         targets = teacher.velocity(rows, row_times)
         return anchors, targets.reshape(anchors.shape)
-    disp = _anchored_rows(theta, np.concatenate((times, t_sw)))
-    steps = disp[:n] - disp[n:]
     targets = np.empty_like(anchors)
     x, u = x_src, teacher.velocity(x_src, t_start)
     for j in range(n):

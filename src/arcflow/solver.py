@@ -16,8 +16,11 @@ exponentials, so it stays within a few ulps on short intervals and beside
 gamma = 1.  It is antisymmetric in its time arguments and additive over
 interval splits; the solver is exact up to floating-point rounding, so step
 size never trades off against accuracy.  displacement is the one checked
-entry: it holds every interval to 0 <= t_end <= t_start <= 1, and step and
-student_sample's dense sub-steps each make one pass through it.
+entry and the only route to the closed form: it holds every interval to
+0 <= t_end <= t_start <= 1.  step and student_sample's dense sub-steps each
+make one pass through it, and the training rollout (distill's
+mixed_integration) one pass for all its sub-intervals, stacked on a leading
+row axis.
 """
 
 from __future__ import annotations
@@ -28,17 +31,14 @@ from .errors import InvalidIntervalError, InvalidParameterError, NumericError
 from .momentum import LatentState, MomentumParams
 
 
-def _integral(lg, elapsed):
-    # Integral of exp(s ln gamma) for s over [0, elapsed]: expm1(elapsed lg)
-    # / lg, or elapsed itself where lg == 0 exactly.
-    flat = lg == 0.0
-    return np.where(flat, elapsed,
-                    np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
-
-
 def _coefficients_from_log(lg, t_start, t_end):
-    # Integral of gamma**(1-t) over [t_end, t_start], computed from ln gamma.
-    return np.exp((1.0 - t_start) * lg) * _integral(lg, t_start - t_end)
+    # Integral of gamma**(1-t) over [t_end, t_start], computed from ln gamma:
+    # gamma**(1 - t_start) times expm1(elapsed lg) / lg, or times elapsed
+    # itself where lg == 0 exactly.
+    elapsed = t_start - t_end
+    flat = lg == 0.0
+    return np.exp((1.0 - t_start) * lg) * np.where(
+        flat, elapsed, np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
 
 
 def momentum_coefficient(gamma, t_start, t_end):
@@ -62,14 +62,16 @@ def momentum_coefficient(gamma, t_start, t_end):
 
 
 def _align_time(t, theta):
-    # Scalars pass through; per-sample time arrays gain a mode axis so they
-    # broadcast against (..., K) coefficient arrays.
+    # Scalars pass through.  A time array matches the batch shape, or puts
+    # one row axis ahead of it, (n,) + batch_shape or (n,) + (1,) * ndim;
+    # it gains a mode axis to broadcast against (..., K) coefficients.
     if t.ndim == 0:
         return t
-    if t.shape != theta.batch_shape:
+    batch = theta.batch_shape
+    if t.shape != batch and t.shape[1:] not in (batch, (1,) * len(batch)):
         raise InvalidParameterError(
             f"time array shape {t.shape} does not match batch shape "
-            f"{theta.batch_shape}"
+            f"{batch}, with or without one leading row axis"
         )
     return t[..., None]
 
@@ -78,12 +80,24 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
     """Integrated mixture displacement over [t_end, t_start], shape (..., D).
 
     This is the quantity subtracted from x when stepping down in time.
-    Times are scalars or per-sample arrays matching theta's batch shape.
-    InvalidIntervalError unless 0 <= t_end <= t_start <= 1 (NaN fails).
+    Times are scalars or per-sample arrays matching theta's batch shape; an
+    array of shape (n,) + batch_shape or (n,) + (1,) * batch_ndim stacks n
+    intervals and gives (n,) + batch_shape + (D,), each row the bits of its
+    own call (an unbatched bundle with 1-D times gives one (D,) row per
+    time).  InvalidIntervalError unless every interval has
+    0 <= t_end <= t_start <= 1 (NaN fails).
     """
     t_start = np.asarray(t_start, dtype=float)
     t_end = np.asarray(t_end, dtype=float)
-    _check_intervals(t_start, t_end)
+    # negated so that a NaN time, which every comparison rejects, fails
+    try:
+        ok = ((0.0 <= t_end) & (t_end <= t_start) & (t_start <= 1.0)).all()
+    except ValueError:  # time arrays that do not broadcast pair up nothing
+        ok = False
+    if not ok:
+        raise InvalidIntervalError(
+            f"need 0 <= t_end <= t_start <= 1, got ({t_start}, {t_end})"
+        )
     coeffs = _coefficients_from_log(theta.log_gammas,
                                     _align_time(t_start, theta),
                                     _align_time(t_end, theta))
@@ -105,35 +119,3 @@ def step(state: LatentState, theta: MomentumParams, t_end) -> LatentState:
 def sub_interval_displacement(theta: MomentumParams, t_hi, t_lo) -> np.ndarray:
     """displacement(theta, t_hi, t_lo), the name perfbench traces it by."""
     return displacement(theta, t_hi, t_lo)
-
-
-def _check_intervals(t_start, t_end):
-    # negated so that a NaN time, which every comparison rejects, fails
-    try:
-        ok = ((0.0 <= t_end) & (t_end <= t_start) & (t_start <= 1.0)).all()
-    except ValueError:  # time arrays that do not broadcast pair up nothing
-        ok = False
-    if not ok:
-        raise InvalidIntervalError(
-            f"need 0 <= t_end <= t_start <= 1, got ({t_start}, {t_end})"
-        )
-
-
-def _anchored_rows(theta: MomentumParams, times) -> np.ndarray:
-    """disp(1, t) at every time of a 1-D array, stacked on a new leading
-    axis; no gamma powers (the loss computes its own).  The caller validates
-    the times.
-
-    Row j equals displacement(theta, 1.0, times[j]) bit for bit: each row
-    gets its own einsum over the same (..., K) layout, and the coefficient's
-    factor exp((1 - 1) ln gamma), which is exactly 1 for the finite ln gamma
-    every bundle holds, is not computed.
-    """
-    times = np.asarray(times, dtype=float)
-    elapsed = 1.0 - times.reshape(times.shape + (1,) * theta.gating.ndim)
-    weights = theta.gating * _integral(theta.log_gammas, elapsed)
-    disp = np.empty(times.shape + theta.base_velocities.shape[:-2]
-                    + (theta.dim,))
-    for w, out in zip(weights, disp):
-        np.einsum("...k,...kd->...d", w, theta.base_velocities, out=out)
-    return disp

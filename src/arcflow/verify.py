@@ -165,8 +165,9 @@ def operator_quadrature_suite(mixtures=1000, seed=1002) -> SuiteResult:
 
 def operator_additivity_suite(trials=10_000, seed=1003) -> SuiteResult:
     """Displacement over [t_b, t_a] must equal the sum over any split point
-    t_m, for the direct closed form (not the anchored differences, which
-    telescope trivially)."""
+    t_m.  The closed form computes each interval's coefficient directly,
+    not as a difference of two anchored values, so the sum does not
+    telescope trivially."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -22,9 +22,10 @@ import numpy as np
 
 from arcflow import MomentumParams
 from arcflow.cli import main
-from arcflow.distill import make_linear_baseline
+from arcflow.distill import make_linear_baseline, mixed_integration
 from arcflow.harness import RunConfig, run_ablation, run_distillation
-from arcflow.solver import _anchored_rows, momentum_coefficient
+from arcflow.solver import displacement, momentum_coefficient
+from arcflow.teacher import ring_spec
 from arcflow.verify import (
     coefficient_continuity_suite,
     degenerate_mixing_suite,
@@ -181,11 +182,12 @@ def test_repeated_cli_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_coefficient_matches_mpmath(capsys):
-    """The closed-form coefficient, and the anchored rows of single-mode
-    unit bundles, against the integral written with mpmath's own exp and
-    log at 50 digits: worst relative error in ulps over |ln gamma| in
-    [1e-12, 4] on both sides of gamma = 1, ln gamma == 0 exactly, and
-    intervals from 1e-12 to 1."""
+    """The closed-form coefficient, and the anchored rows and the training
+    rollout's sub-interval steps of single-mode unit bundles, against the
+    integral written with mpmath's own exp and log at 50 digits: worst
+    relative error in ulps over |ln gamma| in [1e-12, 4] on both sides of
+    gamma = 1, ln gamma == 0 exactly, and intervals from 1e-12 to 1 (to
+    one shelf width, 0.5, for the rollout)."""
     import mpmath
 
     started = time.perf_counter()
@@ -230,17 +232,31 @@ def test_coefficient_matches_mpmath(capsys):
         theta = MomentumParams(np.ones((64, 1)),
                                np.tile([[[1.0, 0.0]]], (64, 1, 1)),
                                lg[:, None])
-        rows = _anchored_rows(theta, times)[..., 0]
+        rows = displacement(theta, 1.0, times[:, None])[..., 0]
         want = [integral(g, 1.0, t) for t in times for g in lg]
         rows_ulps = worst_ulps(rows.ravel(), want)
 
+        # the lam = 1 rollout of the same bundles from x = 0 over one
+        # sub-interval per call, whose anchor is exactly minus its step
+        teacher = ring_spec()
+        steps, want = [], []
+        for width in log_uniform(1e-12, 0.5, 32):
+            t_start = rng.uniform(width, 1.0)
+            t_end = t_start - width
+            anchors, _ = mixed_integration(np.zeros((64, 2)), t_start, theta,
+                                           [t_end], 1.0, teacher)
+            steps.append(-anchors[0, :, 0])
+            want += [integral(g, t_start, t_end) for g in lg]
+        steps_ulps = worst_ulps(np.concatenate(steps), want)
+
     bound = 8.0
     elapsed_s = time.perf_counter() - started
-    ok = coef_ulps <= bound and rows_ulps <= bound
-    tag = "PASS" if ok else "FAIL"
+    worst = (coef_ulps, rows_ulps, steps_ulps)
+    tag = "PASS" if max(worst) <= bound else "FAIL"
     _emit(capsys,
           f"[{tag}] coefficient_vs_mpmath: worst {coef_ulps:.3g} ulps over "
           f"{n} coefficients, {rows_ulps:.3g} ulps over {rows.size} anchored "
-          f"rows (bound {bound:.0f} ulps) ({elapsed_s:.2f}s)")
-    assert coef_ulps <= bound, coef_ulps
-    assert rows_ulps <= bound, rows_ulps
+          f"rows, {steps_ulps:.3g} ulps over {len(want)} rollout steps "
+          f"(bound {bound:.0f} ulps) ({elapsed_s:.2f}s)")
+    for ulps in worst:
+        assert ulps <= bound, worst

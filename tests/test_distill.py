@@ -365,10 +365,10 @@ def rollout_draws(rng, batched):
 @ROLLOUT_TEACHERS
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
 def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
-    # the lam = 1 rollout (one batched displacement pass, teacher on every
+    # the lam = 1 rollout (one stacked displacement call, teacher on every
     # anchor) must give the bits of the sequential route: a chain of
-    # anchored differences D(1, t_j) - D(1, t_(j-1)) and one teacher call
-    # per anchor
+    # interval steps displacement(t_(j-1), t_j) and one teacher call per
+    # anchor
     teacher = make_teacher()
     rng = np.random.default_rng(43)
     for x, t_start, times, theta in rollout_draws(rng, batched):
@@ -376,8 +376,7 @@ def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
                                             teacher)
         y, t_prev = x, t_start
         for j, t_next in enumerate(times):
-            y = y - (displacement(theta, 1.0, t_next)
-                     - displacement(theta, 1.0, t_prev))
+            y = y - displacement(theta, t_prev, t_next)
             assert np.array_equal(states[j], y)
             assert np.array_equal(targets[j],
                                   teacher.velocity(y, float(t_next)))
@@ -387,10 +386,10 @@ def test_lambda_one_rollout_equals_sequential_route(make_teacher, batched):
 @ROLLOUT_TEACHERS
 @pytest.mark.parametrize("batched", [True, False], ids=["batched", "single"])
 def test_guided_rollout_equals_sequential_route(make_teacher, batched):
-    # lam < 1 computes every student segment in one pass before it steps;
+    # lam < 1 computes every student segment in one call before it steps;
     # the result must have the bits of stepping each sub-interval through
-    # a teacher Euler segment and the anchored difference
-    # D(1, t_j) - D(1, s_j), with one teacher call per anchor
+    # a teacher Euler segment and the interval step displacement(s_j, t_j),
+    # with one teacher call per anchor
     teacher = make_teacher()
     rng = np.random.default_rng(46)
     for lam in (0.0, 0.002, 0.5, 0.998):
@@ -402,8 +401,7 @@ def test_guided_rollout_equals_sequential_route(make_teacher, batched):
             for j, t_next in enumerate(times):
                 t_sw = lam * t_prev + (1.0 - lam) * float(t_next)
                 y = y - u * (t_prev - t_sw)
-                y = y - (displacement(theta, 1.0, float(t_next))
-                         - displacement(theta, 1.0, t_sw))
+                y = y - displacement(theta, t_sw, float(t_next))
                 u = teacher.velocity(y, float(t_next))
                 assert np.array_equal(states[j], y)
                 assert np.array_equal(targets[j], u)

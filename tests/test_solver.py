@@ -205,6 +205,58 @@ def test_displacement_checks_its_interval():
             displacement(bundle, t_start, t_end)
 
 
+def stacked_interval_draws(rng, theta):
+    # (t_start, t_end) for 5 intervals stacked on a leading row axis, both
+    # ways the batch shape allows: one time per row, or one per row and
+    # sample
+    batch = theta.batch_shape
+    for shape in ((5,) + (1,) * len(batch), (5,) + batch):
+        t_start = rng.uniform(0.0, 1.0, shape)
+        yield t_start, t_start * rng.uniform(0.0, 1.0, shape)
+
+
+def test_stacked_times_equal_per_row_calls_bit_for_bit():
+    # n intervals on a leading row axis give (n,) + batch_shape + (D,),
+    # each row the bits of its own call, batched and unbatched, and so does
+    # a stacked start against a scalar end
+    rng = np.random.default_rng(12)
+    for theta in (random_theta(rng), batched_random_theta(rng)):
+        for t_start, t_end in stacked_interval_draws(rng, theta):
+            for end in (t_end, 0.0):
+                stacked = displacement(theta, t_start, end)
+                assert stacked.shape == (5,) + theta.batch_shape + (2,)
+                ends = np.broadcast_to(end, t_start.shape)
+                for j in range(5):
+                    row = displacement(theta, t_start[j].squeeze(),
+                                       ends[j].squeeze())
+                    assert np.array_equal(stacked[j], row)
+
+
+def test_stacked_times_of_another_shape_fail_at_the_boundary():
+    # a leading row axis must sit ahead of the whole batch shape or of ones
+    rng = np.random.default_rng(13)
+    theta, batched = random_theta(rng), batched_random_theta(rng)
+    for bundle, shape in ((theta, (5, 1)), (theta, (5, 4)),
+                          (batched, (5, 3)), (batched, (5, 6, 1)),
+                          (batched, (5, 1, 1)), (batched, (6, 5))):
+        with pytest.raises(InvalidParameterError):
+            displacement(bundle, np.full(shape, 0.5), 0.2)
+
+
+def test_stacked_times_check_every_row():
+    # a NaN time or an upward interval in any one row fails the whole call
+    rng = np.random.default_rng(14)
+    for theta in (random_theta(rng), batched_random_theta(rng)):
+        for t_start, t_end in stacked_interval_draws(rng, theta):
+            # a NaN end, a start below its end, a NaN start
+            for arg, row, value in ((1, 3, np.nan), (0, 3, 0.0),
+                                    (0, 4, np.nan)):
+                times = [t_start.copy(), t_end.copy()]
+                times[arg].reshape(5, -1)[row, -1] = value
+                with pytest.raises(InvalidIntervalError):
+                    displacement(theta, *times)
+
+
 # -- step --------------------------------------------------------------------
 
 
