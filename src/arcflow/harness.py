@@ -331,29 +331,21 @@ def endpoint_mse(endpoints_a, endpoints_b) -> float:
     return float(np.mean(np.sum(diff * diff, axis=-1)))
 
 
-def positions_at(record: TrajectoryRecord, times) -> np.ndarray:
-    """Linear interpolation of a trajectory's positions at query times.
-
-    Works on the record's own (strictly decreasing) grid, so it applies to
-    non-uniform traces too.
-    """
-    times = np.asarray(times, dtype=float)
-    grid = record.times
-    pos = record.positions
-    # np.interp wants increasing coordinates
-    idx = np.searchsorted(-grid, -times, side="left").clip(1, grid.size - 1)
-    t_hi, t_lo = grid[idx - 1], grid[idx]
-    w = ((t_hi - times) / (t_hi - t_lo)).clip(0.0, 1.0)
-    w = w.reshape((times.size,) + (1,) * (pos.ndim - 1))
-    return (1.0 - w) * pos[idx - 1] + w * pos[idx]
-
-
 def trajectory_deviation(student: TrajectoryRecord,
                          reference: TrajectoryRecord) -> float:
     """Mean euclidean gap between the two trajectories, averaged over the
-    student's recorded times and the batch."""
-    ref_at = positions_at(reference, student.times)
-    gap = np.linalg.norm(student.positions - ref_at, axis=-1)
+    student's recorded times and the batch.  The reference is interpolated
+    linearly on its own (strictly decreasing, possibly non-uniform) grid at
+    one student time at a time, so evaluation holds the (T+1, ...) gap
+    array and no reference positions the size of the student's trace."""
+    times, grid, pos = student.times, reference.times, reference.positions
+    idx = np.searchsorted(-grid, -times, side="left").clip(1, grid.size - 1)
+    t_hi, t_lo = grid[idx - 1], grid[idx]
+    w = ((t_hi - times) / (t_hi - t_lo)).clip(0.0, 1.0)
+    gap = np.empty(student.positions.shape[:-1])
+    for row, (i, wi) in enumerate(zip(idx, w)):
+        ref_at = (1.0 - wi) * pos[i - 1] + wi * pos[i]
+        gap[row] = np.linalg.norm(student.positions[row] - ref_at, axis=-1)
     return float(np.mean(gap))
 
 
@@ -491,12 +483,12 @@ class EulerReference:
     doubled_endpoint: np.ndarray
 
 
-def euler_reference(teacher, cfg: RunConfig) -> EulerReference:
+def euler_reference(cfg: RunConfig) -> EulerReference:
     """Draw the evaluation noise from the evaluation stream of
-    cfg.distill.seed and transport it with the teacher's Euler reference.
-    It depends only on the teacher, that seed and [run], so every cell of a
-    paired-seed grid can share one."""
-    opts = cfg.run
+    cfg.distill.seed and transport it with the Euler reference of the
+    config's teacher.  It depends only on [teacher], that seed and [run], so
+    every cell of a paired-seed grid can share one."""
+    opts, teacher = cfg.run, build_teacher(cfg)
     eval_rng = np.random.default_rng(training_streams(cfg.distill.seed)[2])
     noise = eval_rng.standard_normal((opts.metric_samples, teacher.dim))
     record = euler_sample(teacher.velocity, noise, opts.teacher_steps)
@@ -518,7 +510,6 @@ def evaluate_student(net: StudentNet, cfg: RunConfig,
         "discretization_floor": endpoint_mse(reference.doubled_endpoint,
                                              reference.record.endpoint),
         "student_record": student,
-        "reference_record": reference.record,
     }
 
 
@@ -549,26 +540,24 @@ def check_trajectory_memory(what: str, states, rows, dim) -> None:
             f"the {have / 2**30:.3g} GiB of memory this process has left")
 
 
-def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
+def run_distillation(cfg: RunConfig, out_dir=None, *,
                      reference: EulerReference | None = None):
     """Train a student per the config, evaluate it, optionally write
     artifacts.  Returns (report, net, loss_log).
 
-    teacher and reference default to build_teacher(cfg) and
-    euler_reference(teacher, cfg).  A caller running several configs at one
-    seed may pass in ones it built for that seed, [teacher] and [run]; they
-    must be what those defaults would build, or the report is not that of
-    cfg.  A reference drawn for another seed or sample count is rejected.
+    The teacher is the config's (build_teacher(cfg)).  reference defaults
+    to euler_reference(cfg); a caller running several configs at one seed,
+    [teacher] and [run] may pass in the one it built for that seed.  A
+    reference drawn for another seed or sample count is rejected.
 
     Before training, the trajectories evaluation holds are checked against
     the memory this process has left (check_trajectory_memory), and once
-    the reference is built, the student's dense trace alone against what is
-    left then."""
+    the reference is built, the student's dense trace and its gaps to the
+    reference against what is left then."""
     from .svg import trajectory_overlay_svg  # local import, no cycle
 
     started = time.perf_counter()
-    if teacher is None:
-        teacher = build_teacher(cfg)
+    teacher = build_teacher(cfg)
     if reference is not None and (
             reference.seed != cfg.distill.seed
             or reference.noise.shape != (cfg.run.metric_samples, teacher.dim)):
@@ -585,11 +574,14 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
     if reference is None:
         # Built before training, from its own stream: the check below then
         # sees all it maps, the pooled transport's own mappings too.
-        reference = euler_reference(teacher, cfg)
+        reference = euler_reference(cfg)
+    # dim + 1 floats per state and row: the trace's coordinates, and the
+    # gap to the reference that trajectory_deviation keeps.
     check_trajectory_memory(
         f"the student trace of nfe {cfg.distill.nfe}, dense_per_shelf "
         f"{runs.dense_per_shelf} and metric_samples {runs.metric_samples}",
-        cfg.evaluation_trajectories()[0][1], runs.metric_samples, teacher.dim)
+        cfg.evaluation_trajectories()[0][1], runs.metric_samples,
+        teacher.dim + 1)
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
     evaluation = evaluate_student(net, cfg, reference)
@@ -620,7 +612,7 @@ def run_distillation(cfg: RunConfig, out_dir=None, *, teacher=None,
                                  limit=cfg.run.trajectory_samples)
         if cfg.run.export_svg:
             trajectory_overlay_svg(
-                [("teacher", "#888888", evaluation["reference_record"]),
+                [("teacher", "#888888", reference.record),
                  ("student", "#1f6fd6", evaluation["student_record"])],
                 out / "overlay.svg",
                 means=teacher.means,
@@ -676,20 +668,21 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     configuration alone.  Returns rows (study, cell, seed, endpoint_mse,
     final_loss) in study, cell, seed order.
 
-    Each seed's teacher and Euler reference are built once, in the calling
-    process, and shared by that seed's cells.  Each distinct (seed, cell
-    config) unit is trained once through run_distillation: twin cells such
-    as gamma_mode/learnable and sharing/all_per_mode give equal rows by
-    construction.  The units run in one worker process per CPU this process
-    may run on, at most one per unit; the workers are forked, so they
-    inherit the teachers and references, and only a unit's DistillConfig
-    goes to a worker and only its two figures come back.  The rows are
-    identical to a one-process run, which is what one CPU or a platform
-    without fork gets.  A failing grid raises the error the one-process run
-    raises first, its text led by the failing unit's seed and study/cell
-    names (all of them for twin cells), and no worker outlives the call.
-    Unknown or repeated studies and negative, non-integer or repeated seeds
-    raise InvalidParameterError before any training."""
+    The teacher is the config's own.  Each seed's Euler reference is built
+    once, in the calling process, and shared by that seed's cells.  Each
+    distinct (seed, cell config) unit is trained once through
+    run_distillation: twin cells such as gamma_mode/learnable and
+    sharing/all_per_mode give equal rows by construction.  The units run
+    in one worker process per CPU this process may run on, at most one per
+    unit; the workers are forked, so they inherit the teacher and
+    references, and only a unit's DistillConfig goes to a worker and only
+    its two figures come back.  The rows are identical to a one-process
+    run, which is what one CPU or a platform without fork gets.  A failing
+    grid raises the error the one-process run raises first, its text led by
+    the failing unit's seed and study/cell names (all of them for twin
+    cells), and no worker outlives the call.  Unknown or repeated studies
+    and negative, non-integer or repeated seeds raise InvalidParameterError
+    before any training."""
     studies, seeds = tuple(studies), tuple(seeds)
     if len(set(studies)) != len(studies):
         raise InvalidParameterError(f"repeated ablation study in {studies}")
@@ -710,7 +703,10 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
             names.setdefault(dataclasses.replace(dcfg, seed=seed),
                              []).append(f"{study}/{name}")
     units = list(names)
-    shared = (cfg, {seed: _seed_context(cfg, seed) for seed in seeds}, names)
+    references = {seed: euler_reference(RunConfig(
+                      cfg.teacher, dataclasses.replace(cfg.distill, seed=seed),
+                      cfg.run)) for seed in seeds}
+    shared = (cfg, references, names)
     # Longest budget first, so the long cells do not form a pool's tail.
     results = dict(zip(units, map_forked(
         _ablation_unit, shared, units,
@@ -720,22 +716,13 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
             for study, name, dcfg in cells for seed in seeds]
 
 
-def _seed_context(cfg: RunConfig, seed: int):
-    """The teacher and Euler reference every cell at this seed shares."""
-    seed_cfg = RunConfig(cfg.teacher,
-                         dataclasses.replace(cfg.distill, seed=seed), cfg.run)
-    teacher = build_teacher(seed_cfg)
-    return teacher, euler_reference(teacher, seed_cfg)
-
-
 def _ablation_unit(shared, dcfg: DistillConfig):
     """(endpoint_mse, final_loss) of one seeded cell config, in a worker or
     in the calling process alike, so both raise the same text."""
-    cfg, contexts, names = shared
-    teacher, reference = contexts[dcfg.seed]
+    cfg, references, names = shared
     try:
         report, _, _ = run_distillation(RunConfig(cfg.teacher, dcfg, cfg.run),
-                                        teacher=teacher, reference=reference)
+                                        reference=references[dcfg.seed])
     except ArcFlowError as exc:
         raise type(exc)(f"ablation seed {dcfg.seed} "
                         f"{' = '.join(names[dcfg])}: {exc}") from exc

@@ -145,7 +145,7 @@ def to_momentum_params(solution: InterpolationSolution,
         )
     gating = np.full(k, 1.0 / k)
     base = k * solution.weights
-    return MomentumParams(gating, base, np.log(gammas), anchor_index=None)
+    return MomentumParams(gating, base, np.log(gammas))
 
 
 def verify_haar(gammas, timesteps):

@@ -46,32 +46,29 @@ class MomentumParams:
     gating          (..., K)     simplex weights
     base_velocities (..., K, D)  per-mode velocities anchored at t = 1
     log_gammas      (..., K)     per-mode log momentum factors
-    anchor_index    index of the mode pinned at log gamma == 0, or None when
-                    no mode is structurally pinned
 
     Leading dimensions of the three arrays must agree; arrays are copied and
-    frozen at construction.
+    frozen at construction.  A mode with log gamma == 0 exactly is linear;
+    which mode a student keeps pinned there is the student net's fact, not
+    the bundle's.
     """
 
     gating: np.ndarray
     base_velocities: np.ndarray
     log_gammas: np.ndarray
-    anchor_index: int | None = None
 
     @classmethod
-    def _trusted(cls, gating, base_velocities, log_gammas, anchor_index):
+    def _trusted(cls, gating, base_velocities, log_gammas):
         """Bundle over float64 arrays the caller has just built and owns, as
-        StudentNet.forward does.  Shapes, the simplex and the anchor pin hold
-        by construction there (StudentNet.load rejects a checkpoint whose pin
-        does not), so only finiteness is checked; the arrays are frozen in
-        place instead of copied."""
+        StudentNet.forward does.  Shapes and the simplex hold by
+        construction there, so only finiteness is checked; the arrays are
+        frozen in place instead of copied."""
         bundle = object.__new__(cls)
         for name, arr in (("gating", gating), ("base_velocities",
                                                 base_velocities),
                           ("log_gammas", log_gammas)):
             arr.flags.writeable = False
             object.__setattr__(bundle, name, arr)
-        object.__setattr__(bundle, "anchor_index", anchor_index)
         bundle._check_finite()
         return bundle
 
@@ -109,18 +106,6 @@ class MomentumParams:
                 f"gating weights must sum to 1 within {GATING_TOL}; "
                 f"worst deviation {worst:.3e}"
             )
-        if self.anchor_index is not None:
-            k = self.num_modes
-            if not 0 <= self.anchor_index < k:
-                raise InvalidParameterError(
-                    f"anchor_index {self.anchor_index} out of range for "
-                    f"{k} modes"
-                )
-            pinned = logg[..., self.anchor_index]
-            if pinned.size and (pinned != 0.0).any():
-                raise InvalidParameterError(
-                    "anchor mode must have log gamma == 0 exactly"
-                )
 
     @property
     def num_modes(self) -> int:
@@ -189,8 +174,8 @@ def init_log_gammas(num_modes, range_lo, range_hi):
     zero (ties toward the lower index) to exactly 0.0 so the bundle starts
     with one exact linear mode.  For num_modes == 1 the single entry is 0.0.
 
-    Returns (log_gammas, anchor_index) with log_gammas strictly increasing
-    and containing exactly one zero.
+    Returns (log_gammas, anchor): log_gammas strictly increasing, with
+    exactly one zero, at index anchor.
     """
     num_modes = int(num_modes)
     if num_modes < 1:

@@ -261,7 +261,7 @@ class StudentNet:
         if squeeze:
             gating, base, log_g = gating[0], base[0], log_g[0]
         # Every array here is new, so the bundle takes them without a copy.
-        return MomentumParams._trusted(gating, base, log_g, self.anchor_index)
+        return MomentumParams._trusted(gating, base, log_g)
 
     def backward(self, d_gating, d_base, d_logg) -> np.ndarray:
         """Accumulate parameter gradients for the most recent forward.
@@ -409,9 +409,9 @@ class StudentNet:
             if not np.isfinite(values).all():
                 raise CheckpointFormatError(
                     f"non-finite {field} in checkpoint {path}")
-        # forward hands out bundles without re-checking the anchor pin, so a
-        # checkpoint must carry a pin the net can keep: an in-range anchor of
-        # a per-mode gamma head whose frozen log gamma is exactly 0.
+        # The anchor pin is the net's invariant (its mask and frozen 0.0),
+        # so a checkpoint must carry a pin the net can keep: an in-range
+        # anchor of a per-mode gamma head whose frozen log gamma is exactly 0.
         if anchor >= 0 and (cfg.share_gamma or anchor >= cfg.num_modes
                             or frozen[anchor] != 0.0):
             raise CheckpointFormatError(

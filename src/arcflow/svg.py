@@ -16,10 +16,13 @@ MARGIN = 48
 
 
 def _data_box(records, means):
+    # one min and max per record, over views: no copy of any trajectory
     pts = [np.asarray(means)[:, :2]] if means is not None else []
     for _, _, record in records:
-        pts.append(record.positions[..., :2].reshape(-1, 2))
-    allp = np.concatenate(pts, axis=0)
+        xy = record.positions[..., :2]
+        axes = tuple(range(xy.ndim - 1))
+        pts += [xy.min(axis=axes), xy.max(axis=axes)]
+    allp = np.vstack(pts)
     lo = allp.min(axis=0)
     hi = allp.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)

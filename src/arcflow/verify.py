@@ -109,7 +109,7 @@ def _random_mixture(rng, max_modes=16, dim=3):
     base = rng.normal(0.0, 4.0, (k, dim))
     norms = np.linalg.norm(base, axis=-1, keepdims=True)
     base = np.where(norms > 10.0, base * (10.0 / norms), base)
-    return MomentumParams(gating, base, np.log(gammas), anchor_index=None)
+    return MomentumParams(gating, base, np.log(gammas))
 
 
 # The 20- and 40-node Gauss-Legendre rules on [-1, 1]: the finer one gives

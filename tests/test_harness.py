@@ -45,7 +45,6 @@ from arcflow.harness import (
     format_run_config,
     load_run_config,
     parse_run_config,
-    positions_at,
     run_ablation,
     run_distillation,
     trajectory_deviation,
@@ -403,17 +402,83 @@ def test_endpoint_mse_hand_value():
     assert endpoint_mse(a, a) == 0.0
 
 
-def test_positions_at_interpolates_linearly():
-    rec = two_state_record([0.0, 0.0], [2.0, 2.0])
-    out = positions_at(rec, [1.0, 0.25, 0.0])
-    assert_allclose(out, [[0.0, 0.0], [1.5, 1.5], [2.0, 2.0]], rtol=1e-15)
+def test_trajectory_deviation_interpolates_reference_linearly():
+    # t = 0.25 lies three quarters of the way from x(1) = 0 to x(0) = 2
+    ref = two_state_record([0.0, 0.0], [2.0, 2.0])
+    student = TrajectoryRecord([[0.0, 0.0], [1.5, 1.5], [2.0, 2.0]],
+                               [1.0, 0.25, 0.0])
+    assert trajectory_deviation(student, ref) == 0.0
+    moved = TrajectoryRecord(student.positions + [0.0, 3.0], student.times)
+    assert trajectory_deviation(moved, ref) == 3.0
 
 
-def test_positions_at_hits_grid_points_exactly():
-    rec = TrajectoryRecord([[0.0, 1.0], [5.0, -1.0], [7.0, 0.0]],
+def test_trajectory_deviation_hits_reference_grid_points_exactly():
+    ref = TrajectoryRecord([[0.0, 1.0], [5.0, -1.0], [7.0, 0.0]],
                            [1.0, 0.4, 0.0])
-    out = positions_at(rec, rec.times)
-    assert_allclose(out, rec.positions, rtol=0, atol=0)
+    assert trajectory_deviation(ref, ref) == 0.0
+    moved = TrajectoryRecord(ref.positions + [[0.0, 0.0], [3.0, 4.0],
+                                              [0.0, 0.0]], ref.times)
+    assert trajectory_deviation(moved, ref) == 5.0 / 3.0
+
+
+def _vectorized_deviation(student, reference):
+    # every student time interpolated at once: the (T+1, ..., D) reference
+    # positions that trajectory_deviation no longer builds
+    times, grid, pos = student.times, reference.times, reference.positions
+    idx = np.searchsorted(-grid, -times, side="left").clip(1, grid.size - 1)
+    t_hi, t_lo = grid[idx - 1], grid[idx]
+    w = ((t_hi - times) / (t_hi - t_lo)).clip(0.0, 1.0)
+    w = w.reshape((times.size,) + (1,) * (pos.ndim - 1))
+    ref_at = (1.0 - w) * pos[idx - 1] + w * pos[idx]
+    return float(np.mean(np.linalg.norm(student.positions - ref_at,
+                                        axis=-1)))
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5)])
+def test_trajectory_deviation_bits_equal_vectorized_interpolation(batch):
+    rng = np.random.default_rng(67)
+    # a non-uniform reference grid, and student times between and on it
+    grid = np.concatenate(([1.0], np.sort(rng.uniform(0.0, 1.0, 9))[::-1],
+                           [0.0]))
+    times = np.concatenate(([1.0], np.sort(rng.uniform(0.0, 1.0, 12))[::-1],
+                            grid[3:5], [0.0]))
+    times = np.unique(times)[::-1]
+    ref = TrajectoryRecord(rng.normal(size=(grid.size,) + batch + (3,)), grid)
+    student = TrajectoryRecord(rng.normal(size=(times.size,) + batch + (3,)),
+                               times)
+    want = _vectorized_deviation(student, ref)
+    assert trajectory_deviation(student, ref).hex() == want.hex()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trajectory_deviation_memory_is_the_gap_array():
+    # a vectorized interpolation holds several (T+1, B, D) arrays at once
+    rng = np.random.default_rng(68)
+    states, batch = 2001, 512
+    student = TrajectoryRecord(rng.normal(size=(states, batch, 2)),
+                               np.linspace(1.0, 0.0, states))
+    ref = TrajectoryRecord(rng.normal(size=(101, batch, 2)),
+                           np.linspace(1.0, 0.0, 101))
+    peak = _peak_bytes(lambda: trajectory_deviation(student, ref))
+    assert peak <= 8 * states * batch + 2**20
+
+
+def test_overlay_svg_memory_holds_no_trajectory_copy(tmp_path):
+    rng = np.random.default_rng(69)
+    record = TrajectoryRecord(rng.normal(size=(2001, 512, 2)),
+                              np.linspace(1.0, 0.0, 2001))
+    peak = _peak_bytes(lambda: trajectory_overlay_svg(
+        [("teacher", "#888888", record), ("student", "#1f6fd6", record)],
+        tmp_path / "overlay.svg", means=np.zeros((8, 2))))
+    assert peak <= record.positions.nbytes // 8
 
 
 def test_trajectory_deviation_zero_for_identical():
@@ -764,12 +829,11 @@ def test_evaluate_student_returns_finite_metrics():
     net = build_student_net(cfg.distill, teacher.dim,
                             init_seed=training_streams(0)[0])
     distill_train(teacher, net, cfg.distill)
-    out = evaluate_student(net, cfg, euler_reference(teacher, cfg))
+    out = evaluate_student(net, cfg, euler_reference(cfg))
     for key in ("endpoint_mse", "trajectory_deviation",
                 "discretization_floor"):
         assert np.isfinite(out[key]) and out[key] >= 0.0
     assert out["student_record"].times[0] == 1.0
-    assert out["reference_record"].times.size == cfg.run.teacher_steps + 1
 
 
 # -- orchestration --------------------------------------------------------------------------
@@ -950,14 +1014,23 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
-    counts = _count_calls(monkeypatch, "distill_train", "build_teacher",
-                          "euler_sample")
     cfg = tiny_run_config()
+    counts = _count_calls(monkeypatch, "distill_train", "ring_spec",
+                          "euler_sample")
+    specs = _CallCounts(("GmmTeacherSpec",))
+    real_init = GmmTeacherSpec.__post_init__
+
+    def counted_init(self):
+        specs.add("GmmTeacherSpec")
+        real_init(self)
+
+    monkeypatch.setattr(GmmTeacherSpec, "__post_init__", counted_init)
     rows = run_ablation(cfg, studies=("gamma_mode", "sharing"), seeds=(0, 1))
     assert len(rows) == 12
     # six cells, of which learnable and all_per_mode are one config
     assert counts["distill_train"] == 5 * 2
-    assert counts["build_teacher"] == 2
+    # the mixture was built with the config; the grid builds none
+    assert counts["ring_spec"] == 0 and specs["GmmTeacherSpec"] == 0
     # the teacher_steps reference and its doubled-step floor, per seed
     assert counts["euler_sample"] == 2 * 2
 
@@ -1182,12 +1255,10 @@ def test_run_ablation_rejects_bad_grid_before_training(monkeypatch, studies,
 
 def test_run_distillation_rejects_reference_of_another_seed():
     cfg = tiny_run_config()
-    teacher = build_teacher(cfg)
     other = dataclasses.replace(
         cfg, distill=dataclasses.replace(cfg.distill, seed=1))
     with pytest.raises(InvalidParameterError):
-        run_distillation(cfg, teacher=teacher,
-                         reference=euler_reference(teacher, other))
+        run_distillation(cfg, reference=euler_reference(other))
 
 
 def test_negative_seed_in_config_file_reports_line():
@@ -1424,7 +1495,8 @@ def test_student_trace_is_checked_after_the_reference_maps_its_memory(
     # nfe = 1000 needs 0.50 GiB of trajectories, under a 1 GiB soft
     # RLIMIT_AS with nothing mapped.  The Euler reference is built before
     # training, and what it leaves mapped (a pooled transport keeps about
-    # 150 MiB) counts against the student's 0.49 GiB dense trace; checked
+    # 150 MiB) counts against the student's 0.49 GiB dense trace and its
+    # 0.24 GiB of gaps to the reference; checked
     # only before the reference, such a run trained every step and then
     # failed as out of memory
     import resource
@@ -1454,7 +1526,7 @@ def test_student_trace_is_checked_after_the_reference_maps_its_memory(
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "student trace of nfe 1000" in lines[0]
-    assert "0.488 GiB of trajectories" in lines[0]
+    assert "0.732 GiB of trajectories" in lines[0]
     assert "the 0.25 GiB" in lines[0]
     assert not out.exists()
 

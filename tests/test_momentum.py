@@ -10,14 +10,11 @@ from arcflow import InvalidParameterError, LatentState, MomentumParams
 from arcflow.momentum import eval_velocity, init_log_gammas
 
 
-def random_params(rng, batch=(), modes=4, dim=2, anchor=False):
+def random_params(rng, batch=(), modes=4, dim=2):
     gating = rng.uniform(0.1, 1.0, batch + (modes,))
     gating = gating / gating.sum(axis=-1, keepdims=True)
     base = rng.normal(0.0, 2.0, batch + (modes, dim))
     logg = rng.uniform(-2.0, 2.0, batch + (modes,))
-    if anchor:
-        logg[..., 0] = 0.0
-        return MomentumParams(gating, base, logg, anchor_index=0)
     return MomentumParams(gating, base, logg)
 
 
@@ -129,15 +126,6 @@ def test_params_must_be_finite():
         MomentumParams([1.0], [[0.0, 0.0]], [np.nan])
 
 
-def test_params_anchor_mode_pinned_at_zero():
-    base = [[1.0, 0.0], [0.0, 1.0]]
-    MomentumParams([0.5, 0.5], base, [0.0, 0.3], anchor_index=0)
-    with pytest.raises(InvalidParameterError):
-        MomentumParams([0.5, 0.5], base, [1e-300, 0.3], anchor_index=0)
-    with pytest.raises(InvalidParameterError):
-        MomentumParams([0.5, 0.5], base, [0.0, 0.3], anchor_index=2)
-
-
 def test_params_arrays_are_frozen():
     theta = MomentumParams([1.0], [[1.0, 0.0]], [0.0])
     with pytest.raises(ValueError):
@@ -225,6 +213,4 @@ def test_init_log_gammas_rejects_bad_ranges():
 
 def test_init_log_gammas_feeds_params_anchor_contract():
     logs, anchor = init_log_gammas(8, 0.4, 5.0)
-    gating = np.full(8, 1.0 / 8)
-    base = np.zeros((8, 2))
-    MomentumParams(gating, base, logs, anchor_index=anchor)  # must not raise
+    assert logs[anchor] == 0.0  # exactly: the net pins this mode there

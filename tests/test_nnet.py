@@ -112,7 +112,8 @@ def test_fresh_net_emits_init_ladder_exactly():
     # the geometric-progression ladder bit for bit
     for row in theta.log_gammas:
         assert (row == want).all()
-    assert theta.anchor_index == anchor
+    assert net.anchor_index == anchor
+    assert (theta.log_gammas[:, anchor] == 0.0).all()
 
 
 def test_fresh_net_uniform_gating():
