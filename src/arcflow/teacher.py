@@ -41,9 +41,10 @@ STD_FLOOR = 1e-3
 WEIGHT_TOL = 1e-12
 
 # Rows x steps of Euler work each block must get before euler_sample splits
-# a batch: below it, forking and joining a worker (about 12 ms) costs more
-# than the block's share of the integration.  On a 2-core VM two blocks of
-# 25,600 lost 11 ms against one process and two of 51,200 gained 15 ms.
+# a batch.  On a 2-core VM two blocks of 102,400 lose 7-9 ms against one
+# process, but a transport kept in the caller keeps its positions in the
+# caller's heap: at 200,000 the 2,048 x 100 Euler reference stayed, and
+# the ablation grid's peak RSS rose 3.4 MB (9%) to save those 7-9 ms.
 MIN_BLOCK_WORK = 50_000
 
 
@@ -140,36 +141,75 @@ def sample_data(spec: GmmTeacherSpec, rng: np.random.Generator,
 def gmm_velocity(spec: GmmTeacherSpec, x, t) -> np.ndarray:
     """Closed-form marginal velocity E[x1 - x0 | x_t = x] at time t.
 
-    x has shape (..., D); t is a scalar or an array matching the leading
-    dimensions of x.  Responsibilities are computed in log space with a max
-    shift before exponentiation.
+    x has shape (..., D); t is a scalar or an array that broadcasts against
+    the leading dimensions of x.  Responsibilities are computed in log space
+    with a max shift before exponentiation.
+
+    The work is component-major, (J, D) + the rows' shape, so every numpy
+    loop runs along the rows; no (..., J, D) array is built.  Each row is
+    computed on its own, and each sum has a fixed order: the squared
+    distance d_0^2 + d_1^2 + ... in coordinate order, the normaliser in
+    numpy's pairwise order over J terms (_pairwise_sum), and the output a
+    running sum over components from component 0.  At D = 2 these are the
+    bits of the row-major einsum form.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    # append a component axis j; a scalar t keeps every (J,) term a vector
-    a_j = 1.0 - t[..., None]
-    b_j = t[..., None]
-    sig2 = spec._variances
-    var = a_j * a_j * sig2 + b_j * b_j                   # (..., J)
-    diff = x[..., None, :] - a_j[..., None] * spec.means  # (..., J, D)
-    log_r = np.einsum("...jd,...jd->...j", diff, diff)
+    # trailing unit axes so (J,)- and (J, D)-terms broadcast over the rows
+    lead = (1,) * max(x.ndim - 1, t.ndim)
+    a = 1.0 - t
+    sig2 = spec._variances.reshape((-1, 1) + lead)
+    var = a * a * sig2 + t * t                            # (J, 1, ...)
+    mu = spec.means.reshape(spec.means.shape + lead)      # (J, D, ...)
+    n = x.ndim - 1
+    x_dm = x.transpose((n,) + tuple(range(n)))            # (D, ...), copied
+    x_dm = x_dm.reshape(x_dm.shape[:1] + lead[n:] + x.shape[:-1]).copy()
+    diff = x_dm - a * mu                                  # (J, D, ...)
+    log_r = diff[:, :1] * diff[:, :1]
+    for d in range(1, spec.dim):
+        log_r += diff[:, d:d + 1] * diff[:, d:d + 1]
     # in place, in the operation order of
     # log w - 0.5 sq / var - 0.5 D log var, then the max shift
     log_r *= 0.5
     log_r /= var
-    np.subtract(spec._log_weights, log_r, out=log_r)
+    np.subtract(spec._log_weights.reshape(sig2.shape), log_r, out=log_r)
     log_r -= 0.5 * spec.dim * np.log(var)
-    # the row max as a chain over the J columns: max is exact, so this has
-    # the bits of log_r.max(axis=-1) without a reduction per row
-    shift = log_r[..., 0].copy()
-    for j in range(1, log_r.shape[-1]):
-        np.maximum(shift, log_r[..., j], out=shift)
-    log_r -= shift[..., None]
+    # max is exact: a reduction over components has the bits of any order
+    log_r -= log_r.max(axis=0)
     resp = np.exp(log_r, out=log_r)
-    resp /= resp.sum(axis=-1, keepdims=True)
-    diff *= ((b_j - a_j * sig2) / var)[..., None]       # coef * diff
-    diff -= spec.means
-    return np.einsum("...j,...jd->...d", resp, diff)
+    resp /= _pairwise_sum(resp)
+    diff *= (t - a * sig2) / var                          # coef * diff
+    diff -= mu
+    diff *= resp
+    # a loop, not add.reduce: numpy sums a contiguous axis pairwise
+    out = diff[0]
+    for j in range(1, diff.shape[0]):
+        out += diff[j]
+    return out.transpose(tuple(range(1, out.ndim)) + (0,)).copy()
+
+
+def _pairwise_sum(a) -> np.ndarray:
+    """a.sum(axis=0) in numpy's pairwise order for a contiguous axis, each
+    step over whole rows: a running sum below 8 terms; to 128, eight running
+    partial sums, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and a running tail;
+    above, the sums of two halves cut at a multiple of 8."""
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    if n < 8:
+        s, tail = a[0].copy(), range(1, n)
+    else:
+        m = n - n % 8
+        r = a[:8]
+        for i in range(8, m, 8):
+            r = r + a[i:i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        s, tail = r[0] + r[1], range(m, n)
+    for k in tail:
+        s += a[k]
+    return s
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,33 @@ def test_velocity_unbatched_matches_batched():
 
 
 def out_of_place_velocity(spec, x, t):
-    # gmm_velocity written out without buffers reused in place: the
-    # reference its in-place arithmetic must match bit for bit
+    # gmm_velocity written out row-major, without buffers reused in place
+    # and with its sums over coordinates and components spelled out in
+    # order: the reference its arithmetic must match bit for bit.  The
+    # normaliser stays numpy's own sum over a contiguous J axis.
+    a = (1.0 - np.asarray(t, dtype=float))[..., None]
+    b = np.asarray(t, dtype=float)[..., None]
+    sig2 = spec.stds ** 2
+    var = a ** 2 * sig2 + b ** 2
+    diff = x[..., None, :] - a[..., None] * spec.means
+    sq = diff[..., 0] * diff[..., 0]
+    for d in range(1, spec.dim):
+        sq = sq + diff[..., d] * diff[..., d]
+    log_r = (np.log(spec.weights) - 0.5 * sq / var
+             - 0.5 * spec.dim * np.log(var))
+    log_r = log_r - log_r.max(axis=-1, keepdims=True)
+    resp = np.exp(log_r)
+    resp /= resp.sum(axis=-1, keepdims=True)
+    comp_vel = ((b - a * sig2) / var)[..., None] * diff - spec.means
+    out = resp[..., 0, None] * comp_vel[..., 0, :]
+    for j in range(1, resp.shape[-1]):
+        out = out + resp[..., j, None] * comp_vel[..., j, :]
+    return out
+
+
+def einsum_velocity(spec, x, t):
+    # the field's earlier row-major form, whose sums are einsum's: a running
+    # sum at D = 2, but unrolled over a contiguous axis at D = 1 and D >= 3
     a = (1.0 - np.asarray(t, dtype=float))[..., None]
     b = np.asarray(t, dtype=float)[..., None]
     sig2 = spec.stds ** 2
@@ -187,20 +212,59 @@ def out_of_place_velocity(spec, x, t):
     return np.einsum("...j,...jd->...d", resp, comp_vel)
 
 
-def test_velocity_equals_out_of_place_reference():
+def velocity_draws():
+    # mixtures of 1 to 20 components and one of 130 (past the 128 terms
+    # where numpy's pairwise sum splits in halves), in 1 to 3 dimensions;
+    # batches of 1, 2 and up to 300 rows at scalar, end-point and per-row
+    # times, one unbatched point, and (3, 5, D) batches whose times are
+    # (3, 5) and (3, 1)
     rng = np.random.default_rng(7)
-    for _ in range(60):
-        comps, dim = int(rng.integers(1, 9)), int(rng.integers(1, 4))
-        spec = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
-                              rng.normal(size=(comps, dim)) * 3.0,
-                              rng.uniform(0.01, 2.0, comps))
-        batch = int(rng.integers(1, 300))
-        x = rng.normal(size=(batch, dim)) * rng.uniform(0.1, 10.0)
-        for t in (float(rng.uniform()), 0.0, 1.0, rng.uniform(size=batch)):
-            assert np.array_equal(gmm_velocity(spec, x, t),
-                                  out_of_place_velocity(spec, x, t))
-        assert np.array_equal(gmm_velocity(spec, x[0], 0.3),
-                              out_of_place_velocity(spec, x[0], 0.3))
+    for comps in [*range(1, 21), 130]:
+        for dim in (1, 2, 3):
+            spec = GmmTeacherSpec(rng.dirichlet(np.ones(comps)),
+                                  rng.normal(size=(comps, dim)) * 3.0,
+                                  rng.uniform(0.01, 2.0, comps))
+            scale = rng.uniform(0.1, 10.0)
+            for batch in (1, 2, int(rng.integers(3, 300))):
+                x = rng.normal(size=(batch, dim)) * scale
+                for t in (float(rng.uniform()), 0.0, 1.0,
+                          rng.uniform(size=batch)):
+                    yield spec, x, t
+            yield spec, x[0], 0.3
+            x = rng.normal(size=(3, 5, dim)) * scale
+            yield spec, x, rng.uniform(size=(3, 5))
+            yield spec, x, rng.uniform(size=(3, 1))
+
+
+def test_velocity_equals_out_of_place_reference():
+    for spec, x, t in velocity_draws():
+        got = gmm_velocity(spec, x, t)
+        assert got.shape == x.shape and got.flags.c_contiguous
+        assert np.array_equal(got, out_of_place_velocity(spec, x, t))
+
+
+def test_out_of_place_reference_keeps_the_einsum_bits_at_two_dims():
+    # spelling the sums out moved bits only where einsum does not run them
+    # in order: at D = 2, the dimension of every shipped teacher, the two
+    # references agree on every draw
+    draws = [d for d in velocity_draws() if d[0].dim == 2]
+    assert len(draws) == 21 * 15
+    for spec, x, t in draws:
+        assert np.array_equal(out_of_place_velocity(spec, x, t),
+                              einsum_velocity(spec, x, t))
+
+
+def test_ring_velocity_bits_are_pinned():
+    # sha256 prefixes of the shipped ring teacher's field, taken from the
+    # row-major einsum form: pinned apart from any reference function
+    rng = np.random.default_rng(2301)
+    want = {1: "f4c97be18754ccf4", 64: "e366533d39818911",
+            2048: "697c65f82c1eebc4", 256: "6bc4c5ee20e5a744"}
+    for rows, digest in want.items():
+        x = rng.standard_normal((rows, 2)) * 2.0
+        t = rng.uniform(size=rows) if rows == 256 else 0.43
+        got = gmm_velocity(ring_spec(), x, t)
+        assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
 
 def test_velocity_scalar_time_equals_full_time_array():
@@ -242,8 +306,9 @@ def test_zero_weight_spec_builds_without_warning():
     GmmTeacherSpec([1.0], [[0.5, -1.0]], [0.7]),
 ], ids=["zero_weight", "one_component"])
 def test_velocity_row_max_has_the_reduction_bits(spec):
-    # the column-chain row max against out_of_place_velocity's
-    # log_r.max(axis=-1), with a -inf column and with J = 1
+    # the row max over the leading component axis against
+    # out_of_place_velocity's log_r.max(axis=-1), with a -inf column and
+    # with J = 1
     rng = np.random.default_rng(12)
     x = rng.normal(size=(257, 2)) * 4.0
     with np.errstate(divide="ignore"):  # the reference's log of weight 0
