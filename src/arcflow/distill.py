@@ -319,13 +319,16 @@ def student_sample(net: StudentNet, x_start, nfe: int,
     """Sample with nfe network evaluations, one per shelf, recording a dense
     closed-form trace inside each shelf.
 
-    Each dense sub-step is one closed-form sub_interval_displacement over
-    its own interval, so the chain reproduces the single whole-shelf step up
-    to rounding; the shelf handoff state is the last dense state.  A sample
-    costs nfe forward passes plus nfe * dense_per_shelf interval passes.
-    Overflow and invalid-value warnings are silenced: every state is checked
-    for finiteness, so a diverging student raises one NumericError naming
-    the shelf and the sub-step.
+    Each dense sub-step is the closed-form displacement over its own
+    interval, so the chain reproduces the single whole-shelf step up to
+    rounding; the shelf handoff state is the last dense state.  A shelf's
+    sub-steps come from one sub_interval_displacement call over intervals
+    stacked on a leading row axis, each row the bits of its own call, and
+    are subtracted in order: a sample costs nfe forward passes plus nfe
+    stacked interval passes.  Overflow and invalid-value warnings are
+    silenced: every shelf's states are checked for finiteness, so a
+    diverging student raises one NumericError naming the shelf and its first
+    non-finite sub-step.
     """
     nfe = int(nfe)
     dense = int(dense_per_shelf)
@@ -335,23 +338,29 @@ def student_sample(net: StudentNet, x_start, nfe: int,
     positions = np.empty((nfe * dense + 1,) + x.shape)
     times = np.empty(nfe * dense + 1)
     positions[0], times[0] = x, 1.0
+    fractions = np.arange(1, dense + 1) / dense
+    stack = (dense,) + (1,) * (x.ndim - 1)
     with np.errstate(over="ignore", invalid="ignore"):
         for shelf in range(nfe, 0, -1):
             t_hi = shelf / nfe
             t_lo = (shelf - 1) / nfe
             theta = net.forward(x, t_hi)
-            t_prev = t_hi
-            for m in range(1, dense + 1):
-                row = (nfe - shelf) * dense + m
-                tau = t_lo if m == dense \
-                    else t_hi + (t_lo - t_hi) * (m / dense)
-                x = np.subtract(x, sub_interval_displacement(theta, t_prev,
-                                                             tau),
-                                out=positions[row])
-                if not np.isfinite(x).all():
-                    raise NumericError(
-                        f"non-finite sample state in shelf {nfe - shelf} "
-                        f"({t_hi:.6f} -> {t_lo:.6f}), sub-step {m - 1} "
-                        f"({t_prev:.6f} -> {tau:.6f})")
-                times[row] = t_prev = tau
+            taus = t_hi + (t_lo - t_hi) * fractions
+            taus[-1] = t_lo
+            prevs = np.concatenate(([t_hi], taus[:-1]))
+            steps = sub_interval_displacement(theta, prevs.reshape(stack),
+                                              taus.reshape(stack))
+            first = (nfe - shelf) * dense + 1
+            for m in range(dense):
+                x = np.subtract(x, steps[m], out=positions[first + m])
+            del steps   # not held through the next shelf's forward pass
+            times[first:first + dense] = taus
+            finite = np.isfinite(positions[first:first + dense]).reshape(
+                dense, -1).all(axis=1)
+            if not finite.all():
+                m = int(np.argmin(finite))
+                raise NumericError(
+                    f"non-finite sample state in shelf {nfe - shelf} "
+                    f"({t_hi:.6f} -> {t_lo:.6f}), sub-step {m} "
+                    f"({prevs[m]:.6f} -> {taus[m]:.6f})")
     return TrajectoryRecord(positions, times)

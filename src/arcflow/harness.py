@@ -575,13 +575,15 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
         # Built before training, from its own stream: the check below then
         # sees all it maps, the pooled transport's own mappings too.
         reference = euler_reference(cfg)
-    # dim + 1 floats per state and row: the trace's coordinates, and the
-    # gap to the reference that trajectory_deviation keeps.
+    # Floats per state and row: the trace's coordinates, and the gap to the
+    # reference that trajectory_deviation keeps, 1 more; or while
+    # student_sample runs, one shelf's stacked sub-steps, under dim / nfe
+    # more.
     check_trajectory_memory(
         f"the student trace of nfe {cfg.distill.nfe}, dense_per_shelf "
         f"{runs.dense_per_shelf} and metric_samples {runs.metric_samples}",
         cfg.evaluation_trajectories()[0][1], runs.metric_samples,
-        teacher.dim + 1)
+        teacher.dim + max(1.0, teacher.dim / cfg.distill.nfe))
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
     evaluation = evaluate_student(net, cfg, reference)

@@ -204,8 +204,10 @@ class StudentNet:
         (B,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         batch, dim = x.shape
-        t_col = np.broadcast_to(np.asarray(t, dtype=float), (batch,))
-        ang = t_col[:, None] * self._omegas
+        t = np.asarray(t, dtype=float)
+        t_col = np.broadcast_to(t, (batch,))
+        # a scalar time's sin/cos ladder is one row, broadcast down the batch
+        ang = (t if t.ndim == 0 else t_col[:, None]) * self._omegas
         feat = np.empty((batch, dim + 1 + 2 * self._omegas.size))
         feat[:, :dim] = x
         feat[:, dim] = t_col

@@ -1,8 +1,9 @@
 """Minimal SVG export for trajectory overlays.
 
 Hand-emitted markup, no plotting dependency: polylines for the first two
-coordinates of each trajectory batch, optional markers at the data means, a
-small legend.  Output is deterministic for fixed inputs.
+coordinates of each trajectory batch (for one-dimensional data, x against
+t), optional markers at the data means, a small legend.  Output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,28 @@ VIEW = 640
 MARGIN = 48
 
 
+def _plane(positions, times):
+    # The drawn (horizontal, vertical) pairs of (T+1, ..., D) positions: a
+    # view of the first two coordinates, or (t, x) when D == 1.
+    if positions.shape[-1] >= 2:
+        return positions[..., :2]
+    t = times.reshape((-1,) + (1,) * (positions.ndim - 1))
+    return np.concatenate((np.broadcast_to(t, positions.shape), positions),
+                          axis=-1)
+
+
+def _mean_points(means):
+    # drawn like positions; with one coordinate the means sit at t = 0
+    means = np.asarray(means, dtype=float)
+    return _plane(means, np.zeros(len(means)))
+
+
 def _data_box(records, means):
-    # one min and max per record, over views: no copy of any trajectory
-    pts = [np.asarray(means)[:, :2]] if means is not None else []
+    # one min and max per record, over views: no copy of a trajectory with
+    # two or more coordinates
+    pts = [_mean_points(means)] if means is not None else []
     for _, _, record in records:
-        xy = record.positions[..., :2]
+        xy = _plane(record.positions, record.times)
         axes = tuple(range(xy.ndim - 1))
         pts += [xy.min(axis=axes), xy.max(axis=axes)]
     allp = np.vstack(pts)
@@ -34,7 +52,9 @@ def trajectory_overlay_svg(records, path, means=None, limit=8):
     """Write an overlay of labeled (label, color, TrajectoryRecord) entries.
 
     Only the first `limit` batch elements of each record are drawn; the y
-    axis is flipped so the picture matches math coordinates.
+    axis is flipped so the picture matches math coordinates.  Trajectories
+    with one coordinate are drawn as x (vertical) against t (horizontal),
+    with the means at t = 0.
     """
     lo, hi = _data_box(records, means)
     scale = (VIEW - 2 * MARGIN) / float((hi - lo).max())
@@ -52,7 +72,7 @@ def trajectory_overlay_svg(records, path, means=None, limit=8):
         f'height="{VIEW - 2 * MARGIN}" fill="none" stroke="#cccccc"/>',
     ]
     if means is not None:
-        mx, my = to_px(np.asarray(means, dtype=float)[:, :2])
+        mx, my = to_px(_mean_points(means))
         for x, y in zip(mx, my):
             parts.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="none" '
@@ -63,7 +83,7 @@ def trajectory_overlay_svg(records, path, means=None, limit=8):
         pos = pos.reshape(pos.shape[0], -1, pos.shape[-1])  # (T+1, N, D)
         count = min(int(limit), pos.shape[1])
         for b in range(count):
-            px, py = to_px(pos[:, b, :2])
+            px, py = to_px(_plane(pos[:, b], record.times))
             pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '

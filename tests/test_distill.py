@@ -1,6 +1,7 @@
 """Distillation loop pieces: shelf sampling, mixed rollouts, the matching
 loss and its closed-form gradient, few-step sampling."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -791,6 +792,30 @@ def test_student_sample_equals_interval_displacement_oracle(shape):
                     tau_prev = tau
             assert np.array_equal(rec.positions, np.stack(xs))
             assert np.array_equal(rec.times, np.array(ts))
+
+
+def test_student_sample_keeps_its_bits_at_b2048():
+    # sha256 of the positions and times of a 2-NFE, 16-dense sample of 2,048
+    # rows, from when every dense sub-step was its own displacement call
+    net = sampling_net()
+    x1 = np.random.default_rng(55).standard_normal((2048, 2))
+    rec = student_sample(net, x1, 2, 16)
+    digest = hashlib.sha256(rec.positions.tobytes() + rec.times.tobytes())
+    assert digest.hexdigest() == (
+        "e87eb988f8b4ea6240fede276dfe45ebbc08bf429801279f6f1bfbcda827ffd2")
+
+
+def test_student_sample_names_the_first_non_finite_sub_step():
+    # a constant field that overflows the state at the tenth sub-step of the
+    # first shelf, not the first: one NumericError names it, with no warning
+    net = constant_velocity_net([-1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            student_sample(net, [[1.5e308, 0.0]], nfe=2, dense_per_shelf=16)
+    assert str(err.value) == (
+        "non-finite sample state in shelf 0 (1.000000 -> 0.500000), "
+        "sub-step 9 (0.718750 -> 0.687500)")
 
 
 def test_student_sample_time_grid():

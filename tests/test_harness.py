@@ -868,6 +868,32 @@ def test_run_distillation_writes_artifacts(tmp_path):
     assert parse_run_config((out / "config.txt").read_text()) == cfg
 
 
+def test_run_distillation_on_a_one_dimensional_teacher(tmp_path):
+    # every artifact, and an overlay of x (vertical) against t (horizontal):
+    # each trajectory starts at t = 1, the right edge of the plot, and each
+    # data mean sits at t = 0, the left edge
+    cfg = dataclasses.replace(tiny_run_config(), teacher=TeacherConfig(
+        layout="explicit", weights="0.5 0.5", means="-1; 1",
+        stds="0.3 0.3"))
+    out = tmp_path / "run"
+    report, net, _ = run_distillation(cfg, out_dir=out)
+    assert net.config.dim == 1
+    assert np.isfinite(report.endpoint_mse)
+    for name in ("config.txt", "student.ckpt", "metrics.json", "loss.csv",
+                 "trajectories.csv", "overlay.svg"):
+        assert (out / name).exists(), name
+    svg = (out / "overlay.svg").read_text()
+    lines = [line for line in svg.splitlines() if "<polyline" in line]
+    assert len(lines) == 2 * cfg.run.trajectory_samples
+    for line in lines:
+        xs = [float(p.split(",")[0])
+              for p in line.split('points="')[1].split('"')[0].split()]
+        assert xs[0] == max(xs) and xs[-1] == min(xs)
+    left = min(float(line.split('cx="')[1].split('"')[0])
+               for line in svg.splitlines() if 'stroke="#333333"' in line)
+    assert left == min(xs)
+
+
 def test_run_distillation_export_toggles(tmp_path):
     cfg = tiny_run_config()
     cfg = dataclasses.replace(
@@ -1548,6 +1574,22 @@ def test_trajectory_memory_bound_is_the_limit_less_what_is_mapped(
                 check_trajectory_memory("x", states, 2**20, 2)
             left = max(2**30 - in_use, 0) / 2**30
             assert f"than the {left:.3g} GiB of memory" in str(err.value)
+
+
+def test_student_trace_check_counts_a_shelf_of_stacked_sub_steps(
+        monkeypatch):
+    # Beside the trace, evaluation holds the gap to the reference (1 float
+    # per state and row) and, earlier, one shelf's stacked sub-steps (under
+    # dim / nfe): at one shelf and two coordinates the sub-steps weigh more.
+    def stop_at_the_trace(what, states, rows, dim):
+        if what.startswith("the student trace"):
+            raise InvalidParameterError(f"{dim} floats")
+
+    monkeypatch.setattr(harness_module, "check_trajectory_memory",
+                        stop_at_the_trace)
+    for nfe, floats in ((1, 4.0), (2, 3.0), (3, 3.0)):
+        with pytest.raises(InvalidParameterError, match=f"^{floats} floats"):
+            run_distillation(tiny_run_config(nfe=nfe))
 
 
 def test_address_space_in_use_reads_statm_or_nothing(monkeypatch):

@@ -19,7 +19,11 @@ from arcflow import (
     displacement,
     step,
 )
-from arcflow.solver import momentum_coefficient, sub_interval_displacement
+from arcflow.solver import (
+    BLOCK_ELEMENTS,
+    momentum_coefficient,
+    sub_interval_displacement,
+)
 from arcflow.verify import quadrature_displacement
 
 
@@ -215,21 +219,106 @@ def stacked_interval_draws(rng, theta):
         yield t_start, t_start * rng.uniform(0.0, 1.0, shape)
 
 
+def einsum_displacement(theta, t_start, t_end):
+    """displacement as it was computed before its mode-major kernel, the
+    reference for its bits: (..., K) coefficients contracted by einsum."""
+    t_start, t_end = (t if t.ndim == 0 else t[..., None] for t in (
+        np.asarray(t_start, dtype=float), np.asarray(t_end, dtype=float)))
+    lg = theta.log_gammas
+    elapsed = t_start - t_end
+    flat = lg == 0.0
+    coeffs = np.exp((1.0 - t_start) * lg) * np.where(
+        flat, elapsed, np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
+    return np.einsum("...k,...kd->...d", theta.gating * coeffs,
+                     theta.base_velocities)
+
+
+def same_bits(a, b):
+    # bytes, not values: a zero's sign counts
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def kernel_bundles(rng):
+    # K in {1, 4, 8, 9}, D in {1, 2, 3}, unbatched, (B,) and 2-D batches;
+    # random log-gammas, one pinned at 0 exactly, or all of them at 0
+    for modes, dim, batch in ((1, 2, (7,)), (4, 1, ()), (4, 3, (2, 3)),
+                              (4, 2, (1200,)), (8, 2, (2048,)),
+                              (8, 1, (2048,)), (8, 2, (64, 40)),
+                              (9, 3, (33,)), (9, 2, ())):
+        gating = rng.dirichlet(np.ones(modes), size=batch)
+        base = rng.normal(0.0, 2.0, batch + (modes, dim))
+        for pinned in (0, 1, modes):
+            logg = rng.uniform(-2.0, 2.0, batch + (modes,))
+            logg[..., :pinned] = 0.0
+            yield MomentumParams(gating, base, logg)
+
+
+def kernel_stacks(rng, theta, rows):
+    # (t_start, t_end) for stacks of equal-length intervals on a 1/32 grid
+    # (one whose last interval has zero width), of random lengths, and of
+    # per-sample times
+    ones = (1,) * len(theta.batch_shape)
+    grid = 1.0 - np.arange(rows + 1) / 32.0
+    yield grid[:-1].reshape((rows,) + ones), grid[1:].reshape((rows,) + ones)
+    ends = grid[1:].copy()
+    ends[-1] = grid[-2]
+    yield grid[:-1].reshape((rows,) + ones), ends.reshape((rows,) + ones)
+    t_start = rng.uniform(0.0, 1.0, (rows,) + ones)
+    yield t_start, t_start * rng.uniform(0.0, 1.0, (rows,) + ones)
+    t_start = rng.uniform(0.0, 1.0, (rows,) + theta.batch_shape)
+    yield t_start, t_start * rng.uniform(0.0, 1.0, t_start.shape)
+
+
+def row_times(t, j, theta):
+    # row j of a stack as its own call's times: per-sample or one scalar
+    return t[j] if t.shape[1:] == theta.batch_shape else t[j].reshape(())
+
+
 def test_stacked_times_equal_per_row_calls_bit_for_bit():
     # n intervals on a leading row axis give (n,) + batch_shape + (D,),
     # each row the bits of its own call, batched and unbatched, and so does
-    # a stacked start against a scalar end
+    # a stacked start against a scalar end, and a scalar or per-sample
+    # start against stacked ends
     rng = np.random.default_rng(12)
     for theta in (random_theta(rng), batched_random_theta(rng)):
         for t_start, t_end in stacked_interval_draws(rng, theta):
-            for end in (t_end, 0.0):
-                stacked = displacement(theta, t_start, end)
+            one_start = np.ones(theta.batch_shape)
+            for start, end in ((t_start, t_end), (t_start, 0.0),
+                               (1.0, t_end), (one_start, t_end)):
+                stacked = displacement(theta, start, end)
                 assert stacked.shape == (5,) + theta.batch_shape + (2,)
-                ends = np.broadcast_to(end, t_start.shape)
+                starts, ends = np.broadcast_arrays(start, end)
                 for j in range(5):
-                    row = displacement(theta, t_start[j].squeeze(),
+                    row = displacement(theta, starts[j].squeeze(),
                                        ends[j].squeeze())
-                    assert np.array_equal(stacked[j], row)
+                    assert same_bits(stacked[j], row)
+    # Stacks of one block and of many (16 rows of a (2048,) or a (64, 40)
+    # batch at K = 8 exceed BLOCK_ELEMENTS, and at (1200,), K = 4 the last
+    # of 6 blocks is short), with one interval length or many: every row
+    # is its own call, and at D >= 2 both have the bits of the einsum
+    # reference.  At D = 1 einsum sums the modes in another order, so the
+    # reference bounds the rounding there.
+    assert 16 * 8 * 2048 > BLOCK_ELEMENTS and 16 % (BLOCK_ELEMENTS // 4800)
+    for theta in kernel_bundles(rng):
+        modes, dim = theta.base_velocities.shape[-2:]
+        rows = 16 if theta.gating.size >= 2048 else 5
+        for t_start, t_end in kernel_stacks(rng, theta, rows):
+            stacked = displacement(theta, t_start, t_end)
+            assert stacked.shape == (rows,) + theta.batch_shape + (dim,)
+            want = einsum_displacement(theta, t_start, t_end)
+            if dim >= 2:
+                assert same_bits(stacked, want)
+            else:
+                # gating and coefficients are >= 0: this sums |terms|
+                sizes = einsum_displacement(MomentumParams(
+                    theta.gating, np.abs(theta.base_velocities),
+                    theta.log_gammas), t_start, t_end)
+                slack = modes * np.finfo(float).eps * sizes
+                assert (np.abs(stacked - want) <= slack).all()
+            for j in range(rows):
+                row = displacement(theta, row_times(t_start, j, theta),
+                                   row_times(t_end, j, theta))
+                assert same_bits(stacked[j], row)
 
 
 def test_stacked_times_of_another_shape_fail_at_the_boundary():
@@ -283,10 +372,15 @@ def test_step_rejects_forward_time():
 
 
 def test_step_overflow_raises_numeric_error():
+    # the overflow shows as the error alone, with no numpy warning, and
+    # displacement itself returns the non-finite value without one
     theta = MomentumParams([1.0], [[1e308, 0.0]], [20.0])
     state = LatentState(np.zeros(2), 1.0)
-    with pytest.raises(NumericError):
-        step(state, theta, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError):
+            step(state, theta, 0.0)
+        assert displacement(theta, 1.0, 0.0)[0] == np.inf
 
 
 def test_step_batched_matches_rowwise():
