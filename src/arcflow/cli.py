@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -79,9 +78,11 @@ def cli_ablate(args) -> int:
     except ValueError:
         raise InvalidParameterError(
             f"--seeds takes a comma list of integers, got {args.seeds!r}")
+    # a bad grid fails before the output directory is made, and that
+    # before any training
+    harness.ablation_grid(cfg, studies, seeds)
+    out = harness.make_output_dir(cfg.run.out)
     rows = harness.run_ablation(cfg, studies=studies, seeds=seeds)
-    out = Path(cfg.run.out)
-    out.mkdir(parents=True, exist_ok=True)
     harness.write_ablation_csv(rows, out / "ablation.csv")
     by_cell = {}
     for study, cell, _, mse, _ in rows:
@@ -109,14 +110,13 @@ def cli_sample(args) -> int:
         f"--count {count} at --nfe {nfe}",
         (nfe * cfg.run.dense_per_shelf + 1) * records + REFERENCE_STEPS + 1,
         count, net.config.dim)
+    out = harness.make_output_dir(cfg.run.out)
     teacher = harness.build_teacher(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
     noise = rng.standard_normal((count, teacher.dim))
     student = student_sample(net, noise, nfe, cfg.run.dense_per_shelf)
     reference = euler_sample(teacher.velocity, noise, REFERENCE_STEPS)
-    out = Path(args.out if args.out else cfg.run.out)
-    out.mkdir(parents=True, exist_ok=True)
     harness.write_trajectory_csv(student, out / "student_trajectories.csv")
     harness.write_trajectory_csv(reference, out / "teacher_trajectories.csv")
     records = [(f"teacher_{REFERENCE_STEPS}", "#888888", reference)]

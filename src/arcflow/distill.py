@@ -315,7 +315,7 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
 
 
 def student_sample(net: StudentNet, x_start, nfe: int,
-                   dense_per_shelf=16) -> TrajectoryRecord:
+                   dense_per_shelf: int) -> TrajectoryRecord:
     """Sample with nfe network evaluations, one per shelf, recording a dense
     closed-form trace inside each shelf.
 

@@ -297,6 +297,19 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(text, path=str(path))
 
 
+def make_output_dir(path) -> Path:
+    """Make the output directory path and its parents, before any work
+    whose results it will hold; ConfigError naming the path and the OS
+    reason if it cannot be made."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc.strerror}",
+                          str(path))
+    return out
+
+
 def format_run_config(cfg: RunConfig) -> str:
     """Emit config text: each section's fields as key = value lines, in
     field order.  A [teacher] key that the config's layout does not read is
@@ -584,6 +597,7 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
         f"{runs.dense_per_shelf} and metric_samples {runs.metric_samples}",
         cfg.evaluation_trajectories()[0][1], runs.metric_samples,
         teacher.dim + max(1.0, teacher.dim / cfg.distill.nfe))
+    out = make_output_dir(out_dir) if out_dir is not None else None
     net = build_student_net(cfg.distill, teacher.dim)
     log = distill_train(teacher, net, cfg.distill)
     evaluation = evaluate_student(net, cfg, reference)
@@ -600,9 +614,7 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
         wall_time_s=time.perf_counter() - started,
     )
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "config.txt").write_text(format_run_config(cfg))
         net.save(out / "student.ckpt")
         (out / "metrics.json").write_text(
@@ -664,6 +676,25 @@ def ablation_budget(study: str, base: DistillConfig) -> int:
     return base.total_steps
 
 
+def ablation_grid(cfg: RunConfig, studies, seeds):
+    """The cells (study, cell name, budgeted DistillConfig) and the integer
+    seeds of an ablation grid.  Unknown or repeated studies and negative,
+    non-integer or repeated seeds raise InvalidParameterError."""
+    studies, seeds = tuple(studies), tuple(seeds)
+    if len(set(studies)) != len(studies):
+        raise InvalidParameterError(f"repeated ablation study in {studies}")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidParameterError(f"repeated ablation seed in {seeds}")
+    cells = [(study, name, dataclasses.replace(
+                  dcfg, total_steps=ablation_budget(study, cfg.distill)))
+             for study in studies
+             for name, dcfg in ablation_cells(study, cfg.distill)]
+    # DistillConfig rejects a bad seed
+    for seed in seeds:
+        dataclasses.replace(cfg.distill, seed=seed)
+    return cells, tuple(int(seed) for seed in seeds)
+
+
 def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     """Paired-seed ablation grid.  Every cell at a given seed shares the
     net-init/training/evaluation streams, so differences come from the cell's
@@ -682,22 +713,9 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
     run, which is what one CPU or a platform without fork gets.  A failing
     grid raises the error the one-process run raises first, its text led by
     the failing unit's seed and study/cell names (all of them for twin
-    cells), and no worker outlives the call.  Unknown or repeated studies
-    and negative, non-integer or repeated seeds raise InvalidParameterError
-    before any training."""
-    studies, seeds = tuple(studies), tuple(seeds)
-    if len(set(studies)) != len(studies):
-        raise InvalidParameterError(f"repeated ablation study in {studies}")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidParameterError(f"repeated ablation seed in {seeds}")
-    cells = [(study, name, dataclasses.replace(
-                  dcfg, total_steps=ablation_budget(study, cfg.distill)))
-             for study in studies
-             for name, dcfg in ablation_cells(study, cfg.distill)]
-    # DistillConfig rejects a bad seed before the first cell trains
-    for seed in seeds:
-        dataclasses.replace(cfg.distill, seed=seed)
-    seeds = tuple(int(seed) for seed in seeds)
+    cells), and no worker outlives the call.  The grid is checked first, by
+    ablation_grid, so a bad study or seed fails before any training."""
+    cells, seeds = ablation_grid(cfg, studies, seeds)
     # seeds outermost, as a one-process run trains them
     names = {}
     for seed in seeds:

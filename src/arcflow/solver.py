@@ -13,14 +13,16 @@ where the per-mode coefficient is the exact integral of gamma**(1-t):
 
 or t_s - t_e where ln gamma == 0 exactly.  It takes no difference of two
 exponentials, so it stays within a few ulps on short intervals and beside
-gamma = 1.  It is antisymmetric in its time arguments and additive over
-interval splits; the solver is exact up to floating-point rounding, so step
-size never trades off against accuracy.  displacement is the one checked
-entry and the only route to the closed form: it holds every interval to
-0 <= t_end <= t_start <= 1.  step makes one pass through it; student_sample
-makes one pass per shelf for all its dense sub-steps, and the training
-rollout (distill's mixed_integration) one pass for all its sub-intervals,
-each stacked on a leading row axis.
+gamma = 1.  It is additive over interval splits; the solver is exact up to
+floating-point rounding, so step size never trades off against accuracy.
+The expm1 factor is written once, in _interval_factor.  displacement is the
+one checked entry and the only route to the closed form: it holds every
+interval to 0 <= t_end <= t_start <= 1.  A single coefficient is the
+displacement of a one-mode bundle with gating 1 and velocity (1,), which is
+how the checks in verify and the gate read it.  step makes one pass through
+it; student_sample makes one pass per shelf for all its dense sub-steps, and
+the training rollout (distill's mixed_integration) one pass for all its
+sub-intervals, each stacked on a leading row axis.
 
 The pass works mode-major: it copies the bundle with the mode axis first
 and the samples last, so every elementwise loop runs along the samples, and
@@ -53,33 +55,6 @@ def _interval_factor(lg, flat, elapsed):
                     np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
 
 
-def _coefficients_from_log(lg, t_start, t_end):
-    # Integral of gamma**(1-t) over [t_end, t_start], computed from ln gamma:
-    # gamma**(1 - t_start) times the interval factor.
-    return np.exp((1.0 - t_start) * lg) * _interval_factor(
-        lg, lg == 0.0, t_start - t_end)
-
-
-def momentum_coefficient(gamma, t_start, t_end):
-    """Exact integral of gamma**(1-t) from t_end to t_start.
-
-    gamma must be positive and finite and the times finite; all three
-    arguments broadcast, and the coefficient is antisymmetric under swapping
-    the times.  All-scalar input gives a float back.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    t_start = np.asarray(t_start, dtype=float)
-    t_end = np.asarray(t_end, dtype=float)
-    if not ((0.0 < gamma) & (gamma < np.inf)).all():   # NaN fails too
-        raise InvalidParameterError("gamma must be positive and finite")
-    if not (np.isfinite(t_start).all() and np.isfinite(t_end).all()):
-        raise InvalidIntervalError("coefficient times must be finite")
-    out = _coefficients_from_log(np.log(gamma), t_start, t_end)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _mode_sums(gate, base, lg, t_start, t_end):
     # sum_k gate_k C_k base_k for n stacked intervals, (D, n) + batch, from
     # mode-major gate (K, 1) + batch, base (K, D, 1) + batch and lg (K,) +
@@ -106,8 +81,7 @@ def _mode_sums(gate, base, lg, t_start, t_end):
     for j in range(0, rows, per):
         r = min(per, rows - j)
         w = weights[:, :r]
-        # gate * exp((1 - t_start) lg) * interval factor: the terms of
-        # _coefficients_from_log
+        # gate * exp((1 - t_start) lg) * interval factor
         np.multiply(1.0 - t_start[j:j + r], lg, out=w)
         np.exp(w, out=w)
         w *= (_interval_factor(lg, flat, elapsed[j:j + r]) if factor is None

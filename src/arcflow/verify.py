@@ -40,7 +40,7 @@ from .interpolation import (
     verify_haar,
 )
 from .momentum import MomentumParams, eval_velocity
-from .solver import displacement, momentum_coefficient
+from .solver import displacement
 from .teacher import (
     euler_sample,
     gmm_velocity,
@@ -90,8 +90,12 @@ def coefficient_continuity_suite(trials=10_000, seed=1001) -> SuiteResult:
     t_hi = t_lo + rng.uniform(0.0, 1.0, trials) * (1.0 - t_lo)
     worst = 0.0
     detail = []
+    unit = np.ones((trials, 1))
     for delta in (1e-7, -1e-7, 1e-5, -1e-5):
-        coef = momentum_coefficient(1.0 + delta, t_hi, t_lo)
+        # C(1 + d) is the displacement of a one-mode unit bundle
+        theta = MomentumParams(unit, unit[..., None],
+                               np.full((trials, 1), np.log(1.0 + delta)))
+        coef = displacement(theta, t_hi, t_lo)[:, 0]
         gap = float(np.abs(coef - (t_hi - t_lo)).max())
         worst = max(worst, gap / (10.0 * abs(delta)))
         detail.append(f"d={delta:+.0e} gap={gap:.2e}")

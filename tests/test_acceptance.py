@@ -24,7 +24,7 @@ from arcflow import MomentumParams
 from arcflow.cli import main
 from arcflow.distill import make_linear_baseline, mixed_integration
 from arcflow.harness import RunConfig, run_ablation, run_distillation
-from arcflow.solver import displacement, momentum_coefficient
+from arcflow.solver import displacement
 from arcflow.teacher import ring_spec
 from arcflow.verify import (
     coefficient_continuity_suite,
@@ -182,12 +182,13 @@ def test_repeated_cli_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_coefficient_matches_mpmath(capsys):
-    """The closed-form coefficient, and the anchored rows and the training
-    rollout's sub-interval steps of single-mode unit bundles, against the
-    integral written with mpmath's own exp and log at 50 digits: worst
-    relative error in ulps over |ln gamma| in [1e-12, 4] on both sides of
-    gamma = 1, ln gamma == 0 exactly, and intervals from 1e-12 to 1 (to
-    one shelf width, 0.5, for the rollout)."""
+    """The closed-form coefficient, read as the displacement of one-mode
+    unit bundles, and the anchored rows and the training rollout's
+    sub-interval steps of such bundles, against the integral written with
+    mpmath's own exp and log at 50 digits: worst relative error in ulps
+    over |ln gamma| in [1e-12, 4] on both sides of gamma = 1, ln gamma == 0
+    exactly, and intervals from 1e-12 to 1 (to one shelf width, 0.5, for
+    the rollout)."""
     import mpmath
 
     started = time.perf_counter()
@@ -220,7 +221,11 @@ def test_coefficient_matches_mpmath(capsys):
         elapsed = log_uniform(1e-12, 1.0, n)
         t_end = rng.uniform(0.0, 1.0 - elapsed)
         t_start = t_end + elapsed
-        got = momentum_coefficient(gamma, t_start, t_end)
+        # each coefficient is the displacement of a one-mode unit bundle
+        unit = np.ones((n, 1))
+        got = displacement(MomentumParams(unit, unit[..., None],
+                                          np.log(gamma)[:, None]),
+                           t_start, t_end)[:, 0]
         want = [integral(mpmath.log(g), ts, te)
                 for g, ts, te in zip(gamma, t_start, t_end)]
         coef_ulps = worst_ulps(got, want)

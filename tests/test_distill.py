@@ -830,13 +830,13 @@ def test_student_sample_time_grid():
 def test_student_sample_validation():
     net = constant_velocity_net([0.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        student_sample(net, np.zeros(2), nfe=0)
+        student_sample(net, np.zeros(2), nfe=0, dense_per_shelf=16)
     with pytest.raises(InvalidParameterError):
         student_sample(net, np.zeros(2), nfe=2, dense_per_shelf=0)
     # the net takes x of shape (D,) or (B, D) alone
     for x in (np.zeros((2, 3, 2)), np.float64(0.5)):
         with pytest.raises(InvalidParameterError, match="neither"):
-            student_sample(net, x, nfe=2)
+            student_sample(net, x, nfe=2, dense_per_shelf=16)
 
 
 def test_linear_baseline_step_equals_euler_step():

@@ -1773,3 +1773,24 @@ def test_cli_missing_file_exits_two(monkeypatch, tmp_path, capsys, argv):
     assert str(missing) in line
     assert counts == {"distill_train": 0, "build_teacher": 0}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,module,stage", [
+    (["distill"], harness_module, "distill_train"),
+    (["ablate"], harness_module, "run_ablation"),
+    (["sample", "--checkpoint", "{student}"], cli_module, "student_sample"),
+], ids=["distill", "ablate", "sample"])
+def test_cli_unwritable_out_exits_two_before_any_work(
+        monkeypatch, tmp_path, capsys, argv, module, stage):
+    # an --out under a regular file used to fail only once the run was
+    # done, with a raw NotADirectoryError and exit 1
+    def never(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before the output directory")
+
+    monkeypatch.setattr(module, stage, never)
+    student = _saved_student(tmp_path)   # a regular file
+    out = student / "x"
+    argv = [arg.format(student=student) for arg in argv]
+    line = _cli_error_line(argv + ["--out", str(out)], capsys)
+    assert str(out) in line and "cannot make output directory" in line
+    assert "Not a directory" in line

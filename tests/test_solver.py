@@ -19,11 +19,7 @@ from arcflow import (
     displacement,
     step,
 )
-from arcflow.solver import (
-    BLOCK_ELEMENTS,
-    momentum_coefficient,
-    sub_interval_displacement,
-)
+from arcflow.solver import BLOCK_ELEMENTS, sub_interval_displacement
 from arcflow.verify import quadrature_displacement
 
 
@@ -35,87 +31,98 @@ def random_theta(rng, modes=4, dim=2):
     return MomentumParams(gating, base, logg)
 
 
-# -- momentum_coefficient -----------------------------------------------------
+# -- the closed-form coefficient -----------------------------------------------
+
+
+def unit_coefficient(lg, t_start, t_end):
+    """C(gamma, t_start, t_end) for each ln gamma in lg: the displacement of
+    one-mode bundles with gating 1 and velocity (1,), one bundle per lg."""
+    lg = np.array(lg, dtype=float, ndmin=1)
+    unit = np.ones((lg.size, 1))
+    theta = MomentumParams(unit, unit[..., None], lg[:, None])
+    return displacement(theta, t_start, t_end)[:, 0]
+
+
+def written_out_coefficient(lg, t_start, t_end):
+    """The closed form written out on its own, the reference for the bits
+    of every coefficient the solver and the gate compute."""
+    h = t_start - t_end
+    return np.exp((1 - t_start) * lg) * np.where(
+        lg == 0, h, np.expm1(h * lg) / np.where(lg == 0, 1, lg))
 
 
 def test_coefficient_gamma_one_is_elapsed_time():
-    assert momentum_coefficient(1.0, 0.8, 0.3) == pytest.approx(0.5, abs=0)
+    assert unit_coefficient(0.0, 0.8, 0.3)[0] == 0.5
 
 
 def test_coefficient_gamma_four_hand_value():
     # integral of 4^(1-t) over [0.5, 1] is (4^0.5 - 4^0) / ln 4
     want = 1.0 / np.log(4.0)
-    got = momentum_coefficient(4.0, 1.0, 0.5)
+    got = unit_coefficient(np.log(4.0), 1.0, 0.5)
     assert_allclose(got, want, rtol=1e-15)
     assert_allclose(got, 0.7213475204444817, rtol=1e-15)
 
 
 def test_coefficient_near_one_lands_on_elapsed_time():
     # a gamma one part in 1e9 from 1 gives the gamma = 1 limit to 1e-8
-    got = momentum_coefficient(1.0 + 1e-9, 1.0, 0.0)
-    assert abs(got - 1.0) < 1e-8
+    got = unit_coefficient(np.log(1.0 + 1e-9), 1.0, 0.0)
+    assert abs(got[0] - 1.0) < 1e-8
 
 
 def test_coefficient_continuous_approaching_gamma_one():
     # approach gamma = 1 from both sides, at two offsets each
     for sign in (-1.0, 1.0):
-        outside = momentum_coefficient(np.exp(sign * 2e-6), 0.9, 0.2)
-        inside = momentum_coefficient(np.exp(sign * 5e-7), 0.9, 0.2)
+        outside, inside = unit_coefficient([sign * 2e-6, sign * 5e-7],
+                                           0.9, 0.2)
         assert abs(outside - 0.7) < 1e-5
         assert abs(inside - 0.7) < 1e-5
-
-
-def test_coefficient_antisymmetric_in_endpoints():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        gamma = float(rng.uniform(0.05, 20.0))
-        ta, tb = rng.uniform(0.0, 1.0, 2)
-        fwd = momentum_coefficient(gamma, ta, tb)
-        rev = momentum_coefficient(gamma, tb, ta)
-        assert_allclose(fwd, -rev, rtol=1e-13, atol=1e-16)
 
 
 def test_coefficient_additive_over_interior_point():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        gamma = float(rng.uniform(0.05, 20.0))
+        lg = np.log(rng.uniform(0.05, 20.0))
         t0, t1, t2 = np.sort(rng.uniform(0.0, 1.0, 3))[::-1]
-        whole = momentum_coefficient(gamma, t0, t2)
-        split = (momentum_coefficient(gamma, t0, t1)
-                 + momentum_coefficient(gamma, t1, t2))
+        whole = unit_coefficient(lg, t0, t2)
+        split = unit_coefficient(lg, t0, t1) + unit_coefficient(lg, t1, t2)
         assert_allclose(split, whole, rtol=1e-12, atol=1e-15)
 
 
-def test_coefficient_scalar_inputs_return_float():
-    out = momentum_coefficient(2.0, 1.0, 0.0)
-    assert isinstance(out, float)
-
-
 def test_coefficient_broadcasts_over_gamma_grid():
-    gammas = np.array([0.5, 1.0, 2.0, 4.0])
-    out = momentum_coefficient(gammas, 1.0, 0.0)
+    # a batch of bundles over a grid of gammas gives each gamma's own bits
+    lgs = np.log([0.5, 1.0, 2.0, 4.0])
+    out = unit_coefficient(lgs, 1.0, 0.0)
     assert out.shape == (4,)
-    for g, val in zip(gammas, out):
-        assert_allclose(val, momentum_coefficient(float(g), 1.0, 0.0),
-                        rtol=1e-15)
+    for lg, val in zip(lgs, out):
+        assert same_bits(val, unit_coefficient(lg, 1.0, 0.0)[0])
 
 
-def test_coefficient_rejects_nonpositive_gamma():
-    with pytest.raises(InvalidParameterError):
-        momentum_coefficient(0.0, 1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        momentum_coefficient(-2.0, 1.0, 0.0)
-    # non-finite input fails before anything is computed: no NaN back and
-    # no numpy warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for gamma in (np.nan, np.inf, [2.0, np.nan]):
-            with pytest.raises(InvalidParameterError):
-                momentum_coefficient(gamma, 1.0, 0.0)
-        for t_start, t_end in ((np.nan, 0.0), (1.0, np.nan), (np.inf, 0.0),
-                               (1.0, [0.5, -np.inf])):
-            with pytest.raises(InvalidIntervalError):
-                momentum_coefficient(2.0, t_start, t_end)
+def test_coefficient_is_the_written_out_closed_form_bit_for_bit():
+    # the continuity suite's draws (seed 1001, all four offsets), and draws
+    # like the mpmath gate's: |ln gamma| in [1e-12, 4] on both sides of
+    # gamma = 1, every 16th exactly 0, intervals from 1e-12 to 1, with
+    # ln gamma both as drawn and through exp and log, as the gate takes it
+    rng = np.random.default_rng(1001)
+    t_lo = rng.uniform(0.0, 1.0, 10_000)
+    t_hi = t_lo + rng.uniform(0.0, 1.0, 10_000) * (1.0 - t_lo)
+    for delta in (1e-7, -1e-7, 1e-5, -1e-5):
+        lg = np.full(t_lo.size, np.log(1.0 + delta))
+        assert same_bits(unit_coefficient(lg, t_hi, t_lo),
+                         written_out_coefficient(lg, t_hi, t_lo))
+
+    rng = np.random.default_rng(1014)
+
+    def log_uniform(lo, hi, size):
+        return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+    drawn = log_uniform(1e-12, 4.0, 2048) * rng.choice([-1.0, 1.0], 2048)
+    drawn[::16] = 0.0
+    elapsed = log_uniform(1e-12, 1.0, 2048)
+    t_end = rng.uniform(0.0, 1.0 - elapsed)
+    t_start = t_end + elapsed
+    for lg in (drawn, np.log(np.exp(drawn))):
+        assert same_bits(unit_coefficient(lg, t_start, t_end),
+                         written_out_coefficient(lg, t_start, t_end))
 
 
 # The closed form's identities as properties, over |ln gamma| up to 4 and
@@ -128,20 +135,13 @@ times = st.floats(0.0, 1.0)
 
 
 @PROPERTY
-@given(gammas, times, times)
-def test_coefficient_antisymmetry_property(gamma, ta, tb):
-    assert_allclose(momentum_coefficient(gamma, ta, tb),
-                    -momentum_coefficient(gamma, tb, ta), rtol=1e-14, atol=0)
-
-
-@PROPERTY
 @given(gammas, times, times, times)
 def test_coefficient_additivity_property(gamma, ta, tb, tc):
     # every part has the whole's sign, so the sum does not cancel
+    lg = np.log(gamma)
     t0, t1, t2 = sorted((ta, tb, tc), reverse=True)
-    whole = momentum_coefficient(gamma, t0, t2)
-    split = momentum_coefficient(gamma, t0, t1) \
-        + momentum_coefficient(gamma, t1, t2)
+    whole = unit_coefficient(lg, t0, t2)
+    split = unit_coefficient(lg, t0, t1) + unit_coefficient(lg, t1, t2)
     assert_allclose(split, whole, rtol=1e-14, atol=0)
 
 
@@ -150,10 +150,11 @@ def test_coefficient_additivity_property(gamma, ta, tb, tc):
 def test_coefficient_gamma_one_limit_property(gamma, ta, tb):
     # gamma**(1-t) lies within exp(+-|ln gamma|) of 1 on [0, 1], so the
     # coefficient is within expm1(|ln gamma|) of the elapsed time
+    ta, tb = max(ta, tb), min(ta, tb)
     elapsed = ta - tb
-    got = momentum_coefficient(gamma, ta, tb)
+    got = unit_coefficient(np.log(gamma), ta, tb)[0]
     slack = np.expm1(abs(np.log(gamma))) + 4 * np.finfo(float).eps
-    assert abs(got - elapsed) <= slack * abs(elapsed)
+    assert abs(got - elapsed) <= slack * elapsed
     if gamma == 1.0:
         assert got == elapsed
 
@@ -224,11 +225,7 @@ def einsum_displacement(theta, t_start, t_end):
     reference for its bits: (..., K) coefficients contracted by einsum."""
     t_start, t_end = (t if t.ndim == 0 else t[..., None] for t in (
         np.asarray(t_start, dtype=float), np.asarray(t_end, dtype=float)))
-    lg = theta.log_gammas
-    elapsed = t_start - t_end
-    flat = lg == 0.0
-    coeffs = np.exp((1.0 - t_start) * lg) * np.where(
-        flat, elapsed, np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
+    coeffs = written_out_coefficient(theta.log_gammas, t_start, t_end)
     return np.einsum("...k,...kd->...d", theta.gating * coeffs,
                      theta.base_velocities)
 
