@@ -104,25 +104,31 @@ def cli_sample(args) -> int:
     nfe = args.nfe if args.nfe is not None else cfg.distill.nfe
     if nfe < 1:
         raise InvalidParameterError(f"--nfe must be >= 1, got {nfe}")
-    # the student's (and the baseline's) trajectory and the reference
+    dim = cfg.teacher.spec.dim
+    for flag, checked in (("--checkpoint", net), ("--baseline", base_net)):
+        if checked is not None and checked.config.dim != dim:
+            raise InvalidParameterError(
+                f"{flag} is a student of dim {checked.config.dim}, but the "
+                f"teacher's dim is {dim}")
+    # the student's (and the baseline's) trajectory, the reference, and the
+    # one shelf of stacked sub-steps student_sample holds beside its trace
+    dense = cfg.run.dense_per_shelf
     records = 2 if base_net is not None else 1
     harness.check_trajectory_memory(
         f"--count {count} at --nfe {nfe}",
-        (nfe * cfg.run.dense_per_shelf + 1) * records + REFERENCE_STEPS + 1,
-        count, net.config.dim)
+        (nfe * dense + 1) * records + REFERENCE_STEPS + 1 + dense, count, dim)
     out = harness.make_output_dir(cfg.run.out)
     teacher = harness.build_teacher(cfg)
     rng = np.random.default_rng(args.seed if args.seed is not None
                                 else cfg.distill.seed)
     noise = rng.standard_normal((count, teacher.dim))
-    student = student_sample(net, noise, nfe, cfg.run.dense_per_shelf)
+    student = student_sample(net, noise, nfe, dense)
     reference = euler_sample(teacher.velocity, noise, REFERENCE_STEPS)
     harness.write_trajectory_csv(student, out / "student_trajectories.csv")
     harness.write_trajectory_csv(reference, out / "teacher_trajectories.csv")
     records = [(f"teacher_{REFERENCE_STEPS}", "#888888", reference)]
     if base_net is not None:
-        baseline = student_sample(base_net, noise, nfe,
-                                  cfg.run.dense_per_shelf)
+        baseline = student_sample(base_net, noise, nfe, dense)
         harness.write_trajectory_csv(baseline,
                                      out / "baseline_trajectories.csv")
         records.append((f"linear_{nfe}", "#d97706", baseline))

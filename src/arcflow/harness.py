@@ -32,11 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-try:
-    import resource
-except ImportError:  # no address-space limits to read on this platform
-    resource = None
-
 from ._pool import fork_workers, map_forked
 from .distill import (
     DistillConfig,
@@ -180,15 +175,12 @@ class RunConfig:
                     f"above MAX_ELEMENTS = {MAX_ELEMENTS}")
 
     def evaluation_trajectories(self):
-        """(formula, states) for each trajectory that evaluation holds at
-        once, every state metric_samples * dim floats: the student's dense
-        trace, the doubled Euler reference, then the plain one, which is
-        never the first to break a bound."""
-        steps = self.run.teacher_steps
+        """(formula, states) for the student's dense trace and the doubled
+        Euler reference, the longest trajectories evaluation holds, every
+        state metric_samples * dim floats."""
         return (("(nfe * dense_per_shelf + 1)",
                  self.distill.nfe * self.run.dense_per_shelf + 1),
-                ("(2 * teacher_steps + 1)", 2 * steps + 1),
-                ("(teacher_steps + 1)", steps + 1))
+                ("(2 * teacher_steps + 1)", 2 * self.run.teacher_steps + 1))
 
 
 @dataclass(frozen=True)
@@ -500,8 +492,15 @@ def euler_reference(cfg: RunConfig) -> EulerReference:
     """Draw the evaluation noise from the evaluation stream of
     cfg.distill.seed and transport it with the Euler reference of the
     config's teacher.  It depends only on [teacher], that seed and [run], so
-    every cell of a paired-seed grid can share one."""
+    every cell of a paired-seed grid can share one.  The plain record is
+    held while the doubled one is built, so both are checked against memory
+    (check_trajectory_memory) before either is integrated."""
     opts, teacher = cfg.run, build_teacher(cfg)
+    check_trajectory_memory(
+        f"the Euler reference of teacher_steps {opts.teacher_steps} and "
+        f"metric_samples {opts.metric_samples}",
+        (opts.teacher_steps + 1) + (2 * opts.teacher_steps + 1),
+        opts.metric_samples, teacher.dim)
     eval_rng = np.random.default_rng(training_streams(cfg.distill.seed)[2])
     noise = eval_rng.standard_normal((opts.metric_samples, teacher.dim))
     record = euler_sample(teacher.velocity, noise, opts.teacher_steps)
@@ -526,31 +525,23 @@ def evaluate_student(net: StudentNet, cfg: RunConfig,
     }
 
 
-def _address_space_in_use() -> int:
-    """Bytes of address space this process maps now, the first field of
-    /proc/self/statm in pages; 0 where the platform does not report it."""
-    try:
-        with open("/proc/self/statm") as statm:
-            return int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        return 0
-
-
 def check_trajectory_memory(what: str, states, rows, dim) -> None:
     """InvalidParameterError unless states (rows, dim) float64 arrays fit in
-    this machine's memory and in what is left of this process's soft
-    address-space limit (RLIMIT_AS), where one is set: the trajectories a
-    command holds at once."""
-    need = 8 * rows * dim * states
+    this machine's physical memory and in what the kernel will still map
+    for this process: the trajectories their owner holds at once.  The
+    kernel is asked with one anonymous map of that size, closed untouched."""
+    import mmap
+
+    need = math.ceil(8 * rows * dim * states)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if resource is not None:
-        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
-        if limit != resource.RLIM_INFINITY:
-            have = min(have, max(limit - _address_space_in_use(), 0))
+    needs = f"{what} needs {need / 2**30:.3g} GiB of trajectories, more than"
     if need > have:
         raise InvalidParameterError(
-            f"{what} needs {need / 2**30:.3g} GiB of trajectories, more than "
-            f"the {have / 2**30:.3g} GiB of memory this process has left")
+            f"{needs} the {have / 2**30:.3g} GiB of memory this machine has")
+    try:
+        mmap.mmap(-1, need).close()
+    except OSError:
+        raise InvalidParameterError(f"{needs} this process can map") from None
 
 
 def run_distillation(cfg: RunConfig, out_dir=None, *,
@@ -563,10 +554,9 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
     [teacher] and [run] may pass in the one it built for that seed.  A
     reference drawn for another seed or sample count is rejected.
 
-    Before training, the trajectories evaluation holds are checked against
-    the memory this process has left (check_trajectory_memory), and once
-    the reference is built, the student's dense trace and its gaps to the
-    reference against what is left then."""
+    Once the reference exists and before training, the student's dense
+    trace and its gaps to the reference are checked against memory
+    (check_trajectory_memory)."""
     from .svg import trajectory_overlay_svg  # local import, no cycle
 
     started = time.perf_counter()
@@ -579,11 +569,6 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
             f"{reference.noise.shape} does not fit seed {cfg.distill.seed} "
             f"with {cfg.run.metric_samples} samples")
     runs = cfg.run
-    check_trajectory_memory(
-        f"nfe {cfg.distill.nfe}, teacher_steps {runs.teacher_steps} and "
-        f"metric_samples {runs.metric_samples}",
-        sum(states for _, states in cfg.evaluation_trajectories()),
-        runs.metric_samples, teacher.dim)
     if reference is None:
         # Built before training, from its own stream: the check below then
         # sees all it maps, the pooled transport's own mappings too.

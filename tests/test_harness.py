@@ -1470,110 +1470,143 @@ def test_evaluation_past_memory_exits_two_before_training(
     assert not out.exists()
 
 
-def test_evaluation_past_address_space_exits_two_before_training(
-        monkeypatch, tmp_path, capsys):
-    # nfe = 6000 needs 2.9 GiB of trajectories: less than this machine's
-    # memory, more than a 1 GiB soft RLIMIT_AS; it used to train every step
-    # and then fail as out of memory
-    import resource
-    monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (2**30, resource.RLIM_INFINITY))
-    monkeypatch.setattr(harness_module, "_address_space_in_use", lambda: 0)
-    counts = _count_calls(monkeypatch, "distill_train")
-    path = tmp_path / "nfe_6000.cfg"
-    path.write_text("[distill]\nnfe = 6000\ntotal_steps = 20\n")
-    out = tmp_path / "out"
-    code = main(["distill", "--config", str(path), "--out", str(out)])
-    lines = capsys.readouterr().err.splitlines()
+def _child_env():
+    """The environment of a child process that imports this checkout's
+    arcflow, with one BLAS thread, which keeps the child's address space
+    far below a 1 GiB limit."""
+    src = str(Path(arcflow.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def _cli_under_address_limit(argv, cwd):
+    """(exit code, stderr lines) of `arcflow argv` run in a child process
+    whose address space (RLIMIT_AS) is limited to 1 GiB."""
+    limited = ("import resource, sys\n"
+               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+               "from arcflow.cli import main\n"
+               "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", limited, *argv], cwd=cwd,
+                          env=_child_env(), capture_output=True, text=True,
+                          timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
+
+
+@pytest.mark.parametrize("nfe, gib", [
+    # the student trace and its gaps need more than the whole limit
+    (6000, "4.39"),
+    # under the limit, over what is left once the interpreter and the Euler
+    # reference's pooled transport are mapped; the run used to train every
+    # step and then fail as out of memory
+    pytest.param(1200, "0.879", marks=pytest.mark.skipif(
+        pool_module.usable_cpus() < 2,
+        reason="on one CPU the reference maps no pool, and the trace fits")),
+])
+def test_distill_past_what_the_process_can_map_exits_two_before_training(
+        tmp_path, nfe, gib):
+    (tmp_path / "big.cfg").write_text(
+        f"[distill]\nnfe = {nfe}\ntotal_steps = 20\n")
+    code, lines = _cli_under_address_limit(
+        ["distill", "--config", "big.cfg", "--out", "out"], tmp_path)
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "2.94 GiB of trajectories" in lines[0] and "the 1 GiB" in lines[0]
-    assert counts["distill_train"] == 0
-    assert not out.exists()
+    assert f"the student trace of nfe {nfe}" in lines[0]
+    assert f"needs {gib} GiB of trajectories" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
-def test_evaluation_past_address_space_left_exits_two_before_training(
-        monkeypatch, tmp_path, capsys):
-    # nfe = 1800 needs 0.89 GiB of trajectories: under a 1 GiB soft
-    # RLIMIT_AS, more than the 0.75 GiB left once 0.25 GiB is mapped; the
-    # whole limit let it train every step and then fail as out of memory
-    import resource
-    monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (2**30, resource.RLIM_INFINITY))
-    monkeypatch.setattr(harness_module, "_address_space_in_use",
-                        lambda: 2**28)
-    counts = _count_calls(monkeypatch, "distill_train")
-    path = tmp_path / "nfe_1800.cfg"
-    path.write_text("[distill]\nnfe = 1800\ntotal_steps = 20\n")
-    out = tmp_path / "out"
-    code = main(["distill", "--config", str(path), "--out", str(out)])
-    lines = capsys.readouterr().err.splitlines()
+def test_ablate_checks_each_euler_reference_before_integrating_it(tmp_path):
+    # the plain and doubled records of 20,000 steps need 1.83 GiB; the
+    # reference used to integrate for seconds and then fail as out of
+    # memory
+    (tmp_path / "long.cfg").write_text("[run]\nteacher_steps = 20000\n")
+    started = time.perf_counter()
+    code, lines = _cli_under_address_limit(
+        ["ablate", "--seeds", "0", "--config", "long.cfg", "--out", "out"],
+        tmp_path)
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "0.888 GiB of trajectories" in lines[0]
-    assert "the 0.75 GiB" in lines[0]
-    assert counts["distill_train"] == 0
-    assert not out.exists()
+    assert "the Euler reference of teacher_steps 20000 and metric_samples " \
+           "2048 needs 1.83 GiB of trajectories" in lines[0]
+    assert time.perf_counter() - started < 30
 
 
-def test_student_trace_is_checked_after_the_reference_maps_its_memory(
-        monkeypatch, tmp_path, capsys):
-    # nfe = 1000 needs 0.50 GiB of trajectories, under a 1 GiB soft
-    # RLIMIT_AS with nothing mapped.  The Euler reference is built before
-    # training, and what it leaves mapped (a pooled transport keeps about
-    # 150 MiB) counts against the student's 0.49 GiB dense trace and its
-    # 0.24 GiB of gaps to the reference; checked
-    # only before the reference, such a run trained every step and then
-    # failed as out of memory
-    import resource
-    monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (2**30, resource.RLIM_INFINITY))
-    mapped = [0]
-    real_reference = harness_module.euler_reference
-
-    def reference_then_map(*args, **kwargs):
-        built = real_reference(*args, **kwargs)
-        mapped[0] = 3 * 2**28
-        return built
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("distill_train ran past the memory check")
-
-    monkeypatch.setattr(harness_module, "euler_reference",
-                        reference_then_map)
-    monkeypatch.setattr(harness_module, "_address_space_in_use",
-                        lambda: mapped[0])
-    monkeypatch.setattr(harness_module, "distill_train", no_training)
-    path = tmp_path / "nfe_1000.cfg"
-    path.write_text("[distill]\nnfe = 1000\ntotal_steps = 20\n")
-    out = tmp_path / "out"
-    code = main(["distill", "--config", str(path), "--out", str(out)])
-    lines = capsys.readouterr().err.splitlines()
+def test_cli_sample_counts_a_shelf_of_stacked_sub_steps(tmp_path):
+    # at --nfe 1 the shelf of 16,000 stacked sub-steps weighs as much as the
+    # trace; left out of the count, the sample passed the check and failed
+    # as out of memory once its output directory was made
+    (tmp_path / "dense.cfg").write_text("[run]\ndense_per_shelf = 16000\n")
+    code, lines = _cli_under_address_limit(
+        ["sample", "--checkpoint", str(_saved_student(tmp_path)), "--config",
+         "dense.cfg", "--count", "2048", "--nfe", "1", "--out", "out"],
+        tmp_path)
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "student trace of nfe 1000" in lines[0]
-    assert "0.732 GiB of trajectories" in lines[0]
-    assert "the 0.25 GiB" in lines[0]
-    assert not out.exists()
+    assert "needs 0.983 GiB of trajectories" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
-def test_trajectory_memory_bound_is_the_limit_less_what_is_mapped(
+def test_trajectory_memory_check_maps_what_it_needs_and_closes_it(
         monkeypatch):
-    import resource
-    monkeypatch.setattr(resource, "getrlimit",
-                        lambda which: (2**30, resource.RLIM_INFINITY))
-    # 25 and 40 states of (2**20, 2) floats: 400 and 640 MiB
-    for in_use, fits in ((0, (25, 40)), (2**29, (25,)), (2**31, ())):
-        monkeypatch.setattr(harness_module, "_address_space_in_use",
-                            lambda: in_use)
-        for states in (25, 40):
-            if states in fits:
-                check_trajectory_memory("x", states, 2**20, 2)
-                continue
-            with pytest.raises(InvalidParameterError) as err:
-                check_trajectory_memory("x", states, 2**20, 2)
-            left = max(2**30 - in_use, 0) / 2**30
-            assert f"than the {left:.3g} GiB of memory" in str(err.value)
+    import mmap
+
+    maps = []
+
+    class Recorded:
+        def __init__(self, fileno, length):
+            maps.append([fileno, length, False])
+
+        def close(self):
+            maps[-1][2] = True
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    check_trajectory_memory("x", 3, 5, 2.5)
+    assert maps == [[-1, 8 * 3 * 5 * 2.5, True]]
+
+    def refused(fileno, length):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refused)
+    with pytest.raises(InvalidParameterError) as err:
+        check_trajectory_memory("the x", 2**20, 64, 2)
+    assert str(err.value) == "the x needs 1 GiB of trajectories, more than " \
+                             "this process can map"
+
+
+def test_trajectory_memory_check_bounds_by_physical_memory(monkeypatch):
+    import mmap
+
+    def never(fileno, length):
+        raise AssertionError("mapped past physical memory")
+
+    page = os.sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(mmap, "mmap", never)
+    monkeypatch.setattr(os, "sysconf", lambda name: 2**18 if name ==
+                        "SC_PHYS_PAGES" else page)
+    with pytest.raises(InvalidParameterError) as err:
+        check_trajectory_memory("x", 2**18 * page // 16 + 1, 1, 2)
+    assert "of trajectories, more than the" in str(err.value)
+    assert f"the {2**18 * page / 2**30:.3g} GiB of memory this machine " \
+           f"has" in str(err.value)
+
+
+def test_cli_sample_rejects_a_student_of_another_dim(monkeypatch, tmp_path,
+                                                     capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a student of another dim")
+
+    monkeypatch.setattr(cli_module, "student_sample", no_sampling)
+    path = tmp_path / "one_d.cfg"
+    path.write_text(EXPLICIT.format(means="-1; 1"))
+    student = str(_saved_student(tmp_path))
+    for flags in (["--checkpoint", student],
+                  ["--checkpoint", student, "--baseline", student]):
+        line = _cli_error_line(["sample", "--config", str(path), "--out",
+                                str(tmp_path / "out")] + flags, capsys)
+        assert "--checkpoint is a student of dim 2" in line
+        assert "teacher's dim is 1" in line
+        assert not (tmp_path / "out").exists()
 
 
 def test_student_trace_check_counts_a_shelf_of_stacked_sub_steps(
@@ -1590,17 +1623,6 @@ def test_student_trace_check_counts_a_shelf_of_stacked_sub_steps(
     for nfe, floats in ((1, 4.0), (2, 3.0), (3, 3.0)):
         with pytest.raises(InvalidParameterError, match=f"^{floats} floats"):
             run_distillation(tiny_run_config(nfe=nfe))
-
-
-def test_address_space_in_use_reads_statm_or_nothing(monkeypatch):
-    if os.path.exists("/proc/self/statm"):
-        assert harness_module._address_space_in_use() > 0
-
-    def unreadable(*args, **kwargs):
-        raise OSError("no statm here")
-
-    monkeypatch.setattr(harness_module, "open", unreadable, raising=False)
-    assert harness_module._address_space_in_use() == 0
 
 
 def test_cli_diverging_run_prints_one_error_line(tmp_path, capsys):
@@ -1745,15 +1767,10 @@ def test_config_text_and_argv_fail_as_arcflow_errors(tmp_path):
     `arcflow sample` argv exits 0 or 2 with one error line, with no other
     exception and no warning."""
     path = _saved_student(tmp_path)
-    src = str(Path(arcflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    # one BLAS thread keeps the child's address space far below the limit
-    env["OPENBLAS_NUM_THREADS"] = "1"
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).with_name("input_fuzz.py")),
          str(1 << 30), str(path), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=_child_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
