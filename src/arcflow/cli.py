@@ -78,9 +78,10 @@ def cli_ablate(args) -> int:
     except ValueError:
         raise InvalidParameterError(
             f"--seeds takes a comma list of integers, got {args.seeds!r}")
-    # a bad grid fails before the output directory is made, and that
-    # before any training
+    # a bad grid, or Euler references past what memory holds, fail before
+    # the output directory is made, and that before any training
     harness.ablation_grid(cfg, studies, seeds)
+    harness.check_reference_memory(cfg)
     out = harness.make_output_dir(cfg.run.out)
     rows = harness.run_ablation(cfg, studies=studies, seeds=seeds)
     harness.write_ablation_csv(rows, out / "ablation.csv")

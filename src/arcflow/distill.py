@@ -22,8 +22,8 @@ One training step:
    the teacher's velocity at the anchor state; squared error averaged over
    anchors, batch and coordinates.  The loss computes the gamma powers
    gamma**(1 - t_j) itself; the rollout keeps none of its own.  The rollout
-   evaluates the teacher at every anchor state, and at lam = 1 in one call,
-   so the loss calls no teacher.
+   evaluates the teacher at every anchor state, and at lam = 1 in one call
+   at one time per anchor, so the loss calls no teacher.
 6. Adam step.  lam ramps linearly from 0 (anchors follow the teacher) to 1
    (anchors follow the student's own closed-form rollout) over
    guidance_steps and stays at 1 afterwards.
@@ -181,9 +181,10 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
 
     lam = 0 reduces every sub-interval to one teacher Euler step.  lam = 1
     has no teacher segment: the anchors are the closed-form chain, and the
-    teacher is then evaluated on every anchor state in one call with per-row
-    times.  teacher.velocity computes each row on its own, so the result
-    has the bits of the sequential rule.
+    teacher is then evaluated on every anchor state in one call, with one
+    time per anchor, so it forms its per-time factors once per anchor, not
+    once per row.  teacher.velocity computes each row on its own, so the
+    result has the bits of the sequential rule.
 
     Anchor times are checked before any teacher call: a non-empty 1-D
     array, strictly decreasing, in [0, t_start] with t_start <= 1.
@@ -217,10 +218,8 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
         if not np.isfinite(anchors).all():
             j = next(j for j in range(n) if not np.isfinite(anchors[j]).all())
             raise _non_finite_state(j, t_prev[j], times[j])
-        rows = anchors.reshape(-1, anchors.shape[-1])
-        row_times = np.repeat(times, x_src.size // x_src.shape[-1])
-        targets = teacher.velocity(rows, row_times)
-        return anchors, targets.reshape(anchors.shape)
+        times_by_anchor = times.reshape((n,) + (1,) * (x_src.ndim - 1))
+        return anchors, teacher.velocity(anchors, times_by_anchor)
     targets = np.empty_like(anchors)
     x, u = x_src, teacher.velocity(x_src, t_start)
     for j in range(n):

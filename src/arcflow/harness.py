@@ -492,20 +492,28 @@ def euler_reference(cfg: RunConfig) -> EulerReference:
     """Draw the evaluation noise from the evaluation stream of
     cfg.distill.seed and transport it with the Euler reference of the
     config's teacher.  It depends only on [teacher], that seed and [run], so
-    every cell of a paired-seed grid can share one.  The plain record is
-    held while the doubled one is built, so both are checked against memory
-    (check_trajectory_memory) before either is integrated."""
+    every cell of a paired-seed grid can share one.  Both records are
+    checked against memory (check_reference_memory) before either is
+    integrated."""
     opts, teacher = cfg.run, build_teacher(cfg)
-    check_trajectory_memory(
-        f"the Euler reference of teacher_steps {opts.teacher_steps} and "
-        f"metric_samples {opts.metric_samples}",
-        (opts.teacher_steps + 1) + (2 * opts.teacher_steps + 1),
-        opts.metric_samples, teacher.dim)
+    check_reference_memory(cfg)
     eval_rng = np.random.default_rng(training_streams(cfg.distill.seed)[2])
     noise = eval_rng.standard_normal((opts.metric_samples, teacher.dim))
     record = euler_sample(teacher.velocity, noise, opts.teacher_steps)
     doubled = euler_sample(teacher.velocity, noise, 2 * opts.teacher_steps)
     return EulerReference(cfg.distill.seed, noise, record, doubled.endpoint)
+
+
+def check_reference_memory(cfg: RunConfig) -> None:
+    """check_trajectory_memory for one Euler reference of the config: the
+    plain record is held while the doubled one is built.  Every seed's
+    reference has this size, so a caller may check before it makes any."""
+    opts = cfg.run
+    check_trajectory_memory(
+        f"the Euler reference of teacher_steps {opts.teacher_steps} and "
+        f"metric_samples {opts.metric_samples}",
+        (opts.teacher_steps + 1) + (2 * opts.teacher_steps + 1),
+        opts.metric_samples, build_teacher(cfg).dim)
 
 
 def evaluate_student(net: StudentNet, cfg: RunConfig,

@@ -39,6 +39,32 @@ def _as_readonly(arr, dtype=float):
     return out
 
 
+def _pairwise_sum(a) -> np.ndarray:
+    """a.sum(axis=0) in numpy's pairwise order for a contiguous axis, each
+    step over whole rows: a running sum below 8 terms; to 128, eight running
+    partial sums, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and a running tail;
+    above, the sums of two halves cut at a multiple of 8.  Over a mode-major
+    (K, ...) array it has the bits of a sum over a contiguous mode axis: the
+    teacher's responsibilities and the student's gating normalise with it."""
+    n = a.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    if n < 8:
+        s, tail = a[0].copy(), range(1, n)
+    else:
+        m = n - n % 8
+        r = a[:8]
+        for i in range(8, m, 8):
+            r = r + a[i:i + 8]
+        r = r[0::2] + r[1::2]
+        r = r[0::2] + r[1::2]
+        s, tail = r[0] + r[1], range(m, n)
+    for k in tail:
+        s += a[k]
+    return s
+
+
 @dataclass(frozen=True)
 class MomentumParams:
     """Parameters of a momentum mixture, optionally batched.

@@ -20,6 +20,13 @@ Everything is float64 in one flat parameter vector with named views, and the
 backward pass is written out by hand; arcflow.verify checks it against central
 finite differences.
 
+The forward pass allocates one array per layer: each product is fresh, and
+bias, tanh and the head offsets are applied to it in place.  The softmax
+runs mode-major, on a (K, B) copy of the logits, and normalises in numpy's
+pairwise order over the K rows (momentum._pairwise_sum), so every output
+has the bits of the row-wise form np.tanh(h @ W + b) with a softmax along
+each row; the gating it returns is the (B, K) transpose of that copy.
+
 Initialization draws, in order: each body weight matrix, then the velocity
 head weight matrix, all scaled by 1/sqrt(fan_in); biases and the gating and
 momentum heads start at zero (uniform gating, default momentum progression).
@@ -39,7 +46,7 @@ from .errors import (
     NumericError,
     StateError,
 )
-from .momentum import (DEFAULT_GAMMA_RANGE, MomentumParams,
+from .momentum import (DEFAULT_GAMMA_RANGE, MomentumParams, _pairwise_sum,
                        check_gamma_range, init_log_gammas)
 
 GAMMA_MODES = ("learnable", "fixed", "frozen_one")
@@ -230,35 +237,45 @@ class StudentNet:
         batch = feat.shape[0]
         p = self._p
 
+        # in place, in the operation order of np.tanh(h @ W + b)
         acts = [feat]
         h = feat
         for i in range(len(cfg.hidden)):
-            h = np.tanh(h @ p[f"body{i}_w"] + p[f"body{i}_b"])
+            h = h @ p[f"body{i}_w"]
+            h += p[f"body{i}_b"]
+            np.tanh(h, out=h)
             acts.append(h)
         top = h
 
-        logits = top @ p["gate_w"] + p["gate_b"]
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        expl = np.exp(logits)
-        gating = expl / expl.sum(axis=-1, keepdims=True)
+        # mode-major, so every loop runs along the batch: the max is exact
+        # in any order, and _pairwise_sum keeps the row-wise sum's order
+        z = (top @ p["gate_w"]).T.copy()
+        z += p["gate_b"][:, None]
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= _pairwise_sum(z)
+        gating = z.T   # displacement's mode-major copy of it is then free
 
-        vel = top @ p["vel_w"] + p["vel_b"]
+        vel = top @ p["vel_w"]
+        vel += p["vel_b"]
         if cfg.share_velocity:
             base = np.repeat(vel[:, None, :], cfg.num_modes, axis=1)
         else:
             base = vel.reshape(batch, cfg.num_modes, cfg.dim)
 
         if cfg.gamma_mode == "learnable":
-            off = top @ p["gam_w"] + p["gam_b"]
-            off = off * self._anchor_mask
-            log_g = self.frozen_log_gammas + off
-            if cfg.share_gamma:
-                log_g = np.broadcast_to(log_g, (batch, cfg.num_modes))
+            # frozen + masked offset, added the other way round: IEEE
+            # addition commutes
+            log_g = top @ p["gam_w"]
+            log_g += p["gam_b"]
+            log_g *= self._anchor_mask
+            log_g += self.frozen_log_gammas
         else:
-            log_g = np.broadcast_to(self.frozen_log_gammas,
-                                    (batch, cfg.num_modes))
+            log_g = self.frozen_log_gammas
+        if log_g.shape != (batch, cfg.num_modes):
+            # a shared gamma head's one column, or the frozen row
+            log_g = np.broadcast_to(log_g, (batch, cfg.num_modes)).copy()
 
-        log_g = np.array(log_g)
         self._tape = {"acts": acts, "gating": gating, "squeeze": squeeze}
         if squeeze:
             gating, base, log_g = gating[0], base[0], log_g[0]

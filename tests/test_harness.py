@@ -1530,6 +1530,27 @@ def test_ablate_checks_each_euler_reference_before_integrating_it(tmp_path):
     assert "the Euler reference of teacher_steps 20000 and metric_samples " \
            "2048 needs 1.83 GiB of trajectories" in lines[0]
     assert time.perf_counter() - started < 30
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_ablate_checks_its_references_before_its_output_directory(
+        monkeypatch, tmp_path, capsys):
+    # the references' check used to run only once the output directory was
+    # made, so a refused reference left an empty directory behind
+    import mmap
+
+    def refused(fileno, length):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refused)
+    out = tmp_path / "ablate"
+    line = _cli_error_line(
+        ["ablate", "--config", str(write_tiny_config(tmp_path)), "--out",
+         str(out), "--studies", "gamma_mode", "--seeds", "0"], capsys)
+    assert line == "error: the Euler reference of teacher_steps 20 and " \
+                   "metric_samples 64 needs 5.91e-05 GiB of trajectories, " \
+                   "more than this process can map"
+    assert not out.exists()
 
 
 def test_cli_sample_counts_a_shelf_of_stacked_sub_steps(tmp_path):

@@ -1,6 +1,7 @@
 """Student net: forward structure, reverse-mode gradients, Adam, checkpoints."""
 
 import copy
+import dataclasses
 import os
 import pickle
 import struct
@@ -37,6 +38,11 @@ ALL_VARIANTS = (
     NetConfig(dim=2, num_modes=1, gamma_mode="frozen_one"),
     NetConfig(dim=3, num_modes=2, hidden=(16,), time_freqs=(1.0, 3.0)),
 )
+
+
+def variant_id(c):
+    return (f"{c.gamma_mode}{'-sv' if c.share_velocity else ''}"
+            f"{'-sg' if c.share_gamma else ''}-k{c.num_modes}d{c.dim}")
 
 
 def probe_batch(rng, dim, batch=5):
@@ -165,6 +171,51 @@ def test_forward_unbatched_squeeze():
     assert theta.gating.shape == (3,)
     assert theta.base_velocities.shape == (3, 2)
     assert theta.log_gammas.shape == (3,)
+
+
+def rowwise_forward(net, x, t):
+    """(gating, base, log_gammas) of a (B, D) batch, written out row-wise:
+    np.tanh(h @ W + b) per layer and a softmax along each row's modes."""
+    cfg, view = net.config, net.view
+    h = net.features(x, t)
+    for i in range(len(cfg.hidden)):
+        h = np.tanh(h @ view(f"body{i}_w") + view(f"body{i}_b"))
+    logits = h @ view("gate_w") + view("gate_b")
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    expl = np.exp(logits)
+    gating = expl / expl.sum(axis=-1, keepdims=True)
+    vel = h @ view("vel_w") + view("vel_b")
+    shape = (x.shape[0], cfg.num_modes, cfg.dim)
+    base = np.broadcast_to(vel[:, None, :], shape) if cfg.share_velocity \
+        else vel.reshape(shape)
+    log_g = net.frozen_log_gammas
+    if cfg.gamma_mode == "learnable":
+        off = h @ view("gam_w") + view("gam_b")
+        log_g = log_g + off * net._anchor_mask
+    return gating, base, np.broadcast_to(log_g, shape[:2])
+
+
+@pytest.mark.parametrize("modes", (1, 3, 8, 9, 20))
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_forward_has_the_bits_of_the_rowwise_form(variant, modes):
+    # in-place layers and a mode-major softmax summed in numpy's pairwise
+    # order keep every bit of the row-wise form; a plain running sum over
+    # the modes would not, from 8 modes up
+    cfg = dataclasses.replace(variant, num_modes=modes)
+    net = StudentNet(cfg, seed=3)
+    net.params += 0.5 * np.random.default_rng(30).normal(size=net.num_params)
+    rng = np.random.default_rng(31)
+    for batch in (None, 7, 64, 2048):
+        x, t = probe_batch(rng, cfg.dim, batch or 1)
+        if batch is None:
+            theta, want = net.forward(x[0], t[0]), rowwise_forward(net, x, t)
+            want = [arr[0] for arr in want]
+        else:
+            theta, want = net.forward(x, t), rowwise_forward(net, x, t)
+        for got, ref in zip((theta.gating, theta.base_velocities,
+                             theta.log_gammas), want):
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (batch, got.shape)
 
 
 @pytest.mark.parametrize("cfg", ALL_VARIANTS)
@@ -305,11 +356,7 @@ def test_backward_accumulates_across_calls():
     assert_allclose(net.grads, 2.0 * once, rtol=1e-15)
 
 
-@pytest.mark.parametrize("cfg", ALL_VARIANTS,
-                         ids=lambda c: (f"{c.gamma_mode}"
-                                        f"{'-sv' if c.share_velocity else ''}"
-                                        f"{'-sg' if c.share_gamma else ''}"
-                                        f"-k{c.num_modes}d{c.dim}"))
+@pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_gradients_match_finite_differences(cfg):
     net = StudentNet(cfg, seed=1)
     # move off the zero init so softmax and momentum heads have curvature
@@ -390,11 +437,7 @@ def _mode_flag_offset(cfg):
     return 8 + 8 + 4 + 4 * len(cfg.hidden) + 4 + 8 * len(cfg.time_freqs)
 
 
-@pytest.mark.parametrize("cfg", ALL_VARIANTS,
-                         ids=lambda c: (f"{c.gamma_mode}"
-                                        f"{'-sv' if c.share_velocity else ''}"
-                                        f"{'-sg' if c.share_gamma else ''}"
-                                        f"-k{c.num_modes}d{c.dim}"))
+@pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_checkpoint_round_trip_bit_exact(cfg, tmp_path):
     net = StudentNet(cfg, seed=5)
     net.params += 0.01 * np.random.default_rng(20).normal(size=net.num_params)
