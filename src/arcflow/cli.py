@@ -46,18 +46,19 @@ def _load_config(args) -> harness.RunConfig:
 
 
 def cli_verify(args) -> int:
-    from .verify import TOLERANCES, run_all_suites
+    from .verify import SUITES
 
     print("tolerances:")
-    for name, tol in TOLERANCES.items():
-        print(f"  {name}: {tol}")
+    for suite in SUITES:
+        print(f"  {suite.name}: {suite.tolerance}")
     print()
-    results = run_all_suites()
-    for result in results:
-        print(result.line())
-    failed = [r for r in results if not r.passed]
+    failed = 0
+    for suite in SUITES:
+        result = suite()
+        print(result.line(), flush=True)
+        failed += not result.passed
     print()
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
+    print(f"{len(SUITES) - failed}/{len(SUITES)} suites passed")
     return 1 if failed else 0
 
 

@@ -285,7 +285,7 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
             f"net has {net.config.num_modes} modes, config wants "
             f"{cfg.num_modes}"
         )
-    opt = init_optim_state(net)
+    opt = init_optim_state(net, cfg.base_lr)
     width = 1.0 / cfg.nfe
     log = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,7 +302,7 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
                 loss, grads = velocity_matching_loss(theta, times, targets)
                 net.zero_grads()
                 net.backward(*grads)
-                adam_step(net, opt, cfg.base_lr)
+                adam_step(net, opt)
             except ArcFlowError as exc:
                 raise type(exc)(f"training step {step_idx}: {exc}") from exc
             log.append((step_idx, lam, loss, t_src))

@@ -628,31 +628,36 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
     return report, net, log
 
 
-ABLATION_STUDIES = ("gamma_mode", "sharing", "num_modes")
+# Each ablation study: whether it trains for twice the guidance ramp (or
+# the full run), and its cells, each a name and the DistillConfig fields it
+# replaces on the base config.
+_STUDIES = {
+    "gamma_mode": (True, [(mode, {"gamma_mode": mode})
+                          for mode in ("frozen_one", "fixed", "learnable")]),
+    "sharing": (True, [
+        (name, {"gamma_mode": "learnable", "share_velocity": velocity,
+                "share_gamma": gamma})
+        for name, velocity, gamma in (
+            ("vel_per_mode_gamma_shared", False, True),
+            ("vel_shared_gamma_per_mode", True, False),
+            ("all_per_mode", False, False))]),
+    "num_modes": (False, [(f"modes_{k}", {"num_modes": k})
+                          for k in (4, 8, 16)]),
+}
+ABLATION_STUDIES = tuple(_STUDIES)
+
+
+def _study(study: str):
+    if study not in _STUDIES:
+        raise InvalidParameterError(f"unknown ablation study {study!r}")
+    return _STUDIES[study]
 
 
 def ablation_cells(study: str, base: DistillConfig):
     """The configuration cells of one ablation study, derived from a base
     config by replacing only the studied fields."""
-    rep = dataclasses.replace
-    if study == "gamma_mode":
-        return [(mode, rep(base, gamma_mode=mode))
-                for mode in ("frozen_one", "fixed", "learnable")]
-    if study == "sharing":
-        return [
-            ("vel_per_mode_gamma_shared",
-             rep(base, gamma_mode="learnable", share_velocity=False,
-                 share_gamma=True)),
-            ("vel_shared_gamma_per_mode",
-             rep(base, gamma_mode="learnable", share_velocity=True,
-                 share_gamma=False)),
-            ("all_per_mode",
-             rep(base, gamma_mode="learnable", share_velocity=False,
-                 share_gamma=False)),
-        ]
-    if study == "num_modes":
-        return [(f"modes_{k}", rep(base, num_modes=k)) for k in (4, 8, 16)]
-    raise InvalidParameterError(f"unknown ablation study {study!r}")
+    return [(name, dataclasses.replace(base, **fields))
+            for name, fields in _study(study)[1]]
 
 
 def ablation_budget(study: str, base: DistillConfig) -> int:
@@ -664,7 +669,7 @@ def ablation_budget(study: str, base: DistillConfig) -> int:
     ramp length.  The mode-count study compares capacity, which only binds
     at the full budget.
     """
-    if study in ("gamma_mode", "sharing"):
+    if _study(study)[0]:
         return min(2 * base.guidance_steps, base.total_steps)
     return base.total_steps
 

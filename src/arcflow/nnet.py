@@ -453,24 +453,24 @@ class OptimState:
     m: np.ndarray
     v: np.ndarray
     step_count: int
-    lr_scale: np.ndarray
+    lr: np.ndarray
 
 
-def init_optim_state(net: StudentNet) -> OptimState:
-    """Fresh Adam moments plus the per-parameter rate multipliers (momentum
-    head trains at GAMMA_LR_SCALE times the base rate)."""
+def init_optim_state(net: StudentNet, base_lr: float) -> OptimState:
+    """Fresh Adam moments plus the per-parameter rates: base_lr, and
+    GAMMA_LR_SCALE times it for the momentum head."""
     scale = np.ones(net.num_params)
     scale[net.slice_of("gam_w")] = GAMMA_LR_SCALE
     scale[net.slice_of("gam_b")] = GAMMA_LR_SCALE
     return OptimState(np.zeros(net.num_params), np.zeros(net.num_params),
-                      0, scale)
+                      0, base_lr * scale)
 
 
-def adam_step(net: StudentNet, state: OptimState, base_lr: float):
-    """One Adam update from net.grads, decoupled weight decay zero.
+def adam_step(net: StudentNet, state: OptimState):
+    """One Adam update from net.grads at the state's per-parameter rates,
+    decoupled weight decay zero.
 
-    Bias-corrected first and second moments with betas (0.9, 0.95); the
-    effective rate is base_lr times the per-parameter scale.
+    Bias-corrected first and second moments with betas (0.9, 0.95).
     """
     g = net.grads
     if not np.isfinite(g).all():
@@ -484,4 +484,4 @@ def adam_step(net: StudentNet, state: OptimState, base_lr: float):
     state.v += (1.0 - ADAM_BETA2) * g * g
     mhat = state.m / (1.0 - ADAM_BETA1 ** state.step_count)
     vhat = state.v / (1.0 - ADAM_BETA2 ** state.step_count)
-    net.params -= base_lr * state.lr_scale * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    net.params -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)

@@ -1,12 +1,20 @@
 """Verification suites: every closed-form code path checked against an
 independent route.
 
-Each suite returns a SuiteResult and is deliberately written against a
-different computation than the code under test: Gauss-Legendre quadrature
-for the closed-form displacement, composed Euler references for the mixed
-rollout, central finite differences for the hand-written backward pass,
-kernel regression on raw pairs plus an energy-distance transport test for
-the closed-form teacher field.  None of these reference routes may ever be
+Each suite is registered once, in gate order, by the suite decorator,
+which holds its name, its tolerance text, its wall-time budget if it has
+one, and its sizes and seed.  SUITES is that registry: arcflow verify prints
+each entry's tolerance (formatted from its sizes, naming its budget) and
+calls the entries, which take no arguments.  A suite's body returns only
+(within bounds, detail); the entry times it, fails it past its budget and
+builds the SuiteResult.
+
+Each suite is deliberately written against a different computation than
+the code under test: Gauss-Legendre quadrature for the closed-form
+displacement, composed Euler references for the mixed rollout, central
+finite differences for the hand-written backward pass, kernel regression on
+raw pairs plus an energy-distance transport test for the closed-form
+teacher field.  None of these reference routes may ever be
 replaced by calls into the code they check.
 
 The two general-purpose reference routes live here too, not in the modules
@@ -19,44 +27,21 @@ itself.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distill import (
-    DistillConfig,
-    build_student_net,
-    init_shelf_state,
-    mixed_integration,
-    sample_anchor_times,
-    velocity_matching_loss,
-)
+from .distill import (DistillConfig, build_student_net, init_shelf_state,
+                      mixed_integration, sample_anchor_times,
+                      velocity_matching_loss)
 from .errors import ConvergenceError, InvalidParameterError
 from .harness import energy_distance
-from .interpolation import (
-    InterpolationProblem,
-    solve_exact_fit,
-    to_momentum_params,
-    verify_haar,
-)
+from .interpolation import (InterpolationProblem, solve_exact_fit,
+                            to_momentum_params, verify_haar)
 from .momentum import MomentumParams, eval_velocity
 from .solver import displacement
-from .teacher import (
-    euler_sample,
-    gmm_velocity,
-    ring_spec,
-    sample_data,
-)
-
-TOLERANCES = {
-    "coefficient_continuity": "|C(1+d) - (t_s - t_e)| <= 10|d|, d in {1e-7, 1e-5}",
-    "operator_vs_quadrature": "rel err <= 1e-9 vs 40-node Gauss-Legendre (20/40 gap <= 1e-12), 1000 mixtures",
-    "operator_additivity": "split rel err <= 1e-12, 10^4 splits",
-    "exact_interpolation": "fit rel err <= 1e-6 at N=K in {2,4,8}; 1000 basis draws nonsingular",
-    "gradient_check": "max rel err <= 1e-4 vs central differences (h=1e-5), 100 probes",
-    "degenerate_mixing": "lam 0/1 match references to 1e-12, 1000 shelves",
-    "teacher_consistency": "20 probes within 3 SE; transport energy distance < self + 3 sigma",
-}
+from .teacher import euler_sample, gmm_velocity, ring_spec, sample_data
 
 
 @dataclass(frozen=True)
@@ -71,6 +56,43 @@ class SuiteResult:
         return f"[{tag}] {self.name}: {self.detail} ({self.seconds:.2f}s)"
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One registered oracle suite; calling it runs the body on the
+    registered sizes and returns its SuiteResult."""
+    name: str
+    tolerance: str
+    budget_s: float | None
+    sizes: dict
+    body: Callable
+
+    def __call__(self) -> SuiteResult:
+        started = time.perf_counter()
+        passed, detail = self.body(**self.sizes)
+        elapsed = time.perf_counter() - started
+        if self.budget_s is not None and not elapsed < self.budget_s:
+            passed = False
+            detail += f"; over its {self.budget_s:g}s budget"
+        return SuiteResult(self.name, passed, detail, elapsed)
+
+
+# The registry in gate order; only the suite decorator adds to it, at import.
+SUITES = []
+
+
+def suite(name, tolerance, budget_s=None, **sizes):
+    """Register the decorated body as the gate's next suite.  tolerance is
+    formatted with the sizes, and names the budget when there is one."""
+    if budget_s is not None:
+        tolerance += f", in under {budget_s:g}s"
+
+    def register(body):
+        SUITES.append(Suite(name, tolerance.format(**sizes), budget_s, sizes,
+                            body))
+        return SUITES[-1]
+    return register
+
+
 def _rel_gap(got, want) -> float:
     """Norm gap relative to the reference, floored at unit scale."""
     got = np.asarray(got, dtype=float)
@@ -80,11 +102,13 @@ def _rel_gap(got, want) -> float:
     return float((num / den).max())
 
 
-def coefficient_continuity_suite(trials=10_000, seed=1001) -> SuiteResult:
+@suite("coefficient_continuity",
+       "|C(1+d) - (t_s - t_e)| <= 10|d|, d in {{1e-7, 1e-5}}, {trials} "
+       "intervals", budget_s=1.0, trials=10_000, seed=1001)
+def coefficient_continuity_suite(trials, seed):
     """Near gamma = 1 the closed-form coefficient must approach the linear
     limit t_s - t_e linearly in the offset, from both sides, at offsets of
     1e-7 and 1e-5."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     t_lo = rng.uniform(0.0, 1.0, trials)
     t_hi = t_lo + rng.uniform(0.0, 1.0, trials) * (1.0 - t_lo)
@@ -99,18 +123,14 @@ def coefficient_continuity_suite(trials=10_000, seed=1001) -> SuiteResult:
         gap = float(np.abs(coef - (t_hi - t_lo)).max())
         worst = max(worst, gap / (10.0 * abs(delta)))
         detail.append(f"d={delta:+.0e} gap={gap:.2e}")
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1.0 and elapsed < 1.0
-    return SuiteResult("coefficient_continuity", passed,
-                       "; ".join(detail) + f"; worst/bound={worst:.3f}",
-                       elapsed)
+    return worst <= 1.0, "; ".join(detail) + f"; worst/bound={worst:.3f}"
 
 
-def _random_mixture(rng, max_modes=16, dim=3):
-    k = int(rng.integers(1, max_modes + 1))
+def _random_mixture(rng):
+    k = int(rng.integers(1, 17))
     gating = rng.dirichlet(np.ones(k))
     gammas = rng.uniform(0.05, 20.0, k)
-    base = rng.normal(0.0, 4.0, (k, dim))
+    base = rng.normal(0.0, 4.0, (k, 3))
     norms = np.linalg.norm(base, axis=-1, keepdims=True)
     base = np.where(norms > 10.0, base * (10.0 / norms), base)
     return MomentumParams(gating, base, np.log(gammas))
@@ -121,17 +141,15 @@ def _random_mixture(rng, max_modes=16, dim=3):
 _GAUSS_LEGENDRE = [np.polynomial.legendre.leggauss(n) for n in (20, 40)]
 
 
-def quadrature_displacement(theta: MomentumParams, t_start, t_end,
-                            tol=1e-12) -> np.ndarray:
+def quadrature_displacement(theta: MomentumParams, t_start,
+                            t_end) -> np.ndarray:
     """Reference displacement via Gauss-Legendre quadrature of eval_velocity.
 
     Independent of the closed form on purpose; used by the quadrature suite.
     Only unbatched parameter bundles are supported.  Raises ConvergenceError
-    when a coordinate's 20/40-node gap is above the absolute tolerance (or
-    1e-11 of its value, if larger) or is not finite.
+    when a coordinate's 20/40-node gap is above 1e-12 (or 1e-11 of its
+    value, if larger) or is not finite.
     """
-    if float(tol) <= 0.0:
-        raise InvalidParameterError("quadrature tolerance must be positive")
     if theta.batch_shape != ():
         raise InvalidParameterError(
             "quadrature reference handles one parameter bundle at a time")
@@ -139,18 +157,20 @@ def quadrature_displacement(theta: MomentumParams, t_start, t_end,
     coarse, fine = (half * (weights @ eval_velocity(theta, mid + half * nodes))
                     for nodes, weights in _GAUSS_LEGENDRE)
     gap = np.abs(fine - coarse)
-    bad = ~(gap <= np.maximum(tol, 1e-11 * np.abs(fine)))
+    bad = ~(gap <= np.maximum(1e-12, 1e-11 * np.abs(fine)))
     if bad.any():
         d = int(np.argmax(bad))
         raise ConvergenceError(f"quadrature error estimate {gap[d]:.3e} above "
-                               f"tolerance {tol:.3e} for coordinate {d}")
+                               f"tolerance 1e-12 for coordinate {d}")
     return fine
 
 
-def operator_quadrature_suite(mixtures=1000, seed=1002) -> SuiteResult:
+@suite("operator_vs_quadrature",
+       "rel err <= 1e-9 vs 40-node Gauss-Legendre (20/40 gap <= 1e-12), "
+       "{mixtures} mixtures", budget_s=30.0, mixtures=1000, seed=1002)
+def operator_quadrature_suite(mixtures, seed):
     """Closed-form displacement against Gauss-Legendre quadrature of the
     same velocity field."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(mixtures):
@@ -158,21 +178,18 @@ def operator_quadrature_suite(mixtures=1000, seed=1002) -> SuiteResult:
         t_end = rng.uniform(0.0, 0.9)
         t_start = t_end + rng.uniform(0.05, 1.0 - t_end)
         got = displacement(theta, t_start, t_end)
-        want = quadrature_displacement(theta, t_start, t_end, tol=1e-12)
+        want = quadrature_displacement(theta, t_start, t_end)
         worst = max(worst, _rel_gap(got, want))
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1e-9 and elapsed < 30.0
-    return SuiteResult("operator_vs_quadrature", passed,
-                       f"worst rel err {worst:.2e} over {mixtures} mixtures",
-                       elapsed)
+    return worst <= 1e-9, f"worst rel err {worst:.2e} over {mixtures} mixtures"
 
 
-def operator_additivity_suite(trials=10_000, seed=1003) -> SuiteResult:
+@suite("operator_additivity", "split rel err <= 1e-12, {trials} splits",
+       trials=10_000, seed=1003)
+def operator_additivity_suite(trials, seed):
     """Displacement over [t_b, t_a] must equal the sum over any split point
     t_m.  The closed form computes each interval's coefficient directly,
     not as a difference of two anchored values, so the sum does not
     telescope trivially."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = 0.0
     chunk = 1000
@@ -187,18 +204,17 @@ def operator_additivity_suite(trials=10_000, seed=1003) -> SuiteResult:
         whole = displacement(theta, t_a, t_b)
         split = displacement(theta, t_a, t_m) + displacement(theta, t_m, t_b)
         worst = max(worst, _rel_gap(split, whole))
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1e-12
-    return SuiteResult("operator_additivity", passed,
-                       f"worst split rel err {worst:.2e} over {trials} splits",
-                       elapsed)
+    return (worst <= 1e-12,
+            f"worst split rel err {worst:.2e} over {trials} splits")
 
 
-def exact_interpolation_suite(seed=1004, haar_draws=1000) -> SuiteResult:
+@suite("exact_interpolation",
+       "fit rel err <= 1e-6 at N=K in {{2,4,8}}; {haar_draws} basis draws "
+       "nonsingular", seed=1004, haar_draws=1000)
+def exact_interpolation_suite(seed, haar_draws):
     """Theorem-level check: N targets, K = N modes on a geometric ladder,
     the realized mixture must pass through every target; plus a basis
     nonsingularity sweep."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst = worst_cond = 0.0
     for n in (2, 4, 8):
@@ -229,12 +245,9 @@ def exact_interpolation_suite(seed=1004, haar_draws=1000) -> SuiteResult:
         while np.unique(ts).size != n:
             ts = np.sort(rng.uniform(0.02, 1.0, n))
         singular += not verify_haar(gammas, ts)[0]
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1.0 and singular == 0
-    return SuiteResult(
-        "exact_interpolation", passed,
-        f"worst fit err/bound {worst:.3f}, max cond {worst_cond:.1e}, "
-        f"{singular}/{haar_draws} singular draws", elapsed)
+    return (worst <= 1.0 and singular == 0,
+            f"worst fit err/bound {worst:.3f}, max cond {worst_cond:.1e}, "
+            f"{singular}/{haar_draws} singular draws")
 
 
 def grad_check(net, loss, grad, probes=100, h=1e-5, rng=None):
@@ -266,7 +279,10 @@ def grad_check(net, loss, grad, probes=100, h=1e-5, rng=None):
     return worst
 
 
-def gradient_suite(probes=100, seed=1005) -> SuiteResult:
+@suite("gradient_check",
+       "max rel err <= 1e-4 vs central differences (h=1e-5), {probes} probes",
+       budget_s=120.0, probes=100, seed=1005)
+def gradient_suite(probes, seed):
     """Full distillation loss on one batch: analytic backward against
     central finite differences.
 
@@ -274,7 +290,6 @@ def gradient_suite(probes=100, seed=1005) -> SuiteResult:
     loss the training step actually differentiates (anchors are detached
     there too).  The backward pass runs once, for the analytic gradient.
     """
-    started = time.perf_counter()
     teacher = ring_spec()
     cfg = DistillConfig()
     net = build_student_net(cfg, teacher.dim, init_seed=seed)
@@ -295,18 +310,16 @@ def gradient_suite(probes=100, seed=1005) -> SuiteResult:
         net, lambda n: fixed_anchor_loss(n)[0], net.backward(*upstream),
         probes=probes, h=1e-5, rng=np.random.default_rng(seed + 1),
     )
-    elapsed = time.perf_counter() - started
-    passed = worst <= 1e-4 and elapsed < 120.0
-    return SuiteResult("gradient_check", passed,
-                       f"max rel err {worst:.2e} over {probes} probes",
-                       elapsed)
+    return worst <= 1e-4, f"max rel err {worst:.2e} over {probes} probes"
 
 
-def degenerate_mixing_suite(shelves=1000, seed=1006) -> SuiteResult:
+@suite("degenerate_mixing",
+       "lam 0/1 match references to 1e-12, {shelves} shelves", shelves=1000,
+       seed=1006)
+def degenerate_mixing_suite(shelves, seed):
     """lam = 0 must reproduce composed teacher Euler sub-steps; lam = 1 must
     reproduce the single closed-form step.  Both references are recomputed
     here without touching mixed_integration."""
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     teacher = ring_spec()
     worst0 = worst1 = 0.0
@@ -336,15 +349,12 @@ def degenerate_mixing_suite(shelves=1000, seed=1006) -> SuiteResult:
         got1, _ = mixed_integration(x, t_src, theta, times, 1.0, teacher)
         ref1 = x - displacement(theta, t_src, t_dst)
         worst1 = max(worst1, _rel_gap(got1[-1], ref1))
-    elapsed = time.perf_counter() - started
-    passed = worst0 <= 1e-12 and worst1 <= 1e-12
-    return SuiteResult(
-        "degenerate_mixing", passed,
-        f"lam=0 worst {worst0:.2e}, lam=1 worst {worst1:.2e} "
-        f"over {shelves} shelves", elapsed)
+    return (worst0 <= 1e-12 and worst1 <= 1e-12,
+            f"lam=0 worst {worst0:.2e}, lam=1 worst {worst1:.2e} "
+            f"over {shelves} shelves")
 
 
-def _kernel_regression_velocity(spec, query, t, rng, pairs=1_000_000):
+def _kernel_regression_velocity(spec, query, t, rng, pairs):
     """Monte Carlo reference for the marginal velocity at one point.
 
     Draws raw (x0, x1) pairs, forms x_t and the conditional velocity
@@ -378,12 +388,14 @@ def _kernel_regression_velocity(spec, query, t, rng, pairs=1_000_000):
     return beta[0], ses
 
 
-def teacher_consistency_suite(seed=1010, probes=20,
-                              transport=10_000) -> SuiteResult:
+@suite("teacher_consistency",
+       "{probes} probes of {pairs} pairs within 3 SE; transport energy "
+       "distance over {transport} samples < self + 3 sigma", budget_s=180.0,
+       seed=1010, probes=20, pairs=1_000_000, transport=10_000)
+def teacher_consistency_suite(seed, probes, pairs, transport):
     """Two independent checks of the closed-form teacher field: pointwise
     agreement with kernel regression on raw pairs, and distributional
     agreement of many-step transport with direct data sampling."""
-    started = time.perf_counter()
     spec = ring_spec()
     rng = np.random.default_rng(seed)
     worst_z = 0.0
@@ -392,13 +404,12 @@ def teacher_consistency_suite(seed=1010, probes=20,
         x0 = sample_data(spec, rng, 1)[0]
         x1 = rng.standard_normal(spec.dim)
         query = (1.0 - t) * x0 + t * x1
-        est, se = _kernel_regression_velocity(spec, query, t, rng)
+        est, se = _kernel_regression_velocity(spec, query, t, rng, pairs)
         want = gmm_velocity(spec, query, t)
         # one comparison per probe: vector error against the vector SE
         z = float(np.linalg.norm(est - want)
                   / max(np.linalg.norm(se), 1e-12))
         worst_z = max(worst_z, z)
-    probes_ok = worst_z <= 3.0
 
     noise = rng.standard_normal((transport, spec.dim))
     record = euler_sample(spec.velocity, noise, 200)
@@ -409,25 +420,6 @@ def teacher_consistency_suite(seed=1010, probes=20,
                 for _ in range(10)]
     mu = float(np.mean(self_eds))
     sigma = float(np.std(self_eds))
-    transport_ok = ed_transport < mu + 3.0 * sigma
-    elapsed = time.perf_counter() - started
-    passed = probes_ok and transport_ok and elapsed < 180.0
-    return SuiteResult(
-        "teacher_consistency", passed,
-        f"worst |z| {worst_z:.2f} over {probes} probes; transport ED "
-        f"{ed_transport:.2e} vs self {mu:.2e}+3*{sigma:.2e}", elapsed)
-
-
-ALL_SUITES = (
-    coefficient_continuity_suite,
-    operator_quadrature_suite,
-    operator_additivity_suite,
-    exact_interpolation_suite,
-    gradient_suite,
-    degenerate_mixing_suite,
-    teacher_consistency_suite,
-)
-
-
-def run_all_suites() -> list:
-    return [suite() for suite in ALL_SUITES]
+    return (worst_z <= 3.0 and ed_transport < mu + 3.0 * sigma,
+            f"worst |z| {worst_z:.2f} over {probes} probes; transport ED "
+            f"{ed_transport:.2e} vs self {mu:.2e}+3*{sigma:.2e}")

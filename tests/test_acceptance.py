@@ -2,12 +2,13 @@
 
 Each test covers one release criterion and prints a single [PASS]/[FAIL]
 line with the measured quantity next to its bound, so a log scan shows the
-whole gate at a glance.  The first seven delegate to the oracle suites in
-arcflow.verify; the next three exercise distillation efficacy, the ablation
-orderings, and bitwise reproducibility through the public entry points; the
-last checks the closed-form coefficient against mpmath, which is a test
-dependency only, so that oracle stays, like the training lines, out of the
-verify module the installed package ships.
+whole gate at a glance.  The first seven run the oracle suites registered
+in arcflow.verify, one parametrized test in gate order; the next three
+exercise distillation efficacy, the ablation orderings, and bitwise
+reproducibility through the public entry points; the last checks the
+closed-form coefficient against mpmath, which is a test dependency only, so
+that oracle stays, like the training lines, out of the verify module the
+installed package ships.
 
 Budget note: the efficacy and ablation tests train real (desk-scale)
 students and together take a couple of minutes of CPU.
@@ -19,6 +20,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 
 from arcflow import MomentumParams
 from arcflow.cli import main
@@ -26,15 +28,7 @@ from arcflow.distill import make_linear_baseline, mixed_integration
 from arcflow.harness import RunConfig, run_ablation, run_distillation
 from arcflow.solver import displacement
 from arcflow.teacher import ring_spec
-from arcflow.verify import (
-    coefficient_continuity_suite,
-    degenerate_mixing_suite,
-    exact_interpolation_suite,
-    gradient_suite,
-    operator_additivity_suite,
-    operator_quadrature_suite,
-    teacher_consistency_suite,
-)
+from arcflow.verify import SUITES
 
 
 def _emit(capsys, line):
@@ -43,38 +37,11 @@ def _emit(capsys, line):
         print(line)
 
 
-def _run_suite(capsys, suite):
+@pytest.mark.parametrize("suite", SUITES, ids=[s.name for s in SUITES])
+def test_oracle_suite(suite, capsys):
     result = suite()
     _emit(capsys, result.line())
     assert result.passed, result.detail
-
-
-def test_coefficient_limit_continuity(capsys):
-    _run_suite(capsys, coefficient_continuity_suite)
-
-
-def test_transition_integral_matches_quadrature(capsys):
-    _run_suite(capsys, operator_quadrature_suite)
-
-
-def test_displacement_additivity(capsys):
-    _run_suite(capsys, operator_additivity_suite)
-
-
-def test_exact_interpolation_recovery(capsys):
-    _run_suite(capsys, exact_interpolation_suite)
-
-
-def test_loss_gradient_matches_finite_differences(capsys):
-    _run_suite(capsys, gradient_suite)
-
-
-def test_degenerate_mixing_routes(capsys):
-    _run_suite(capsys, degenerate_mixing_suite)
-
-
-def test_teacher_velocity_and_transport(capsys):
-    _run_suite(capsys, teacher_consistency_suite)
 
 
 def _with_seed(cfg: RunConfig, seed: int) -> RunConfig:

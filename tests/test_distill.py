@@ -678,7 +678,7 @@ def test_final_step_divergence_names_its_step(monkeypatch):
     # no later forward pass sees the last update, so the loop checks it
     import arcflow.distill as distill_module
 
-    def blow_up(net, opt, base_lr):
+    def blow_up(net, opt):
         net.params[0] = np.inf
 
     monkeypatch.setattr(distill_module, "adam_step", blow_up)

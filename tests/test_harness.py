@@ -951,6 +951,13 @@ def test_ablation_cells_unknown_study():
         ablation_cells("optimizer", DistillConfig())
 
 
+def test_ablation_budget_unknown_study_fails_like_its_cells():
+    for lookup in (ablation_cells, ablation_budget):
+        with pytest.raises(InvalidParameterError,
+                           match="^unknown ablation study 'optimizer'$"):
+            lookup("optimizer", DistillConfig())
+
+
 def test_ablation_budget_rule():
     base = DistillConfig(guidance_steps=500, total_steps=3000)
     assert ablation_budget("gamma_mode", base) == 1000

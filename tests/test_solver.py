@@ -519,12 +519,6 @@ def test_quadrature_rejects_batched_params():
         quadrature_displacement(theta, 1.0, 0.0)
 
 
-def test_quadrature_rejects_bad_tolerance():
-    theta = MomentumParams([1.0], [[1.0, 0.0]], [0.0])
-    with pytest.raises(InvalidParameterError):
-        quadrature_displacement(theta, 1.0, 0.0, tol=0.0)
-
-
 def test_quadrature_gap_above_tolerance_is_a_convergence_error():
     # gamma = e**200 over [0, 1]: the 20- and 40-node rules differ by
     # about 2.4e-3 of the value, far above its 1e-11
