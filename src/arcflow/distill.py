@@ -89,10 +89,13 @@ class DistillConfig:
 
     def __post_init__(self):
         _check_counts(self, 1, "nfe", "num_modes", "n_intermediate", "batch")
-        if self.guidance_steps < 1:
-            raise InvalidParameterError("guidance_steps must be >= 1")
-        if self.total_steps < 0 or not 0.0 < self.base_lr < math.inf:
-            raise InvalidParameterError("bad training config")
+        for name, low in (("guidance_steps", 1), ("total_steps", 0)):
+            if getattr(self, name) < low:
+                raise InvalidParameterError(
+                    f"{name} = {getattr(self, name)} must be >= {low}")
+        if not 0.0 < self.base_lr < math.inf:
+            raise InvalidParameterError(
+                f"base_lr = {self.base_lr} outside (0, inf)")
         check_gamma_range(self.gamma_lo, self.gamma_hi)
         if self.gamma_mode not in GAMMA_MODES:
             raise InvalidParameterError(

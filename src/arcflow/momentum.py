@@ -200,21 +200,19 @@ def init_log_gammas(num_modes, range_lo, range_hi):
     zero (ties toward the lower index) to exactly 0.0 so the bundle starts
     with one exact linear mode.  For num_modes == 1 the single entry is 0.0.
 
-    Returns (log_gammas, anchor): log_gammas strictly increasing, with
-    exactly one zero, at index anchor.
+    Returns the log gammas, strictly increasing, with exactly one zero.  That
+    zero is the mode a per-mode student head pins at gamma = 1: the pin rule
+    (nnet.pinned_mode) takes the first entry that is exactly 0.
     """
     num_modes = int(num_modes)
     if num_modes < 1:
         raise InvalidParameterError("need at least one mode")
     lo, hi = check_gamma_range(range_lo, range_hi)
-    if num_modes == 1:
-        return np.zeros(1), 0
     logs = np.log(np.geomspace(lo, hi, num_modes))
-    anchor = int(np.argmin(np.abs(logs)))  # argmin keeps the lower index on ties
-    logs[anchor] = 0.0
+    logs[np.argmin(np.abs(logs))] = 0.0  # argmin keeps the lower index on ties
     if not (np.diff(logs) > 0.0).all() or np.count_nonzero(logs == 0.0) != 1:
         raise InvalidParameterError(
             f"degenerate momentum progression for range ({lo}, {hi}) "
             f"with {num_modes} modes"
         )
-    return logs, anchor
+    return logs

@@ -14,7 +14,10 @@ training begins exactly on that progression, and the column feeding the
 anchor mode is masked so one mode stays pinned at gamma = 1.  Three momentum
 regimes: "learnable" as above, "fixed" keeps the progression constant,
 "frozen_one" pins every mode at gamma = 1 (with K = 1 this is the plain
-linear-velocity baseline).
+linear-velocity baseline); a shared gamma head or "frozen_one" starts from
+zeros instead.  The frozen log gammas alone fix the pinned mode (pinned_mode):
+a per-mode gamma head pins its first entry that is exactly 0, a shared head
+none, and a checkpoint whose stored anchor differs is refused.
 
 Everything is float64 in one flat parameter vector with named views, and the
 backward pass is written out by hand; arcflow.verify checks it against central
@@ -102,28 +105,39 @@ class NetConfig:
         return 1 if self.share_gamma else self.num_modes
 
     @property
-    def blocks(self) -> tuple:
-        """(name, shape) of each block of the flat parameter vector, in
-        order."""
+    def blocks(self) -> dict:
+        """name -> (slice, shape) of each block of the flat parameter
+        vector, in order."""
         widths = [self.feature_dim, *self.hidden]
         top = widths[-1]
-        body = []
+        shapes = []
         for i in range(len(self.hidden)):
-            body.append((f"body{i}_w", (widths[i], widths[i + 1])))
-            body.append((f"body{i}_b", (widths[i + 1],)))
-        return (*body,
-                ("gate_w", (top, self.num_modes)),
-                ("gate_b", (self.num_modes,)),
-                ("vel_w", (top, self.velocity_dim)),
-                ("vel_b", (self.velocity_dim,)),
-                ("gam_w", (top, self.gamma_dim)),
-                ("gam_b", (self.gamma_dim,)))
+            shapes.append((f"body{i}_w", (widths[i], widths[i + 1])))
+            shapes.append((f"body{i}_b", (widths[i + 1],)))
+        shapes += [("gate_w", (top, self.num_modes)),
+                   ("gate_b", (self.num_modes,)),
+                   ("vel_w", (top, self.velocity_dim)),
+                   ("vel_b", (self.velocity_dim,)),
+                   ("gam_w", (top, self.gamma_dim)),
+                   ("gam_b", (self.gamma_dim,))]
+        blocks, offset = {}, 0
+        for name, shape in shapes:
+            blocks[name] = (slice(offset, offset + math.prod(shape)), shape)
+            offset += math.prod(shape)
+        return blocks
 
     @property
     def num_params(self) -> int:
         """Length of the flat parameter vector, by integer arithmetic alone,
         so a checkpoint header is checked before anything is allocated."""
-        return sum(math.prod(shape) for _, shape in self.blocks)
+        return sum(math.prod(shape) for _, shape in self.blocks.values())
+
+
+def pinned_mode(config: NetConfig, frozen_log_gammas):
+    """The mode pinned at gamma = 1: a per-mode gamma head's first frozen log
+    gamma that is exactly 0; None for a shared head, or with no zero."""
+    zeros = np.flatnonzero(np.asarray(frozen_log_gammas) == 0.0)
+    return None if config.share_gamma or not zeros.size else int(zeros[0])
 
 
 class StudentNet:
@@ -131,58 +145,42 @@ class StudentNet:
 
     def __init__(self, config: NetConfig, seed: int = 0):
         self.config = config
-        self._build_layout()
-        self.params = np.zeros(self.num_params)
-        self.grads = np.zeros(self.num_params)
+        self.params = np.zeros(config.num_params)
+        self.grads = np.zeros(config.num_params)
         self._bind_views()
         self._omegas = np.array([2.0 * np.pi * f for f in config.time_freqs])
         self._tape = None
 
-        if config.gamma_mode == "frozen_one":
-            self.frozen_log_gammas = np.zeros(config.gamma_dim)
-            anchor = 0 if not config.share_gamma else None
-        elif config.share_gamma:
-            self.frozen_log_gammas = np.zeros(1)
-            anchor = None
+        if config.gamma_mode == "frozen_one" or config.share_gamma:
+            self._pin_anchor(np.zeros(config.gamma_dim))
         else:
-            self.frozen_log_gammas, anchor = init_log_gammas(
-                config.num_modes, *config.gamma_range)
-        self._pin_anchor(anchor)
+            self._pin_anchor(init_log_gammas(config.num_modes,
+                                             *config.gamma_range))
 
         rng = np.random.default_rng(seed)
-        widths = [config.feature_dim, *config.hidden]
-        for i in range(len(config.hidden)):
-            w = self.view(f"body{i}_w")
-            w[...] = rng.normal(0.0, 1.0 / np.sqrt(widths[i]), w.shape)
-        vel_w = self.view("vel_w")
-        vel_w[...] = rng.normal(0.0, 1.0 / np.sqrt(widths[-1]), vel_w.shape)
+        body = [f"body{i}_w" for i in range(len(config.hidden))]
+        for name in body + ["vel_w"]:
+            w = self.view(name)   # its rows are its fan-in
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
 
-    def _pin_anchor(self, anchor_index):
-        """Pin a per-mode gamma head's anchor mode (None: no pinned mode):
-        the mask zeroes that mode's learned log gamma offset."""
-        self.anchor_index = anchor_index
+    def _pin_anchor(self, frozen_log_gammas):
+        """Hold these frozen log gammas; mask their pinned_mode's offset."""
+        self.frozen_log_gammas = frozen_log_gammas
+        self.anchor_index = pinned_mode(self.config, frozen_log_gammas)
         self._anchor_mask = np.ones(self.config.gamma_dim)
-        if anchor_index is not None and not self.config.share_gamma:
-            self._anchor_mask[anchor_index] = 0.0
+        if self.anchor_index is not None:
+            self._anchor_mask[self.anchor_index] = 0.0
 
     # -- parameter bookkeeping ------------------------------------------------
-
-    def _build_layout(self):
-        self._blocks = {}
-        offset = 0
-        for name, shape in self.config.blocks:
-            size = math.prod(shape)
-            self._blocks[name] = (slice(offset, offset + size), shape)
-            offset += size
-        self.num_params = offset
 
     def _bind_views(self):
         # Named views into the two flat buffers, built once; the buffers are
         # only ever written in place, so the views stay valid.
+        blocks = self.config.blocks
         self._p = {name: self.params[sl].reshape(shape)
-                   for name, (sl, shape) in self._blocks.items()}
+                   for name, (sl, shape) in blocks.items()}
         self._g = {name: self.grads[sl].reshape(shape)
-                   for name, (sl, shape) in self._blocks.items()}
+                   for name, (sl, shape) in blocks.items()}
 
     def __getstate__(self):
         # A pickled or deep-copied view would be a separate array, so copies
@@ -196,7 +194,7 @@ class StudentNet:
         self._bind_views()
 
     def slice_of(self, name: str) -> slice:
-        return self._blocks[name][0]
+        return self.config.blocks[name][0]
 
     def view(self, name: str) -> np.ndarray:
         return self._p[name]
@@ -209,17 +207,18 @@ class StudentNet:
     def features(self, x, t) -> np.ndarray:
         """Feature rows [x, t, sin/cos ladder]; x (B, D) or (D,), t scalar or
         (B,)."""
+        cfg = self.config
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        batch, dim = x.shape
-        t = np.asarray(t, dtype=float)
-        t_col = np.broadcast_to(t, (batch,))
-        # a scalar time's sin/cos ladder is one row, broadcast down the batch
-        ang = (t if t.ndim == 0 else t_col[:, None]) * self._omegas
-        feat = np.empty((batch, dim + 1 + 2 * self._omegas.size))
-        feat[:, :dim] = x
-        feat[:, dim] = t_col
-        feat[:, dim + 1::2] = np.sin(ang)
-        feat[:, dim + 2::2] = np.cos(ang)
+        # [t, sin, cos, ...]: one row for a scalar t, or one per row of x
+        t = np.asarray(t, dtype=float).reshape(-1, 1)
+        block = np.empty((t.shape[0], cfg.feature_dim - cfg.dim))
+        block[:, :1] = t
+        ang = t * self._omegas
+        block[:, 1::2] = np.sin(ang)
+        block[:, 2::2] = np.cos(ang)
+        feat = np.empty((x.shape[0], cfg.feature_dim))
+        feat[:, :cfg.dim] = x
+        feat[:, cfg.dim:] = block
         return feat
 
     def forward(self, x, t) -> MomentumParams:
@@ -308,7 +307,7 @@ class StudentNet:
         if cfg.share_velocity:
             d_vel = g_vel.sum(axis=1)
         else:
-            d_vel = g_vel.reshape(g_vel.shape[0], cfg.num_modes * cfg.dim)
+            d_vel = g_vel.reshape(g_vel.shape[0], cfg.velocity_dim)
 
         p, g = self._p, self._g
         top = acts[-1]
@@ -428,20 +427,16 @@ class StudentNet:
             if not np.isfinite(values).all():
                 raise CheckpointFormatError(
                     f"non-finite {field} in checkpoint {path}")
-        # The anchor pin is the net's invariant (its mask and frozen 0.0),
-        # so a checkpoint must carry a pin the net can keep: an in-range
-        # anchor of a per-mode gamma head whose frozen log gamma is exactly 0.
-        if anchor >= 0 and (cfg.share_gamma or anchor >= cfg.num_modes
-                            or frozen[anchor] != 0.0):
+        # The frozen log gammas fix the pin; the stored anchor must agree.
+        pinned = pinned_mode(cfg, frozen)
+        if anchor != (-1 if pinned is None else pinned):
             raise CheckpointFormatError(
-                f"anchor mode {anchor} in {path} is not a pinned "
-                f"log gamma == 0 mode of this {cfg.num_modes}-mode "
-                f"{'shared' if cfg.share_gamma else 'per-mode'} gamma head"
+                f"anchor mode {anchor} in {path} is not the mode its frozen "
+                f"log gammas pin ({pinned})"
             )
         net = cls(cfg, seed=0)
         net.params[:] = params
-        net.frozen_log_gammas = frozen
-        net._pin_anchor(None if anchor < 0 else int(anchor))
+        net._pin_anchor(frozen)
         return net
 
 
@@ -459,10 +454,10 @@ class OptimState:
 def init_optim_state(net: StudentNet, base_lr: float) -> OptimState:
     """Fresh Adam moments plus the per-parameter rates: base_lr, and
     GAMMA_LR_SCALE times it for the momentum head."""
-    scale = np.ones(net.num_params)
+    scale = np.ones_like(net.params)
     scale[net.slice_of("gam_w")] = GAMMA_LR_SCALE
     scale[net.slice_of("gam_b")] = GAMMA_LR_SCALE
-    return OptimState(np.zeros(net.num_params), np.zeros(net.num_params),
+    return OptimState(np.zeros_like(net.params), np.zeros_like(net.params),
                       0, base_lr * scale)
 
 

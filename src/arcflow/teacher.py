@@ -107,7 +107,7 @@ class GmmTeacherSpec:
         return sample_data(self, rng, count)
 
 
-def ring_spec(components=8, radius=2.0, std=0.25, dim=2) -> GmmTeacherSpec:
+def ring_spec(components, radius, std, dim) -> GmmTeacherSpec:
     """Equal-weight mixture with means evenly spaced on a circle of the given
     radius in the first two coordinates."""
     if dim < 2 or components < 1:

@@ -36,12 +36,12 @@ from .distill import (DistillConfig, build_student_net, init_shelf_state,
                       mixed_integration, sample_anchor_times,
                       velocity_matching_loss)
 from .errors import ConvergenceError, InvalidParameterError
-from .harness import energy_distance
+from .harness import TeacherConfig, energy_distance
 from .interpolation import (InterpolationProblem, solve_exact_fit,
                             to_momentum_params, verify_haar)
 from .momentum import MomentumParams, eval_velocity
 from .solver import displacement
-from .teacher import euler_sample, gmm_velocity, ring_spec, sample_data
+from .teacher import euler_sample, gmm_velocity, sample_data
 
 
 @dataclass(frozen=True)
@@ -209,16 +209,17 @@ def operator_additivity_suite(trials, seed):
 
 
 @suite("exact_interpolation",
-       "fit rel err <= 1e-6 at N=K in {{2,4,8}}; {haar_draws} basis draws "
-       "nonsingular", seed=1004, haar_draws=1000)
-def exact_interpolation_suite(seed, haar_draws):
+       "fit rel err <= 1e-6 over {fits} fits at each N=K in {{2,4,8}}; "
+       "{haar_draws} basis draws nonsingular", seed=1004, fits=50,
+       haar_draws=1000)
+def exact_interpolation_suite(seed, fits, haar_draws):
     """Theorem-level check: N targets, K = N modes on a geometric ladder,
     the realized mixture must pass through every target; plus a basis
     nonsingularity sweep."""
     rng = np.random.default_rng(seed)
     worst = worst_cond = 0.0
     for n in (2, 4, 8):
-        for _ in range(50):
+        for _ in range(fits):
             # ratio 2 >= 1.3; wider spacing keeps the exponential basis far
             # from collinear, which is what bounds the achievable fit error
             gammas = 0.25 * 2.0 ** np.arange(n)
@@ -262,8 +263,8 @@ def grad_check(net, loss, grad, probes=100, h=1e-5, rng=None):
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grad = np.array(grad, dtype=float)
-    count = min(int(probes), net.num_params)
-    idx = rng.choice(net.num_params, size=count, replace=False)
+    count = min(int(probes), net.params.size)
+    idx = rng.choice(net.params.size, size=count, replace=False)
     floor = 1e-6 * max(1.0, float(np.abs(grad).max()))
     worst = 0.0
     for i in idx:
@@ -290,7 +291,7 @@ def gradient_suite(probes, seed):
     loss the training step actually differentiates (anchors are detached
     there too).  The backward pass runs once, for the analytic gradient.
     """
-    teacher = ring_spec()
+    teacher = TeacherConfig().spec
     cfg = DistillConfig()
     net = build_student_net(cfg, teacher.dim, init_seed=seed)
     rng = np.random.default_rng(seed)
@@ -321,7 +322,7 @@ def degenerate_mixing_suite(shelves, seed):
     reproduce the single closed-form step.  Both references are recomputed
     here without touching mixed_integration."""
     rng = np.random.default_rng(seed)
-    teacher = ring_spec()
+    teacher = TeacherConfig().spec
     worst0 = worst1 = 0.0
     for _ in range(shelves):
         nfe = int(rng.integers(1, 5))
@@ -389,14 +390,16 @@ def _kernel_regression_velocity(spec, query, t, rng, pairs):
 
 
 @suite("teacher_consistency",
-       "{probes} probes of {pairs} pairs within 3 SE; transport energy "
-       "distance over {transport} samples < self + 3 sigma", budget_s=180.0,
-       seed=1010, probes=20, pairs=1_000_000, transport=10_000)
-def teacher_consistency_suite(seed, probes, pairs, transport):
+       "{probes} probes of {pairs} pairs within 3 SE; {steps}-step transport "
+       "energy distance over {transport} samples < self + 3 sigma over "
+       "{self_draws} self distances", budget_s=180.0, seed=1010, probes=20,
+       pairs=1_000_000, transport=10_000, steps=200, self_draws=10)
+def teacher_consistency_suite(seed, probes, pairs, transport, steps,
+                              self_draws):
     """Two independent checks of the closed-form teacher field: pointwise
     agreement with kernel regression on raw pairs, and distributional
     agreement of many-step transport with direct data sampling."""
-    spec = ring_spec()
+    spec = TeacherConfig().spec
     rng = np.random.default_rng(seed)
     worst_z = 0.0
     for _ in range(probes):
@@ -412,12 +415,12 @@ def teacher_consistency_suite(seed, probes, pairs, transport):
         worst_z = max(worst_z, z)
 
     noise = rng.standard_normal((transport, spec.dim))
-    record = euler_sample(spec.velocity, noise, 200)
+    record = euler_sample(spec.velocity, noise, steps)
     data_ref = sample_data(spec, rng, transport)
     ed_transport = energy_distance(record.endpoint, data_ref)
     self_eds = [energy_distance(sample_data(spec, rng, transport),
                                 sample_data(spec, rng, transport))
-                for _ in range(10)]
+                for _ in range(self_draws)]
     mu = float(np.mean(self_eds))
     sigma = float(np.std(self_eds))
     return (worst_z <= 3.0 and ed_transport < mu + 3.0 * sigma,

@@ -210,7 +210,7 @@ def test_coefficient_matches_mpmath(capsys):
 
         # the lam = 1 rollout of the same bundles from x = 0 over one
         # sub-interval per call, whose anchor is exactly minus its step
-        teacher = ring_spec()
+        teacher = ring_spec(8, 2.0, 0.25, 2)
         steps, want = [], []
         for width in log_uniform(1e-12, 0.5, 32):
             t_start = rng.uniform(width, 1.0)

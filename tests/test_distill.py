@@ -69,7 +69,7 @@ def batched_theta(gating, base, logg, batch):
 
 
 def ring_teacher():
-    return ring_spec()
+    return ring_spec(8, 2.0, 0.25, 2)
 
 
 # -- config ---------------------------------------------------------------------
@@ -98,8 +98,20 @@ def test_config_validation():
 
 @pytest.mark.parametrize("base_lr", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_learning_rate(base_lr):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError) as err:
         DistillConfig(base_lr=base_lr)
+    assert str(err.value) == f"base_lr = {base_lr} outside (0, inf)"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("total_steps", -1, "total_steps = -1 must be >= 0"),
+    ("base_lr", 0.0, "base_lr = 0.0 outside (0, inf)"),
+    ("base_lr", -1e-4, "base_lr = -0.0001 outside (0, inf)"),
+], ids=["negative-total_steps", "zero-base_lr", "negative-base_lr"])
+def test_config_names_the_bad_training_key(key, value, message):
+    with pytest.raises(InvalidParameterError) as err:
+        DistillConfig(**{key: value})
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("gamma_range", [(2.0, 5.0), (0.0, 5.0), (0.4, 1.0),
@@ -764,7 +776,7 @@ def sampling_net():
     """Two-coordinate student with random weights, so its bundles mix
     momentum factors on both sides of gamma = 1."""
     net = build_student_net(DistillConfig(num_modes=4), dim=2, init_seed=3)
-    net.params[:] = np.random.default_rng(4).normal(0.0, 0.5, net.num_params)
+    net.params[:] = np.random.default_rng(4).normal(0.0, 0.5, net.params.size)
     return net
 
 

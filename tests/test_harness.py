@@ -772,7 +772,7 @@ def test_write_trajectory_csv(tmp_path):
 def test_trajectory_writers_take_any_batch_shape(tmp_path):
     # a (2, 3, 2) batch writes the 6 trajectories of the flat (6, 2) batch,
     # and a single (D,) trajectory writes the first of them
-    velocity = ring_spec().velocity
+    velocity = ring_spec(8, 2.0, 0.25, 2).velocity
     noise = np.random.default_rng(3).standard_normal((6, 2))
     records = {"flat": euler_sample(velocity, noise, 4),
                "nested": euler_sample(velocity, noise.reshape(2, 3, 2), 4),

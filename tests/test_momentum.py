@@ -168,26 +168,24 @@ def test_latent_state_position_readonly():
 def test_init_log_gammas_two_mode_hand_value():
     # geometric progression over [0.5, 2] is (0.5, 2); log 0.5 is nearer zero
     # after the tie rule (equal magnitudes, lower index wins) so it snaps
-    logs, anchor = init_log_gammas(2, 0.5, 2.0)
-    assert anchor == 0
+    logs = init_log_gammas(2, 0.5, 2.0)
     assert logs[0] == 0.0
     assert_allclose(logs[1], np.log(2.0), rtol=1e-15)
 
 
 def test_init_log_gammas_single_mode():
-    logs, anchor = init_log_gammas(1, 0.4, 5.0)
-    assert anchor == 0
+    logs = init_log_gammas(1, 0.4, 5.0)
     assert logs.shape == (1,)
     assert logs[0] == 0.0
 
 
 def test_init_log_gammas_structure_sweep():
     for k in (2, 3, 4, 8, 16, 33):
-        logs, anchor = init_log_gammas(k, 0.4, 5.0)
+        logs = init_log_gammas(k, 0.4, 5.0)
         assert logs.shape == (k,)
         assert (np.diff(logs) > 0.0).all()
         assert np.count_nonzero(logs == 0.0) == 1
-        assert logs[anchor] == 0.0
+        anchor = list(logs).index(0.0)
         # endpoints stay at the requested range in gamma space unless the
         # anchor snap itself landed on an endpoint
         if anchor != 0:
@@ -212,5 +210,11 @@ def test_init_log_gammas_rejects_bad_ranges():
 
 
 def test_init_log_gammas_feeds_params_anchor_contract():
-    logs, anchor = init_log_gammas(8, 0.4, 5.0)
-    assert logs[anchor] == 0.0  # exactly: the net pins this mode there
+    # the net pins the progression's one zero: the entry of the plain
+    # geometric progression nearest gamma = 1, snapped exactly, with every
+    # other entry left as it was
+    logs = init_log_gammas(8, 0.4, 5.0)
+    raw = np.log(np.geomspace(0.4, 5.0, 8))
+    nearest = int(np.argmin(np.abs(raw)))
+    assert logs[nearest] == 0.0
+    assert (np.delete(logs, nearest) == np.delete(raw, nearest)).all()

@@ -26,6 +26,7 @@ from arcflow.nnet import (
     StudentNet,
     adam_step,
     init_optim_state,
+    pinned_mode,
 )
 from arcflow.verify import grad_check, gradient_suite
 
@@ -110,7 +111,8 @@ def test_config_derived_dims():
 def test_fresh_net_emits_init_ladder_exactly():
     cfg = NetConfig(dim=2, num_modes=8)
     net = StudentNet(cfg, seed=0)
-    want, anchor = init_log_gammas(8, *cfg.gamma_range)
+    want = init_log_gammas(8, *cfg.gamma_range)
+    anchor = list(want).index(0.0)
     rng = np.random.default_rng(1)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
@@ -157,7 +159,7 @@ def test_fixed_mode_keeps_ladder_under_training_pressure():
     rng = np.random.default_rng(4)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
-    want, _ = init_log_gammas(4, *cfg.gamma_range)
+    want = init_log_gammas(4, *cfg.gamma_range)
     for row in theta.log_gammas:
         assert (row == want).all()
 
@@ -203,7 +205,7 @@ def test_forward_has_the_bits_of_the_rowwise_form(variant, modes):
     # the modes would not, from 8 modes up
     cfg = dataclasses.replace(variant, num_modes=modes)
     net = StudentNet(cfg, seed=3)
-    net.params += 0.5 * np.random.default_rng(30).normal(size=net.num_params)
+    net.params += 0.5 * np.random.default_rng(30).normal(size=net.params.size)
     rng = np.random.default_rng(31)
     for batch in (None, 7, 64, 2048):
         x, t = probe_batch(rng, cfg.dim, batch or 1)
@@ -275,7 +277,7 @@ def test_anchor_output_immune_to_momentum_head():
     theta = net.forward(x, t)
     anchor = net.anchor_index
     assert (theta.log_gammas[:, anchor] == 0.0).all()
-    ladder, _ = init_log_gammas(8, *cfg.gamma_range)
+    ladder = init_log_gammas(8, *cfg.gamma_range)
     off_anchor = [k for k in range(8) if k != anchor]
     assert (theta.log_gammas[:, off_anchor] != ladder[off_anchor]).any()
 
@@ -361,7 +363,7 @@ def test_gradients_match_finite_differences(cfg):
     net = StudentNet(cfg, seed=1)
     # move off the zero init so softmax and momentum heads have curvature
     jitter = np.random.default_rng(13)
-    net.params += 0.05 * jitter.normal(size=net.num_params)
+    net.params += 0.05 * jitter.normal(size=net.params.size)
     x, t = probe_batch(np.random.default_rng(14), cfg.dim, batch=3)
     loss, grad = linear_probe_loss(x, t, np.random.default_rng(15))
     worst = grad_check(net, loss, grad(net), probes=60, h=1e-5,
@@ -440,7 +442,7 @@ def _mode_flag_offset(cfg):
 @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_checkpoint_round_trip_bit_exact(cfg, tmp_path):
     net = StudentNet(cfg, seed=5)
-    net.params += 0.01 * np.random.default_rng(20).normal(size=net.num_params)
+    net.params += 0.01 * np.random.default_rng(20).normal(size=net.params.size)
     path = tmp_path / "net.ckpt"
     net.save(path)
     loaded = StudentNet.load(path)
@@ -454,6 +456,38 @@ def test_checkpoint_round_trip_bit_exact(cfg, tmp_path):
     assert (a.gating == b.gating).all()
     assert (a.base_velocities == b.base_velocities).all()
     assert (a.log_gammas == b.log_gammas).all()
+
+
+def _old_pin(cfg):
+    """The pin as the net once chose it, case by case: none for a shared
+    gamma head; mode 0 for frozen_one or a single mode; else the entry of
+    the geometric progression nearest log gamma = 0, the lower on a tie."""
+    if cfg.share_gamma:
+        return None
+    if cfg.gamma_mode == "frozen_one" or cfg.num_modes == 1:
+        return 0
+    ladder = np.log(np.geomspace(*cfg.gamma_range, cfg.num_modes))
+    return int(np.argmin(np.abs(ladder)))
+
+
+@pytest.mark.parametrize("num_modes", [1, 3, 8, 9, 20],
+                         ids=lambda k: f"K={k}")
+@pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
+def test_pin_comes_from_the_frozen_progression(cfg, num_modes, tmp_path):
+    cfg = dataclasses.replace(cfg, num_modes=num_modes)
+    net = StudentNet(cfg, seed=0)
+    pin = _old_pin(cfg)
+    assert net.anchor_index == pin
+    assert pinned_mode(cfg, net.frozen_log_gammas) == pin
+    mask = np.ones(cfg.gamma_dim)
+    if pin is not None:
+        mask[pin] = 0.0
+    assert (net._anchor_mask == mask).all()
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+    loaded = StudentNet.load(path)
+    assert loaded.anchor_index == pin
+    assert (loaded._anchor_mask == mask).all()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -503,13 +537,17 @@ def test_checkpoint_rejects_unknown_momentum_mode(tmp_path):
     (NetConfig(dim=2, num_modes=4), 3, None),
     (NetConfig(dim=2, num_modes=4, gamma_mode="fixed"), None, 0.25),
     (NetConfig(dim=2, num_modes=4, share_gamma=True), 0, None),
+    (NetConfig(dim=2, num_modes=4), -1, None),
+    (NetConfig(dim=2, num_modes=4, gamma_mode="frozen_one"), 3, None),
 ], ids=["anchor-out-of-range", "anchor-on-nonzero-mode",
-        "nonzero-frozen-at-anchor", "anchor-on-shared-gamma"])
+        "nonzero-frozen-at-anchor", "anchor-on-shared-gamma",
+        "unpinned-per-mode-head", "frozen-one-anchor-past-first-zero"])
 def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
-                                              tmp_path):
-    """forward trusts the anchor pin, so load must refuse a checkpoint whose
-    anchor is out of range, sits on a shared gamma head, or points at a
-    frozen log gamma that is not exactly 0."""
+                                              tmp_path, monkeypatch):
+    """The frozen log gammas fix the pin, so load must refuse, before it
+    builds a net, a checkpoint whose stored anchor is not their first exact
+    zero on a per-mode gamma head, or not -1 (none) on a shared head or
+    where no frozen log gamma is exactly 0."""
     net = StudentNet(cfg, seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
@@ -521,6 +559,11 @@ def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
         at = anchor_off + 4 + 16 + 4 + 8 * net.anchor_index
         raw[at:at + 8] = struct.pack("<d", frozen_at_anchor)
     path.write_bytes(bytes(raw))
+
+    def no_net(*args, **kwargs):
+        raise AssertionError("load allocated a net")
+
+    monkeypatch.setattr(StudentNet, "__init__", no_net)
     with pytest.raises(CheckpointFormatError, match="anchor mode"):
         StudentNet.load(path)
 

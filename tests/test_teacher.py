@@ -87,7 +87,7 @@ def test_spec_rejects_non_finite_variances():
 @pytest.mark.parametrize("components", [0, -3])
 def test_ring_spec_rejects_fewer_than_one_component(components):
     with pytest.raises(InvalidProblemError, match="components >= 1"):
-        ring_spec(components=components)
+        ring_spec(components, 2.0, 0.25, 2)
 
 
 @pytest.mark.parametrize("components,dim", [(10 ** 20, 2), (8, 10 ** 14)])
@@ -96,7 +96,7 @@ def test_ring_spec_too_big_to_allocate(components, dim):
     # MemoryError for one past the address space, both become parameter
     # errors
     with pytest.raises(InvalidParameterError, match="does not fit"):
-        ring_spec(components=components, dim=dim)
+        ring_spec(components, 2.0, 0.25, dim)
 
 
 # -- closed-form velocity ---------------------------------------------------------
@@ -143,7 +143,7 @@ def test_velocity_mean_identity_along_path():
 
 
 def test_velocity_finite_on_wide_sweep():
-    spec = ring_spec()
+    spec = ring_spec(8, 2.0, 0.25, 2)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(500, 2)) * 10.0
     t = rng.uniform(size=500)
@@ -154,7 +154,7 @@ def test_velocity_finite_on_wide_sweep():
 
 def test_velocity_far_tail_does_not_overflow():
     # log-space responsibilities keep distant points stable
-    spec = ring_spec()
+    spec = ring_spec(8, 2.0, 0.25, 2)
     x = np.array([[1e6, -1e6]])
     out = gmm_velocity(spec, x, 0.5)
     assert np.isfinite(out).all()
@@ -263,7 +263,7 @@ def test_ring_velocity_bits_are_pinned():
     for rows, digest in want.items():
         x = rng.standard_normal((rows, 2)) * 2.0
         t = rng.uniform(size=rows) if rows == 256 else 0.43
-        got = gmm_velocity(ring_spec(), x, t)
+        got = gmm_velocity(ring_spec(8, 2.0, 0.25, 2), x, t)
         assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == digest
 
 
@@ -271,7 +271,7 @@ def test_velocity_scalar_time_equals_full_time_array():
     # a scalar t takes (J,) terms where an array t takes (B, J) ones; the
     # bits must not depend on which
     rng = np.random.default_rng(6)
-    for spec in (ring_spec(), lopsided_spec()):
+    for spec in (ring_spec(8, 2.0, 0.25, 2), lopsided_spec()):
         for batch in (1, 64, 2048):
             x = rng.normal(size=(batch, 2)) * 3.0
             for t in (0.0, 0.37, 0.999, 1.0):
@@ -323,7 +323,7 @@ def test_velocity_row_max_has_the_reduction_bits(spec):
 
 
 def test_sample_data_reproducible():
-    spec = ring_spec()
+    spec = ring_spec(8, 2.0, 0.25, 2)
     a = sample_data(spec, np.random.default_rng(7), 64)
     b = sample_data(spec, np.random.default_rng(7), 64)
     assert (a == b).all()
@@ -332,7 +332,7 @@ def test_sample_data_reproducible():
 def test_sample_data_draws_what_generator_choice_draws():
     # the stored CDF gives Generator.choice(J, p=weights)'s components and
     # leaves the stream where choice leaves it
-    specs = (ring_spec(), lopsided_spec(), zero_weight_spec())
+    specs = (ring_spec(8, 2.0, 0.25, 2), lopsided_spec(), zero_weight_spec())
     for spec in specs:
         for seed in range(200):
             count = 1 + seed % 97
@@ -364,7 +364,7 @@ def test_sample_data_component_moments():
 
 
 def test_spec_is_the_teacher():
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     assert teacher.dim == 2
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 2))
@@ -448,7 +448,7 @@ def test_euler_zero_field_keeps_position():
 
 def test_euler_first_order_convergence():
     # halving the step size should roughly halve the endpoint movement
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     rng = np.random.default_rng(11)
     x1 = rng.standard_normal((64, 2))
     ends = {s: euler_sample(teacher.velocity, x1, s).endpoint
@@ -461,7 +461,7 @@ def test_euler_first_order_convergence():
 
 @pytest.mark.parametrize("make_teacher", [
     lambda: lopsided_spec(),
-    lambda: ring_spec(),
+    lambda: ring_spec(8, 2.0, 0.25, 2),
 ], ids=["analytic", "ring"])
 @pytest.mark.parametrize("shape", [(2,), (37, 2), (2048, 2)],
                          ids=["unbatched", "b37", "b2048"])
@@ -518,7 +518,7 @@ SPLIT_STEPS = 40
 def test_row_split_euler_equals_inline_oracle(count_pools, batch):
     # a teacher's method and a plain callable split alike: every field that
     # computes each row on its own qualifies
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     x1 = np.random.default_rng(57).standard_normal((batch, 2))
     want_positions, want_times = inline_euler(teacher.velocity, x1,
                                               SPLIT_STEPS)
@@ -535,7 +535,7 @@ def test_row_split_euler_equals_inline_oracle(count_pools, batch):
 
 def test_row_split_euler_positions_equal_without_the_blas_pin(monkeypatch,
                                                              count_pools):
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     x1 = np.random.default_rng(60).standard_normal((4099, 2))
     pools = count_pools(2)
     pinned = euler_sample(teacher.velocity, x1, SPLIT_STEPS).positions
@@ -558,7 +558,7 @@ def test_row_split_euler_too_big_to_map_is_out_of_memory(monkeypatch,
 
     monkeypatch.setattr(mmap, "mmap", no_memory)
     pools = count_pools(2)
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     with pytest.raises(MemoryError, match="^cannot map "):
         euler_sample(teacher.velocity, np.zeros((4099, 2)), SPLIT_STEPS)
     assert pools == []
@@ -593,7 +593,7 @@ def test_row_split_euler_raises_the_one_process_error(count_pools):
 
 
 def _euler_digest_in_daemon(queue, x1):
-    teacher = ring_spec()
+    teacher = ring_spec(8, 2.0, 0.25, 2)
     rec = euler_sample(teacher.velocity, x1, SPLIT_STEPS)
     queue.put(hashlib.sha256(rec.positions.tobytes()).hexdigest())
 
@@ -607,7 +607,7 @@ def test_daemon_caller_integrates_in_one_process(monkeypatch):
     monkeypatch.setattr(pool_module, "usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_fork)
     x1 = np.random.default_rng(59).standard_normal((4099, 2))
-    want = inline_euler(ring_spec().velocity, x1,
+    want = inline_euler(ring_spec(8, 2.0, 0.25, 2).velocity, x1,
                         SPLIT_STEPS)[0]
     context = multiprocessing.get_context("fork")
     queue = context.Queue()
