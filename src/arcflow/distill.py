@@ -134,7 +134,7 @@ def build_student_net(cfg: DistillConfig, dim: int,
                         share_velocity=cfg.share_velocity,
                         share_gamma=cfg.share_gamma,
                         gamma_range=(cfg.gamma_lo, cfg.gamma_hi))
-    return StudentNet(net_cfg, seed=init_seed)
+    return StudentNet.seeded(net_cfg, init_seed)
 
 
 def lambda_at(step_idx: int, guidance_steps: int) -> float:
@@ -303,7 +303,6 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
                 _, targets = mixed_integration(x0, t_src, theta, times, lam,
                                                teacher)
                 loss, grads = velocity_matching_loss(theta, times, targets)
-                net.zero_grads()
                 net.backward(*grads)
                 adam_step(net, opt)
             except ArcFlowError as exc:

@@ -21,7 +21,12 @@ none, and a checkpoint whose stored anchor differs is refused.
 
 Everything is float64 in one flat parameter vector with named views, and the
 backward pass is written out by hand; arcflow.verify checks it against central
-finite differences.
+finite differences.  backward overwrites the gradient buffer; it never adds.
+
+Every net comes from StudentNet(config, params, frozen_log_gammas), which
+checks both arrays' lengths against the config and that they are finite
+(InvalidParameterError) before it allocates, copies them, and pins the anchor.
+load hands it a checkpoint's header and arrays, so loading draws nothing.
 
 The forward pass allocates one array per layer: each product is fresh, and
 bias, tanh and the head offsets are applied to it in place.  The softmax
@@ -30,9 +35,10 @@ pairwise order over the K rows (momentum._pairwise_sum), so every output
 has the bits of the row-wise form np.tanh(h @ W + b) with a softmax along
 each row; the gating it returns is the (B, K) transpose of that copy.
 
-Initialization draws, in order: each body weight matrix, then the velocity
-head weight matrix, all scaled by 1/sqrt(fan_in); biases and the gating and
-momentum heads start at zero (uniform gating, default momentum progression).
+StudentNet.seeded is the one place that draws, in order: each body weight
+matrix, then the velocity head weight matrix, all scaled by 1/sqrt(fan_in);
+biases and the gating and momentum heads start at zero (uniform gating,
+default momentum progression).
 """
 
 from __future__ import annotations
@@ -82,6 +88,8 @@ class NetConfig:
             raise InvalidParameterError("dim and num_modes must be >= 1")
         if len(self.hidden) < 1 or any(h < 1 for h in self.hidden):
             raise InvalidParameterError("hidden widths must be >= 1")
+        if not all(math.isfinite(f) for f in self.time_freqs):
+            raise InvalidParameterError("non-finite time frequencies")
         if self.gamma_mode not in GAMMA_MODES:
             raise InvalidParameterError(
                 f"gamma_mode must be one of {GAMMA_MODES}, got "
@@ -143,33 +151,44 @@ def pinned_mode(config: NetConfig, frozen_log_gammas):
 class StudentNet:
     """Flat-parameter MLP; see module docstring for the head layout."""
 
-    def __init__(self, config: NetConfig, seed: int = 0):
+    def __init__(self, config: NetConfig, params, frozen_log_gammas):
+        params = np.asarray(params, dtype=float)
+        frozen = np.asarray(frozen_log_gammas, dtype=float)
+        for name, values, size in (
+                ("parameters", params, config.num_params),
+                ("frozen log gammas", frozen, config.gamma_dim)):
+            if values.shape != (size,):
+                raise InvalidParameterError(
+                    f"{name} of shape {values.shape}, not ({size},)")
+            if not np.isfinite(values).all():
+                raise InvalidParameterError(f"non-finite {name}")
         self.config = config
-        self.params = np.zeros(config.num_params)
+        self.params = params.copy()
         self.grads = np.zeros(config.num_params)
         self._bind_views()
         self._omegas = np.array([2.0 * np.pi * f for f in config.time_freqs])
         self._tape = None
+        self.frozen_log_gammas = frozen.copy()
+        self.anchor_index = pinned_mode(config, frozen)
+        self._anchor_mask = np.ones(config.gamma_dim)
+        if self.anchor_index is not None:
+            self._anchor_mask[self.anchor_index] = 0.0
 
+    @classmethod
+    def seeded(cls, config: NetConfig, seed=0) -> "StudentNet":
+        """A fresh net on the frozen progression: zeros for frozen_one or a
+        shared gamma head, else init_log_gammas; weights drawn from seed."""
         if config.gamma_mode == "frozen_one" or config.share_gamma:
-            self._pin_anchor(np.zeros(config.gamma_dim))
+            frozen = np.zeros(config.gamma_dim)
         else:
-            self._pin_anchor(init_log_gammas(config.num_modes,
-                                             *config.gamma_range))
-
+            frozen = init_log_gammas(config.num_modes, *config.gamma_range)
+        net = cls(config, np.zeros(config.num_params), frozen)
         rng = np.random.default_rng(seed)
         body = [f"body{i}_w" for i in range(len(config.hidden))]
         for name in body + ["vel_w"]:
-            w = self.view(name)   # its rows are its fan-in
+            w = net.view(name)   # its rows are its fan-in
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
-
-    def _pin_anchor(self, frozen_log_gammas):
-        """Hold these frozen log gammas; mask their pinned_mode's offset."""
-        self.frozen_log_gammas = frozen_log_gammas
-        self.anchor_index = pinned_mode(self.config, frozen_log_gammas)
-        self._anchor_mask = np.ones(self.config.gamma_dim)
-        if self.anchor_index is not None:
-            self._anchor_mask[self.anchor_index] = 0.0
+        return net
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -198,9 +217,6 @@ class StudentNet:
 
     def view(self, name: str) -> np.ndarray:
         return self._p[name]
-
-    def zero_grads(self):
-        self.grads[:] = 0.0
 
     # -- forward / backward ---------------------------------------------------
 
@@ -282,13 +298,13 @@ class StudentNet:
         return MomentumParams._trusted(gating, base, log_g)
 
     def backward(self, d_gating, d_base, d_logg) -> np.ndarray:
-        """Accumulate parameter gradients for the most recent forward.
+        """Parameter gradients for the most recent forward.
 
         d_gating, d_base and d_logg are a loss's gradients with respect to
         that forward's gating, base velocities and log gammas, in their
         shapes; the loss has folded in the gamma powers it computed.  Returns
-        the flat gradient buffer (accumulated, not overwritten; call
-        zero_grads between optimization steps).
+        the flat gradient buffer, overwritten block by block; the gamma
+        blocks of a head that does not learn them stay zero.
         """
         if self._tape is None:
             raise StateError("backward called before forward")
@@ -312,10 +328,10 @@ class StudentNet:
         p, g = self._p, self._g
         top = acts[-1]
         d_top = d_logits @ p["gate_w"].T + d_vel @ p["vel_w"].T
-        g["gate_w"] += top.T @ d_logits
-        g["gate_b"] += d_logits.sum(axis=0)
-        g["vel_w"] += top.T @ d_vel
-        g["vel_b"] += d_vel.sum(axis=0)
+        np.matmul(top.T, d_logits, out=g["gate_w"])
+        np.sum(d_logits, axis=0, out=g["gate_b"])
+        np.matmul(top.T, d_vel, out=g["vel_w"])
+        np.sum(d_vel, axis=0, out=g["vel_b"])
 
         if cfg.gamma_mode == "learnable":
             if cfg.share_gamma:
@@ -323,14 +339,14 @@ class StudentNet:
             else:
                 d_off = g_logg * self._anchor_mask
             d_top = d_top + d_off @ p["gam_w"].T
-            g["gam_w"] += top.T @ d_off
-            g["gam_b"] += d_off.sum(axis=0)
+            np.matmul(top.T, d_off, out=g["gam_w"])
+            np.sum(d_off, axis=0, out=g["gam_b"])
 
         d_h = d_top
         for i in range(len(cfg.hidden) - 1, -1, -1):
             d_z = d_h * (1.0 - acts[i + 1] ** 2)
-            g[f"body{i}_w"] += acts[i].T @ d_z
-            g[f"body{i}_b"] += d_z.sum(axis=0)
+            np.matmul(acts[i].T, d_z, out=g[f"body{i}_w"])
+            np.sum(d_z, axis=0, out=g[f"body{i}_b"])
             d_h = d_z @ p[f"body{i}_w"].T
         return self.grads
 
@@ -362,13 +378,15 @@ class StudentNet:
 
     @classmethod
     def load(cls, path) -> "StudentNet":
+        """The net save wrote to path; any other bytes raise
+        CheckpointFormatError naming the file."""
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
         except OSError as exc:
             raise CheckpointFormatError(
                 f"cannot read checkpoint {path}: {exc.strerror}")
-        pos = 0
+        pos = 8   # past the magic
 
         def take(fmt):
             nonlocal pos
@@ -383,28 +401,13 @@ class StudentNet:
             raise CheckpointFormatError(
                 f"bad magic {raw[:8]!r} in {path}; expected {CHECKPOINT_MAGIC!r}"
             )
-        pos = 8
-        dim, num_modes = take("<II")
-        (n_hidden,) = take("<I")
+        dim, num_modes, n_hidden = take("<III")
         hidden = take(f"<{n_hidden}I")
         (n_freqs,) = take("<I")
         freqs = take(f"<{n_freqs}d")
         mode_idx, share_v, share_g = take("<BBB")
         (anchor,) = take("<i")
         gamma_range = take("<dd")
-        if mode_idx >= len(GAMMA_MODES):
-            raise CheckpointFormatError(
-                f"unknown momentum mode index {mode_idx} in {path}"
-            )
-        try:
-            check_gamma_range(*gamma_range)
-        except InvalidParameterError as exc:
-            raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
-        cfg = NetConfig(dim=int(dim), num_modes=int(num_modes),
-                        hidden=hidden, time_freqs=freqs,
-                        gamma_mode=GAMMA_MODES[mode_idx],
-                        share_velocity=bool(share_v), share_gamma=bool(share_g),
-                        gamma_range=gamma_range)
         (frozen_len,) = take("<I")
         frozen = np.array(take(f"<{frozen_len}d"))
         (param_count,) = take("<Q")
@@ -414,30 +417,25 @@ class StudentNet:
                 f"{param_count} parameters, file holds "
                 f"{(len(raw) - pos) // 8}"
             )
-        # Both counts are now bounded by the file size; the header's layout
-        # must match them before the net allocates anything.
-        if cfg.num_params != param_count or cfg.gamma_dim != frozen_len:
+        if mode_idx >= len(GAMMA_MODES) or share_v > 1 or share_g > 1:
             raise CheckpointFormatError(
-                f"checkpoint {path} inconsistent with its own header"
-            )
-        params = np.frombuffer(raw, dtype="<f8", offset=pos)
-        for field, values in (("time frequencies", freqs),
-                              ("frozen log gammas", frozen),
-                              ("parameters", params)):
-            if not np.isfinite(values).all():
+                f"unknown momentum mode index {mode_idx} or sharing flags "
+                f"({share_v}, {share_g}) other than 0 or 1 in {path}")
+        try:
+            cfg = NetConfig(dim=dim, num_modes=num_modes, hidden=hidden,
+                            time_freqs=freqs, gamma_mode=GAMMA_MODES[mode_idx],
+                            share_velocity=bool(share_v),
+                            share_gamma=bool(share_g), gamma_range=gamma_range)
+            # The frozen log gammas fix the pin; the stored anchor must agree.
+            pinned = pinned_mode(cfg, frozen)
+            if anchor != (-1 if pinned is None else pinned):
                 raise CheckpointFormatError(
-                    f"non-finite {field} in checkpoint {path}")
-        # The frozen log gammas fix the pin; the stored anchor must agree.
-        pinned = pinned_mode(cfg, frozen)
-        if anchor != (-1 if pinned is None else pinned):
-            raise CheckpointFormatError(
-                f"anchor mode {anchor} in {path} is not the mode its frozen "
-                f"log gammas pin ({pinned})"
-            )
-        net = cls(cfg, seed=0)
-        net.params[:] = params
-        net._pin_anchor(frozen)
-        return net
+                    f"anchor mode {anchor} in {path} is not the mode its "
+                    f"frozen log gammas pin ({pinned})")
+            return cls(cfg, np.frombuffer(raw, dtype="<f8", offset=pos),
+                       frozen)
+        except InvalidParameterError as exc:
+            raise CheckpointFormatError(f"checkpoint {path}: {exc}") from None
 
 
 # -- optimization ---------------------------------------------------------------

@@ -306,7 +306,6 @@ def gradient_suite(probes, seed):
         return velocity_matching_loss(n.forward(x0, t_src), times, targets)
 
     _, upstream = fixed_anchor_loss(net)
-    net.zero_grads()
     worst = grad_check(
         net, lambda n: fixed_anchor_loss(n)[0], net.backward(*upstream),
         probes=probes, h=1e-5, rng=np.random.default_rng(seed + 1),

@@ -1,7 +1,7 @@
 """Fuzz property for StudentNet.load: mutated, truncated and extended
-checkpoint bytes load or raise an ArcFlowError, and nothing else; a NaN or
-infinity written over a time frequency, a gamma range bound, a frozen log
-gamma or a parameter raises CheckpointFormatError.
+checkpoint bytes load or raise CheckpointFormatError, and nothing else; a
+NaN or infinity written over a time frequency, a gamma range bound, a
+frozen log gamma or a parameter raises CheckpointFormatError.
 
     python tests/checkpoint_fuzz.py CKPT LIMIT_BYTES
 
@@ -28,7 +28,7 @@ def main(path, limit):
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from arcflow import ArcFlowError, CheckpointFormatError
+    from arcflow import CheckpointFormatError
     from arcflow.nnet import StudentNet
 
     seed = Path(path).read_bytes()
@@ -87,16 +87,16 @@ def main(path, limit):
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=300)
     @given(mutated)
-    def loads_or_raises_arcflow_error(raw):
+    def loads_or_raises_checkpoint_format_error(raw):
         target.write_bytes(raw)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 StudentNet.load(target)
-            except ArcFlowError:
+            except CheckpointFormatError:
                 pass
 
-    loads_or_raises_arcflow_error()
+    loads_or_raises_checkpoint_format_error()
 
     non_finite = [math.nan, math.inf, -math.inf]
 

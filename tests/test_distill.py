@@ -734,8 +734,8 @@ def test_distill_train_reproducible():
 
 def constant_velocity_net(v):
     """One-mode momentum-frozen net rigged to output v everywhere."""
-    net = StudentNet(NetConfig(dim=len(v), num_modes=1,
-                               gamma_mode="frozen_one"), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=len(v), num_modes=1,
+                                      gamma_mode="frozen_one"), seed=0)
     net.params[:] = 0.0
     net.view("vel_b")[...] = np.asarray(v, dtype=float)
     return net

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import os
 import pickle
 import struct
@@ -20,6 +21,7 @@ from arcflow import (
     NumericError,
     StateError,
 )
+from arcflow import nnet
 from arcflow.momentum import init_log_gammas
 from arcflow.nnet import (
     NetConfig,
@@ -72,7 +74,6 @@ def linear_probe_loss(x, t, rng):
 
     def grad(net):
         theta = net.forward(x, t)
-        net.zero_grads()
         return net.backward(*weights(theta)).copy()
 
     return loss, grad
@@ -110,7 +111,7 @@ def test_config_derived_dims():
 
 def test_fresh_net_emits_init_ladder_exactly():
     cfg = NetConfig(dim=2, num_modes=8)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     want = init_log_gammas(8, *cfg.gamma_range)
     anchor = list(want).index(0.0)
     rng = np.random.default_rng(1)
@@ -125,7 +126,7 @@ def test_fresh_net_emits_init_ladder_exactly():
 
 
 def test_fresh_net_uniform_gating():
-    net = StudentNet(NetConfig(dim=2, num_modes=5), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=5), seed=0)
     rng = np.random.default_rng(2)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
@@ -133,16 +134,37 @@ def test_fresh_net_uniform_gating():
 
 
 def test_fresh_net_velocity_head_random_but_deterministic():
-    a = StudentNet(NetConfig(dim=2, num_modes=4), seed=7)
-    b = StudentNet(NetConfig(dim=2, num_modes=4), seed=7)
-    c = StudentNet(NetConfig(dim=2, num_modes=4), seed=8)
+    a = StudentNet.seeded(NetConfig(dim=2, num_modes=4), seed=7)
+    b = StudentNet.seeded(NetConfig(dim=2, num_modes=4), seed=7)
+    c = StudentNet.seeded(NetConfig(dim=2, num_modes=4), seed=8)
     assert (a.params == b.params).all()
     assert (a.params != c.params).any()
 
 
+def test_constructor_checks_its_arrays_and_copies_them():
+    cfg = NetConfig(dim=2, num_modes=3)
+    params = np.zeros(cfg.num_params)
+    frozen = init_log_gammas(3, *cfg.gamma_range)
+    for bad_params, bad_frozen, match in (
+            (params[:-1], frozen, "parameters of shape"),
+            (params, frozen[:2], "frozen log gammas of shape"),
+            (np.zeros((1, cfg.num_params)), frozen, "parameters of shape"),
+            (np.where(np.arange(params.size) == 4, np.nan, params), frozen,
+             "non-finite parameters"),
+            (params, np.array([-np.inf, 0.0, 1.0]),
+             "non-finite frozen log gammas")):
+        with pytest.raises(InvalidParameterError, match=match):
+            StudentNet(cfg, bad_params, bad_frozen)
+    net = StudentNet(cfg, params, frozen)
+    params[:] = 1.0
+    frozen[:] = 2.0
+    assert (net.params == 0.0).all()
+    assert net.anchor_index == 1 and net.frozen_log_gammas[1] == 0.0
+
+
 def test_frozen_one_mode_pins_all_log_gammas_to_zero():
-    net = StudentNet(NetConfig(dim=2, num_modes=3, gamma_mode="frozen_one"),
-                     seed=0)
+    net = StudentNet.seeded(
+        NetConfig(dim=2, num_modes=3, gamma_mode="frozen_one"), seed=0)
     rng = np.random.default_rng(3)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
@@ -153,7 +175,7 @@ def test_fixed_mode_keeps_ladder_under_training_pressure():
     # fixed mode has no learnable momentum head: the ladder never moves even
     # if the head buffers are scribbled on
     cfg = NetConfig(dim=2, num_modes=4, gamma_mode="fixed")
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     net.view("gam_w")[...] = 5.0
     net.view("gam_b")[...] = -3.0
     rng = np.random.default_rng(4)
@@ -168,7 +190,7 @@ def test_fixed_mode_keeps_ladder_under_training_pressure():
 
 
 def test_forward_unbatched_squeeze():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     theta = net.forward(np.array([0.5, -0.5]), 0.7)
     assert theta.gating.shape == (3,)
     assert theta.base_velocities.shape == (3, 2)
@@ -204,7 +226,7 @@ def test_forward_has_the_bits_of_the_rowwise_form(variant, modes):
     # order keep every bit of the row-wise form; a plain running sum over
     # the modes would not, from 8 modes up
     cfg = dataclasses.replace(variant, num_modes=modes)
-    net = StudentNet(cfg, seed=3)
+    net = StudentNet.seeded(cfg, seed=3)
     net.params += 0.5 * np.random.default_rng(30).normal(size=net.params.size)
     rng = np.random.default_rng(31)
     for batch in (None, 7, 64, 2048):
@@ -223,7 +245,7 @@ def test_forward_has_the_bits_of_the_rowwise_form(variant, modes):
 @pytest.mark.parametrize("cfg", ALL_VARIANTS)
 def test_forward_bundles_are_read_only(cfg):
     # forward hands its fresh arrays to the bundle without a copy, frozen
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     x, t = probe_batch(np.random.default_rng(20), cfg.dim)
     for theta in (net.forward(x, t), net.forward(x[0], t[0])):
         for arr in (theta.gating, theta.base_velocities, theta.log_gammas):
@@ -233,7 +255,7 @@ def test_forward_bundles_are_read_only(cfg):
 
 
 def test_copied_net_views_follow_its_own_params():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     x, t = probe_batch(np.random.default_rng(21), 2)
     before = net.forward(x, t).base_velocities.copy()
     for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
@@ -241,7 +263,6 @@ def test_copied_net_views_follow_its_own_params():
         theta = twin.forward(x, t)
         assert not np.array_equal(theta.base_velocities, before)
         assert np.shares_memory(twin.view("vel_b"), twin.params)
-        twin.zero_grads()
         twin.backward(np.ones_like(theta.gating),
                       np.ones_like(theta.base_velocities),
                       np.ones_like(theta.log_gammas))
@@ -250,13 +271,13 @@ def test_copied_net_views_follow_its_own_params():
 
 
 def test_forward_rejects_wrong_input_dim():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     with pytest.raises(InvalidParameterError):
         net.forward(np.zeros((4, 3)), 0.5)
 
 
 def test_forward_deterministic():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     rng = np.random.default_rng(5)
     x, t = probe_batch(rng, 2)
     a = net.forward(x, t)
@@ -269,7 +290,7 @@ def test_anchor_output_immune_to_momentum_head():
     # the anchor column is masked out of the learnable offset, so its rate
     # stays exactly 1 no matter what the head weights hold
     cfg = NetConfig(dim=2, num_modes=8)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     rng = np.random.default_rng(6)
     net.view("gam_w")[...] = rng.normal(size=net.view("gam_w").shape)
     net.view("gam_b")[...] = rng.normal(size=net.view("gam_b").shape)
@@ -284,11 +305,10 @@ def test_anchor_output_immune_to_momentum_head():
 
 def test_anchor_gradient_structurally_zero():
     cfg = NetConfig(dim=2, num_modes=4)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     rng = np.random.default_rng(7)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
-    net.zero_grads()
     net.backward(np.zeros_like(theta.gating),
                  np.zeros_like(theta.base_velocities),
                  np.ones_like(theta.log_gammas))
@@ -299,8 +319,8 @@ def test_anchor_gradient_structurally_zero():
 
 
 def test_share_velocity_ties_base_vectors():
-    net = StudentNet(NetConfig(dim=2, num_modes=4, share_velocity=True),
-                     seed=0)
+    net = StudentNet.seeded(
+        NetConfig(dim=2, num_modes=4, share_velocity=True), seed=0)
     rng = np.random.default_rng(8)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
@@ -309,7 +329,8 @@ def test_share_velocity_ties_base_vectors():
 
 
 def test_share_gamma_ties_rates():
-    net = StudentNet(NetConfig(dim=2, num_modes=4, share_gamma=True), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=4, share_gamma=True),
+                            seed=0)
     # scribble on the momentum head so the shared offset is nonzero
     net.view("gam_w")[...] = 0.3
     net.view("gam_b")[...] = 0.1
@@ -325,42 +346,46 @@ def test_share_gamma_ties_rates():
 
 
 def test_backward_before_forward_raises():
-    net = StudentNet(NetConfig(dim=2, num_modes=2), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=2), seed=0)
     with pytest.raises(StateError):
         net.backward(np.zeros(2), np.zeros((2, 2)), np.zeros(2))
 
 
 def test_backward_zero_upstream_gives_zero_grads():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     rng = np.random.default_rng(10)
     x, t = probe_batch(rng, 2)
     theta = net.forward(x, t)
-    net.zero_grads()
     grads = net.backward(np.zeros_like(theta.gating),
                          np.zeros_like(theta.base_velocities),
                          np.zeros_like(theta.log_gammas))
     assert (grads == 0.0).all()
 
 
-def test_backward_accumulates_across_calls():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+@pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
+def test_backward_overwrites_its_gradient(cfg):
+    # a second forward/backward leaves the same gradient, not twice it; the
+    # gamma blocks of a head that does not learn them stay zero
+    net = StudentNet.seeded(cfg, seed=0)
     rng = np.random.default_rng(11)
-    x, t = probe_batch(rng, 2)
+    x, t = probe_batch(rng, cfg.dim)
     theta = net.forward(x, t)
     upstream = (np.full_like(theta.gating, 0.3),
                 np.full_like(theta.base_velocities, -0.7),
                 np.full_like(theta.log_gammas, 0.2))
-    net.zero_grads()
-    net.backward(*upstream)
-    once = net.grads.copy()
+    once = net.backward(*upstream).copy()
+    assert (once != 0.0).any()
     net.forward(x, t)
     net.backward(*upstream)
-    assert_allclose(net.grads, 2.0 * once, rtol=1e-15)
+    assert net.grads.tobytes() == once.tobytes()
+    if cfg.gamma_mode != "learnable":
+        for name in ("gam_w", "gam_b"):
+            assert (net.grads[net.slice_of(name)] == 0.0).all()
 
 
 @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_gradients_match_finite_differences(cfg):
-    net = StudentNet(cfg, seed=1)
+    net = StudentNet.seeded(cfg, seed=1)
     # move off the zero init so softmax and momentum heads have curvature
     jitter = np.random.default_rng(13)
     net.params += 0.05 * jitter.normal(size=net.params.size)
@@ -375,7 +400,7 @@ def test_grad_check_catches_corrupted_gradients():
     # negative control: inflate the analytic gradient by 50 percent and the
     # checker must flag it loudly
     cfg = NetConfig(dim=2, num_modes=3)
-    net = StudentNet(cfg, seed=1)
+    net = StudentNet.seeded(cfg, seed=1)
     x, t = probe_batch(np.random.default_rng(17), 2, batch=3)
     loss, grad = linear_probe_loss(x, t, np.random.default_rng(18))
     worst = grad_check(net, loss, 1.5 * grad(net), probes=40,
@@ -387,10 +412,9 @@ def test_grad_check_catches_corrupted_gradients():
 
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     opt = init_optim_state(net, 1e-3)
     before = net.params.copy()
-    net.zero_grads()
     adam_step(net, opt)
     assert (net.params == before).all()
 
@@ -398,7 +422,7 @@ def test_adam_zero_gradients_leave_params_unchanged():
 def test_adam_first_step_magnitude_is_learning_rate():
     # with g = 1 everywhere, bias-corrected mhat = 1 and vhat = 1, so the
     # first update is lr / (1 + eps) for base params
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     opt = init_optim_state(net, 0.1)
     before = net.params.copy()
     net.grads[:] = 1.0
@@ -410,7 +434,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
 
 
 def test_adam_momentum_head_trains_ten_times_slower():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     opt = init_optim_state(net, 0.1)
     before = net.params.copy()
     net.grads[:] = 1.0
@@ -422,7 +446,7 @@ def test_adam_momentum_head_trains_ten_times_slower():
 
 
 def test_adam_rejects_nonfinite_gradients():
-    net = StudentNet(NetConfig(dim=2, num_modes=3), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=3), seed=0)
     opt = init_optim_state(net, 1e-3)
     net.grads[:] = 1.0
     net.grads[5] = np.nan
@@ -441,7 +465,7 @@ def _mode_flag_offset(cfg):
 
 @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_checkpoint_round_trip_bit_exact(cfg, tmp_path):
-    net = StudentNet(cfg, seed=5)
+    net = StudentNet.seeded(cfg, seed=5)
     net.params += 0.01 * np.random.default_rng(20).normal(size=net.params.size)
     path = tmp_path / "net.ckpt"
     net.save(path)
@@ -456,6 +480,42 @@ def test_checkpoint_round_trip_bit_exact(cfg, tmp_path):
     assert (a.gating == b.gating).all()
     assert (a.base_velocities == b.base_velocities).all()
     assert (a.log_gammas == b.log_gammas).all()
+
+
+# sha256 prefixes of StudentNet.seeded(cfg, seed=0).save(...), as the net was
+# drawn before it had a constructor that takes its parameters
+SEEDED_CHECKPOINT_SHA256 = {
+    "learnable-k4d2": "79841c1e469dc642",
+    "learnable-sv-k4d2": "2ef51573d1cf0abd",
+    "learnable-sg-k4d2": "d42132e6a0932114",
+    "learnable-sv-sg-k4d2": "61cadf628f22a821",
+    "fixed-k4d2": "18b54210430e770e",
+    "frozen_one-k1d2": "c59a6ed2fb390dc0",
+    "learnable-k2d3": "f6b358ab2109414e",
+}
+
+
+@pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
+def test_seeded_net_keeps_its_checkpoint_bytes(cfg, tmp_path):
+    path = tmp_path / "net.ckpt"
+    StudentNet.seeded(cfg, seed=0).save(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest[:16] == SEEDED_CHECKPOINT_SHA256[variant_id(cfg)]
+
+
+def test_load_draws_nothing(tmp_path, monkeypatch):
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=8), seed=0)
+    path = tmp_path / "net.ckpt"
+    net.save(path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load made an RNG")
+
+    monkeypatch.setattr(nnet.np.random, "default_rng", no_rng)
+    loaded = StudentNet.load(path)
+    assert loaded.params.tobytes() == net.params.tobytes()
+    assert loaded.frozen_log_gammas.tobytes() == \
+        net.frozen_log_gammas.tobytes()
 
 
 def _old_pin(cfg):
@@ -475,7 +535,7 @@ def _old_pin(cfg):
 @pytest.mark.parametrize("cfg", ALL_VARIANTS, ids=variant_id)
 def test_pin_comes_from_the_frozen_progression(cfg, num_modes, tmp_path):
     cfg = dataclasses.replace(cfg, num_modes=num_modes)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     pin = _old_pin(cfg)
     assert net.anchor_index == pin
     assert pinned_mode(cfg, net.frozen_log_gammas) == pin
@@ -491,7 +551,7 @@ def test_pin_comes_from_the_frozen_progression(cfg, num_modes, tmp_path):
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
-    net = StudentNet(NetConfig(dim=2, num_modes=2), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=2), seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = bytearray(path.read_bytes())
@@ -502,7 +562,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
-    net = StudentNet(NetConfig(dim=2, num_modes=2), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=2), seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = path.read_bytes()
@@ -512,7 +572,7 @@ def test_checkpoint_rejects_truncation(tmp_path):
 
 
 def test_checkpoint_rejects_payload_size_mismatch(tmp_path):
-    net = StudentNet(NetConfig(dim=2, num_modes=2), seed=0)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=2), seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
@@ -522,7 +582,7 @@ def test_checkpoint_rejects_payload_size_mismatch(tmp_path):
 
 def test_checkpoint_rejects_unknown_momentum_mode(tmp_path):
     cfg = NetConfig(dim=2, num_modes=2)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = bytearray(path.read_bytes())
@@ -530,6 +590,36 @@ def test_checkpoint_rejects_unknown_momentum_mode(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError):
         StudentNet.load(path)
+
+
+@pytest.mark.parametrize("at, value, message", [
+    (65, b"\x07", "sharing flags"),
+    (66, b"\xff", "sharing flags"),
+    (8, bytes(4), "dim and num_modes"),
+    (12, bytes(4), "dim and num_modes"),
+    (20, bytes(4), "hidden widths"),
+    (None, None, "hidden widths"),
+], ids=["share-velocity-7", "share-gamma-255", "dim-0", "num-modes-0",
+        "hidden-width-0", "no-hidden-layers"])
+def test_checkpoint_header_errors_name_the_file(at, value, message,
+                                                tmp_path):
+    """A sharing byte other than 0 or 1 would load as True and save back
+    as 1, and a size the config refuses would fail without the file's
+    name: each is a CheckpointFormatError that names the file."""
+    cfg = NetConfig(dim=2, num_modes=4, share_velocity=True, share_gamma=True)
+    path = tmp_path / "net.ckpt"
+    StudentNet.seeded(cfg, seed=0).save(path)
+    raw = bytearray(path.read_bytes())
+    assert _mode_flag_offset(cfg) == 64
+    if at is None:
+        # a hidden-layer count of 0, with the two widths cut out
+        raw[16:28] = struct.pack("<I", 0)
+    else:
+        raw[at:at + len(value)] = value
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=message) as err:
+        StudentNet.load(path)
+    assert str(path) in str(err.value)
 
 
 @pytest.mark.parametrize("cfg, anchor, frozen_at_anchor", [
@@ -548,7 +638,7 @@ def test_checkpoint_rejects_unpinnable_anchor(cfg, anchor, frozen_at_anchor,
     builds a net, a checkpoint whose stored anchor is not their first exact
     zero on a per-mode gamma head, or not -1 (none) on a shared head or
     where no frozen log gamma is exactly 0."""
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = bytearray(path.read_bytes())
@@ -577,7 +667,7 @@ def test_checkpoint_rejects_non_finite_floats(field, value, tmp_path):
     """A non-finite float would load and fail only at the first forward,
     with an error that names neither the file nor the field."""
     cfg = NetConfig(dim=2, num_modes=8)
-    net = StudentNet(cfg, seed=0)
+    net = StudentNet.seeded(cfg, seed=0)
     path = tmp_path / "net.ckpt"
     net.save(path)
     raw = bytearray(path.read_bytes())
@@ -590,7 +680,7 @@ def test_checkpoint_rejects_non_finite_floats(field, value, tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointFormatError) as err:
         StudentNet.load(path)
-    assert str(err.value) == f"non-finite {field} in checkpoint {path}"
+    assert str(err.value) == f"checkpoint {path}: non-finite {field}"
 
 
 @pytest.mark.parametrize("gamma_mode", ["learnable", "frozen_one"])
@@ -603,7 +693,7 @@ def test_checkpoint_rejects_bad_gamma_range(gamma_mode, bound, value,
     allocated."""
     cfg = NetConfig(dim=2, num_modes=8, gamma_mode=gamma_mode)
     path = tmp_path / "net.ckpt"
-    StudentNet(cfg, seed=0).save(path)
+    StudentNet.seeded(cfg, seed=0).save(path)
     raw = bytearray(path.read_bytes())
     at = _mode_flag_offset(cfg) + 3 + 4 + 8 * bound
     raw[at:at + 8] = struct.pack("<d", value)
@@ -621,10 +711,11 @@ def test_checkpoint_rejects_bad_gamma_range(gamma_mode, bound, value,
 def test_corrupt_checkpoints_fail_as_arcflow_errors(tmp_path):
     """tests/checkpoint_fuzz.py under a 1 GiB address-space limit: corrupt
     headers raise CheckpointFormatError before anything large is allocated,
-    and mutated, truncated or extended bytes load or raise an ArcFlowError.
+    and mutated, truncated or extended bytes load or raise
+    CheckpointFormatError.
     The limit turns a regression into a MemoryError in the child."""
     path = tmp_path / "net.ckpt"
-    StudentNet(NetConfig(dim=2, num_modes=8), seed=0).save(path)
+    StudentNet.seeded(NetConfig(dim=2, num_modes=8), seed=0).save(path)
     src = str(Path(arcflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -641,7 +732,7 @@ def test_corrupt_checkpoints_fail_as_arcflow_errors(tmp_path):
 
 
 def test_grad_check_passes_trivial_quadratic():
-    net = StudentNet(NetConfig(dim=2, num_modes=2, hidden=(8,)), seed=2)
+    net = StudentNet.seeded(NetConfig(dim=2, num_modes=2, hidden=(8,)), seed=2)
 
     def quad(net):
         return 0.5 * float(net.params @ net.params)
