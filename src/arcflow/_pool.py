@@ -1,6 +1,8 @@
 """Forked worker processes whose results come back in serial order.
 
-Three callers use it: run_ablation trains its distinct units here,
+Three callers use it: run_ablation trains its lockstep stacks of
+distinct units here, largest first, after halving its largest stack while
+there are fewer stacks than fork_workers would give its units;
 euler_sample integrates its row blocks here and energy_distance sums its
 row chunks here, in ranges of about equal pairs formed (a chunk of a
 self-block forms only its strip right of the diagonal).  A map with one

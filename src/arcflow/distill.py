@@ -30,6 +30,14 @@ One training step:
 
 The loss gradient with respect to the predicted bundle is written in closed
 form here; the network maps it back to its weights.
+
+One engine, train_in_lockstep, runs this step for N >= 1 runs whose configs
+differ in seed and gamma_mode alone.  One run (distill_train) has no run
+axis.  Several share one StudentNet.stack, and every array of the step
+gains a leading run axis: each run's shelf time, batch and anchor times,
+its bundle, rollout, loss and gradients.  Every stacked product, sum and
+mean keeps each run's bits, so a run in a stack trains exactly as it does
+alone.
 """
 
 from __future__ import annotations
@@ -47,9 +55,10 @@ from .errors import (
     InvalidParameterError,
     NumericError,
 )
-from .momentum import DEFAULT_GAMMA_RANGE, MomentumParams, check_gamma_range
+from .momentum import (DEFAULT_GAMMA_RANGE, MomentumParams, bundle_error,
+                       check_gamma_range)
 from .nnet import (GAMMA_MODES, NetConfig, StudentNet, adam_step,
-                   init_optim_state)
+                   gradient_error, init_optim_state)
 from .solver import displacement, sub_interval_displacement
 from .teacher import TrajectoryRecord
 
@@ -191,47 +200,66 @@ def mixed_integration(x_start, t_start, theta: MomentumParams, anchor_times,
 
     Anchor times are checked before any teacher call: a non-empty 1-D
     array, strictly decreasing, in [0, t_start] with t_start <= 1.
+
+    A stack of N runs passes t_start (N,), anchor_times (N, n), x_start
+    (N, B, D) and an (N, B) bundle, and gets (N, n, B, D) arrays back, each
+    run's rows with the bits of its own call; no run's states are checked
+    for finiteness, which its trainer does run by run (_state_error).
     """
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise InvalidParameterError(f"lambda {lam} outside [0, 1]")
     x_src = np.asarray(x_start, dtype=float)
-    t_start = float(t_start)
+    t_start = np.asarray(t_start, dtype=float)
     times = np.asarray(anchor_times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
+    lead = t_start.shape   # a stack's run axis, or none
+    if times.shape[:-1] != lead or times.ndim != len(lead) + 1 \
+            or times.shape[-1] < 1:
         raise InvalidParameterError(f"anchor_times must be a non-empty 1-D "
                                     f"array, got shape {times.shape}")
     if not (np.diff(times) < 0.0).all():
         raise InvalidParameterError("anchor times must strictly decrease")
-    if not 0.0 <= times[-1] <= times[0] <= t_start <= 1.0:
-        raise InvalidIntervalError(f"anchor times [{times[-1]}, {times[0]}] "
-                                   f"not in [0, t_start = {t_start} <= 1]")
-    n = times.size
-    t_prev = np.concatenate(([t_start], times[:-1]))
+    if not ((0.0 <= times[..., -1]) & (times[..., 0] <= t_start)
+            & (t_start <= 1.0)).all():
+        raise InvalidIntervalError(f"anchor times [{times[..., -1]}, "
+                                   f"{times[..., 0]}] not in [0, t_start = "
+                                   f"{t_start} <= 1]")
+    n = times.shape[-1]
+    t_prev = np.concatenate((t_start[..., None], times[..., :-1]), axis=-1)
     t_sw = lam * t_prev + (1.0 - lam) * times
-    stack = (n,) + (1,) * (theta.gating.ndim - 1)
-    steps = displacement(theta, t_sw.reshape(stack), times.reshape(stack))
-    anchors = np.empty((n,) + x_src.shape)
+    stack = (n,) + lead + (1,) * (theta.gating.ndim - 1 - len(lead))
+    steps = displacement(theta, t_sw.T.reshape(stack),
+                         times.T.reshape(stack))
+    # runs + (j,) picks anchor j of every run; per_run shapes a time per
+    # run against its states, or gives one run's time as a float
+    runs = (slice(None),) * len(lead)
+    rows = lead + (1,) * (x_src.ndim - len(lead))
+
+    def per_run(t, shape=rows):
+        return t.reshape(shape) if lead else float(t)
+
+    anchors = np.empty(lead + (n,) + x_src.shape[len(lead):])
     if lam == 1.0:
         # s_j = t_(j-1): the chain t_start -> t_1 -> ... of student steps
         # alone, x_j = x_(j-1) - steps[j]; then the teacher on every anchor
         x = x_src
         for j in range(n):
-            x = anchors[j] = x - steps[j]
-        if not np.isfinite(anchors).all():
-            j = next(j for j in range(n) if not np.isfinite(anchors[j]).all())
-            raise _non_finite_state(j, t_prev[j], times[j])
-        times_by_anchor = times.reshape((n,) + (1,) * (x_src.ndim - 1))
-        return anchors, teacher.velocity(anchors, times_by_anchor)
+            x = anchors[runs + (j,)] = x - steps[j]
+        error = None if lead else _state_error(anchors, t_start, times)
+        if error is not None:
+            raise error
+        return anchors, teacher.velocity(
+            anchors, times.reshape(times.shape + rows[len(lead) + 1:]))
     targets = np.empty_like(anchors)
-    x, u = x_src, teacher.velocity(x_src, t_start)
+    x, u = x_src, teacher.velocity(x_src, per_run(t_start, rows[:-1]))
     for j in range(n):
-        x = x - u * (t_prev[j] - t_sw[j])
+        at = runs + (j,)
+        x = x - u * per_run(t_prev[at] - t_sw[at])
         x = x - steps[j]
-        if not np.isfinite(x).all():
+        if not lead and not np.isfinite(x).all():
             raise _non_finite_state(j, t_prev[j], times[j])
-        anchors[j] = x
-        u = targets[j] = teacher.velocity(x, float(times[j]))
+        anchors[at] = x
+        u = targets[at] = teacher.velocity(x, per_run(times[at], rows[:-1]))
     return anchors, targets
 
 
@@ -239,6 +267,21 @@ def _non_finite_state(j, t_prev, t_next) -> NumericError:
     return NumericError(
         f"non-finite state in sub-interval {j} ({t_prev:.6f} -> {t_next:.6f})"
     )
+
+
+def _state_error(anchors, t_start, times):
+    """The NumericError naming one run's first sub-interval whose anchor
+    states are not all finite, or None."""
+    if np.isfinite(anchors).all():
+        return None
+    finite = np.isfinite(anchors).reshape(times.size, -1).all(axis=1)
+    j = int(np.argmin(finite))
+    return _non_finite_state(j, times[j - 1] if j else t_start, times[j])
+
+
+def _loss_error(loss):
+    return (None if np.isfinite(loss)
+            else NumericError("non-finite velocity matching loss"))
 
 
 def velocity_matching_loss(theta: MomentumParams, anchor_times, targets):
@@ -250,24 +293,42 @@ def velocity_matching_loss(theta: MomentumParams, anchor_times, targets):
     and the loss computes the gamma powers gamma**(1 - t_j) for it itself.
     targets are the rollout's teacher velocities.  Anchor states enter as
     constants, so the gradient sees only the explicit dependence on theta.
+
+    A stack of N runs passes anchor_times (N, n), an (N, B) bundle and
+    (N, n, B, D) targets, and gets each run's loss, an (N,) array left
+    unchecked, and gradients with the bits of its own call.
     """
-    expo = (1.0 - np.asarray(anchor_times, dtype=float))[:, None, None]
-    gpow = np.exp(expo * theta.log_gammas[None])                # (n,B,K)
-    v_student = np.einsum("bk,nbk,bkd->nbd", theta.gating, gpow,
+    times = np.asarray(anchor_times, dtype=float)
+    lead = times.shape[:-1]
+    expo = (1.0 - times)[..., None, None]
+    gpow = np.exp(expo * theta.log_gammas[..., None, :, :])   # (n, B, K)
+    v_student = np.einsum("...bk,...nbk,...bkd->...nbd", theta.gating, gpow,
                           theta.base_velocities)
 
     diff = v_student - targets
-    loss = float(np.mean(diff * diff))
-    if not np.isfinite(loss):
-        raise NumericError("non-finite velocity matching loss")
+    # each run's mean over its own contiguous block, in np.mean's order
+    loss = (diff * diff).reshape(lead + (-1,)).mean(axis=-1)
+    if not lead:
+        loss = float(loss)
+        error = _loss_error(loss)
+        if error is not None:
+            raise error
 
-    up = 2.0 * diff / diff.size                                  # dL/dv
-    proj = np.einsum("nbd,bkd->nbk", up, theta.base_velocities)
+    up = 2.0 * diff / (diff.size // math.prod(lead))            # dL/dv
+    proj = np.einsum("...nbd,...bkd->...nbk", up, theta.base_velocities)
     proj_pow = proj * gpow
-    d_gating = proj_pow.sum(axis=0)
-    d_base = np.einsum("nbd,nbk->bkd", up, gpow) * theta.gating[..., None]
-    d_logg = (proj_pow * expo).sum(axis=0) * theta.gating
+    d_gating = proj_pow.sum(axis=-3)
+    d_base = (np.einsum("...nbd,...nbk->...bkd", up, gpow)
+              * theta.gating[..., None])
+    d_logg = (proj_pow * expo).sum(axis=-3) * theta.gating
     return loss, (d_gating, d_base, d_logg)
+
+
+def lockstep_key(cfg: DistillConfig) -> DistillConfig:
+    """cfg with its seed and gamma_mode set aside: runs whose configs share
+    this key share a parameter layout and a step schedule, so they can
+    train in lockstep."""
+    return dataclasses.replace(cfg, seed=0, gamma_mode=GAMMA_MODES[0])
 
 
 def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
@@ -280,39 +341,124 @@ def distill_train(teacher, net: StudentNet, cfg: DistillConfig):
     silenced for the loop: every value it computes ends in a finiteness
     check (bundles, rollout states, loss, gradients, and the parameters
     after the last update), so a diverging run reports one step-tagged
-    NumericError.
+    NumericError.  It is train_in_lockstep's one-run case.
     """
-    rng = np.random.default_rng(training_streams(cfg.seed)[1])
-    if net.config.num_modes != cfg.num_modes:
+    (outcome,) = train_in_lockstep(teacher, [net], [cfg])
+    if isinstance(outcome, ArcFlowError):
+        raise outcome
+    return outcome
+
+
+def train_in_lockstep(teacher, nets, cfgs) -> list:
+    """Train each of nets on its config, all in one loop, mutating the nets;
+    returns per run its loss log, as distill_train returns it, or the
+    ArcFlowError its own distill_train raises.
+
+    The configs may differ in seed and gamma_mode alone (lockstep_key).
+    One run steps its net alone, with no run axis.  Several run as one
+    StudentNet.stack: each step makes one stacked forward, rollout, loss,
+    backward and Adam update for all, whose parameters, gradients and Adam
+    moments are the rows of (N, P) buffers.  Each run draws its shelf,
+    batch and anchor times from the training stream of its own seed; runs
+    of one seed draw equal numbers, so the stack draws once per seed.  Every
+    row of every stacked product, sum and mean has the bits of its own run,
+    so each run's log and parameters equal those of its solo run.  The rows
+    are independent: a run whose bundle, states, loss or gradient stops
+    being finite records the error its solo run raises at that step, and
+    the others carry on; its non-finite rows reach no other run.
+    """
+    nets, cfgs = list(nets), list(cfgs)
+    if not nets or len(nets) != len(cfgs):
         raise InvalidParameterError(
-            f"net has {net.config.num_modes} modes, config wants "
-            f"{cfg.num_modes}"
-        )
+            f"{len(nets)} nets for {len(cfgs)} configs")
+    for net, run_cfg in zip(nets, cfgs):
+        if net.config.num_modes != run_cfg.num_modes:
+            raise InvalidParameterError(
+                f"net has {net.config.num_modes} modes, config wants "
+                f"{run_cfg.num_modes}"
+            )
+    cfg = cfgs[0]
+    if any(lockstep_key(run_cfg) != lockstep_key(cfg) for run_cfg in cfgs):
+        raise InvalidParameterError(
+            "configs trained in lockstep may differ in seed and gamma_mode "
+            "alone")
+    stacked = len(nets) > 1
+    net = StudentNet.stack(nets) if stacked else nets[0]
+    seeds = list(dict.fromkeys(run_cfg.seed for run_cfg in cfgs))
+    rngs = [np.random.default_rng(training_streams(seed)[1])
+            for seed in seeds]
+    drawn_by = [seeds.index(run_cfg.seed) for run_cfg in cfgs]
     opt = init_optim_state(net, cfg.base_lr)
     width = 1.0 / cfg.nfe
-    log = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    logs = [[] for _ in nets]
+    errors = [None] * len(nets)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step_idx in range(cfg.total_steps):
             lam = lambda_at(step_idx, cfg.guidance_steps)
             try:
-                t_src, _ = sample_shelf(rng, cfg.nfe)
-                x0 = init_shelf_state(teacher, rng, t_src, cfg.batch)
-                times = sample_anchor_times(rng, t_src, width,
-                                            cfg.n_intermediate)
-                theta = net.forward(x0, t_src)
-                _, targets = mixed_integration(x0, t_src, theta, times, lam,
-                                               teacher)
+                draws = []
+                for rng in rngs:
+                    shelf, _ = sample_shelf(rng, cfg.nfe)
+                    draws.append((shelf,
+                                  init_shelf_state(teacher, rng, shelf,
+                                                   cfg.batch),
+                                  sample_anchor_times(rng, shelf, width,
+                                                      cfg.n_intermediate)))
+                if stacked:
+                    t_src, x0, times = (np.stack(parts)[drawn_by]
+                                        for parts in zip(*draws))
+                else:
+                    ((t_src, x0, times),) = draws
+                theta = net.forward(x0, t_src[:, None] if stacked else t_src)
+                anchors, targets = mixed_integration(x0, t_src, theta, times,
+                                                     lam, teacher)
                 loss, grads = velocity_matching_loss(theta, times, targets)
                 net.backward(*grads)
+                found = (_stack_errors(theta, anchors, loss, net.grads, t_src,
+                                       times) if stacked else [None])
+                # a run that fails here takes no part in the logs, and its
+                # update, computed with the others, is never read
                 adam_step(net, opt)
-            except ArcFlowError as exc:
-                raise type(exc)(f"training step {step_idx}: {exc}") from exc
-            log.append((step_idx, lam, loss, t_src))
+            except ArcFlowError as exc:   # every run's step raised it
+                found = [exc] * len(nets)
+            for row, error in enumerate(found):
+                if error is not None and errors[row] is None:
+                    errors[row] = _at_step(step_idx, error)
+            if all(errors):
+                break
+            rows = zip(loss, t_src) if stacked else [(loss, t_src)]
+            for log, error, (row_loss, shelf) in zip(logs, errors, rows):
+                if error is None:
+                    log.append((step_idx, lam, float(row_loss), float(shelf)))
     # earlier updates are checked by the next step's forward pass
-    if log and not np.isfinite(net.params).all():
-        raise NumericError(f"training step {log[-1][0]}: non-finite "
-                           f"parameters after the update")
-    return log
+    for row, log in enumerate(logs):
+        if (errors[row] is None and log
+                and not np.isfinite(nets[row].params).all()):
+            errors[row] = NumericError(f"training step {log[-1][0]}: "
+                                       f"non-finite parameters after the "
+                                       f"update")
+    return [log if error is None else error
+            for log, error in zip(logs, errors)]
+
+
+def _stack_errors(theta, anchors, loss, grads, t_src, times) -> list:
+    """Per run of a stacked step, the error its solo step raises, or None:
+    its bundle's, its rollout's, its loss's or its gradient's, the first in
+    that order."""
+    parts = (theta.gating, theta.base_velocities, theta.log_gammas)
+    if all(np.isfinite(a).all() for a in (*parts, anchors, loss, grads)):
+        return [None] * len(loss)
+    return [bundle_error(*(a[row] for a in parts))
+            or _state_error(anchors[row], t_src[row], times[row])
+            or _loss_error(loss[row]) or gradient_error(grads[row])
+            for row in range(len(loss))]
+
+
+def _at_step(step_idx, exc) -> ArcFlowError:
+    """exc as its own type with the training step's index attached."""
+    tagged = type(exc)(f"training step {step_idx}: {exc}")
+    tagged.__cause__ = exc
+    return tagged
 
 
 def student_sample(net: StudentNet, x_start, nfe: int,

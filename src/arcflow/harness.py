@@ -38,7 +38,9 @@ from .distill import (
     _check_counts,
     build_student_net,
     distill_train,
+    lockstep_key,
     student_sample,
+    train_in_lockstep,
     training_streams,
 )
 from .errors import ArcFlowError, ConfigError, InvalidParameterError
@@ -569,6 +571,38 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
 
     started = time.perf_counter()
     teacher = build_teacher(cfg)
+    reference = _checked_reference(cfg, teacher, reference)
+    out = make_output_dir(out_dir) if out_dir is not None else None
+    net = build_student_net(cfg.distill, teacher.dim)
+    log = distill_train(teacher, net, cfg.distill)
+    report, evaluation = _evaluated(cfg, net, log, reference, started)
+
+    if out is not None:
+        (out / "config.txt").write_text(format_run_config(cfg))
+        net.save(out / "student.ckpt")
+        (out / "metrics.json").write_text(
+            json.dumps(report.to_dict(), indent=2) + "\n")
+        if cfg.run.export_csv:
+            write_loss_csv(log, out / "loss.csv")
+            subset = evaluation["student_record"]
+            write_trajectory_csv(subset, out / "trajectories.csv",
+                                 limit=cfg.run.trajectory_samples)
+        if cfg.run.export_svg:
+            trajectory_overlay_svg(
+                [("teacher", "#888888", reference.record),
+                 ("student", "#1f6fd6", evaluation["student_record"])],
+                out / "overlay.svg",
+                means=teacher.means,
+                limit=cfg.run.trajectory_samples,
+            )
+    return report, net, log
+
+
+def _checked_reference(cfg: RunConfig, teacher,
+                       reference: EulerReference | None) -> EulerReference:
+    """The Euler reference a run of cfg is evaluated against, built if None
+    and otherwise checked to fit cfg, once the student's trace is checked
+    against memory."""
     if reference is not None and (
             reference.seed != cfg.distill.seed
             or reference.noise.shape != (cfg.run.metric_samples, teacher.dim)):
@@ -590,9 +624,12 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
         f"{runs.dense_per_shelf} and metric_samples {runs.metric_samples}",
         cfg.evaluation_trajectories()[0][1], runs.metric_samples,
         teacher.dim + max(1.0, teacher.dim / cfg.distill.nfe))
-    out = make_output_dir(out_dir) if out_dir is not None else None
-    net = build_student_net(cfg.distill, teacher.dim)
-    log = distill_train(teacher, net, cfg.distill)
+    return reference
+
+
+def _evaluated(cfg: RunConfig, net, log, reference: EulerReference,
+               started: float):
+    """(report, evaluation) of a trained net against its reference."""
     evaluation = evaluate_student(net, cfg, reference)
     report = MetricsReport(
         endpoint_mse=evaluation["endpoint_mse"],
@@ -606,26 +643,7 @@ def run_distillation(cfg: RunConfig, out_dir=None, *,
         config_hash=config_hash(cfg),
         wall_time_s=time.perf_counter() - started,
     )
-
-    if out is not None:
-        (out / "config.txt").write_text(format_run_config(cfg))
-        net.save(out / "student.ckpt")
-        (out / "metrics.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n")
-        if cfg.run.export_csv:
-            write_loss_csv(log, out / "loss.csv")
-            subset = evaluation["student_record"]
-            write_trajectory_csv(subset, out / "trajectories.csv",
-                                 limit=cfg.run.trajectory_samples)
-        if cfg.run.export_svg:
-            trajectory_overlay_svg(
-                [("teacher", "#888888", reference.record),
-                 ("student", "#1f6fd6", evaluation["student_record"])],
-                out / "overlay.svg",
-                means=teacher.means,
-                limit=cfg.run.trajectory_samples,
-            )
-    return report, net, log
+    return report, evaluation
 
 
 # Each ablation study: whether it trains for twice the guidance ramp (or
@@ -701,18 +719,25 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
 
     The teacher is the config's own.  Each seed's Euler reference is built
     once, in the calling process, and shared by that seed's cells.  Each
-    distinct (seed, cell config) unit is trained once through
-    run_distillation: twin cells such as gamma_mode/learnable and
-    sharing/all_per_mode give equal rows by construction.  The units run
-    in one worker process per CPU this process may run on, at most one per
-    unit; the workers are forked, so they inherit the teacher and
-    references, and only a unit's DistillConfig goes to a worker and only
-    its two figures come back.  The rows are identical to a one-process
-    run, which is what one CPU or a platform without fork gets.  A failing
-    grid raises the error the one-process run raises first, its text led by
-    the failing unit's seed and study/cell names (all of them for twin
-    cells), and no worker outlives the call.  The grid is checked first, by
-    ablation_grid, so a bad study or seed fails before any training."""
+    distinct (seed, cell config) unit is trained once: twin cells such as
+    gamma_mode/learnable and sharing/all_per_mode give equal rows by
+    construction.  Units whose configs differ in seed and gamma_mode alone
+    (distill.lockstep_key) form one stack, trained in lockstep by
+    distill.train_in_lockstep; while there are fewer stacks than the worker
+    processes fork_workers would give the units, the largest stack (runs x
+    total_steps) is split in two, so with a CPU per unit every unit trains
+    alone.  The stacks run in one worker process per CPU this process may
+    run on, at most one per stack, largest first; the workers are forked,
+    so they inherit the teacher and references, and only a stack's
+    DistillConfigs go to a worker and only its figures come back.  Each run
+    is checked against memory as run_distillation checks it, before
+    training, and evaluated on its own against its seed's reference.  The
+    rows are those of one run_distillation per unit, bit for bit, whatever
+    the stacks and the CPU count.  A failing grid raises the error of the first failing unit in serial
+    order, the error that unit's own run raises, its text led by the unit's
+    seed and study/cell names (all of them for twin cells), and no worker
+    outlives the call.  The grid is checked first, by ablation_grid, so a
+    bad study or seed fails before any training."""
     cells, seeds = ablation_grid(cfg, studies, seeds)
     # seeds outermost, as a one-process run trains them
     names = {}
@@ -720,31 +745,69 @@ def run_ablation(cfg: RunConfig, studies=ABLATION_STUDIES, seeds=(0, 1, 2)):
         for study, name, dcfg in cells:
             names.setdefault(dataclasses.replace(dcfg, seed=seed),
                              []).append(f"{study}/{name}")
-    units = list(names)
+    stacks = {}
+    for unit in names:
+        stacks.setdefault(lockstep_key(unit), []).append(unit)
+    stacks = list(stacks.values())
+    workers = fork_workers(len(names))
+    while len(stacks) < workers:
+        # halve the largest stack of two units or more
+        big = max((k for k, stack in enumerate(stacks) if len(stack) > 1),
+                  key=lambda k: _stack_work(stacks[k]))
+        half = len(stacks[big]) // 2
+        stacks[big:big + 1] = [stacks[big][:half], stacks[big][half:]]
     references = {seed: euler_reference(RunConfig(
                       cfg.teacher, dataclasses.replace(cfg.distill, seed=seed),
                       cfg.run)) for seed in seeds}
     shared = (cfg, references, names)
-    # Longest budget first, so the long cells do not form a pool's tail.
-    results = dict(zip(units, map_forked(
-        _ablation_unit, shared, units,
-        priority=lambda unit: -unit.total_steps)))
+    # Largest first, so the long stacks do not form a pool's tail.
+    results = {}
+    for stack, outcomes in zip(stacks, map_forked(
+            _ablation_stack, shared, stacks,
+            priority=lambda stack: -_stack_work(stack))):
+        results.update(zip(stack, outcomes))
+    for unit in names:
+        if isinstance(results[unit], ArcFlowError):
+            raise results[unit]
     return [(study, name, seed,
              *results[dataclasses.replace(dcfg, seed=seed)])
             for study, name, dcfg in cells for seed in seeds]
 
 
-def _ablation_unit(shared, dcfg: DistillConfig):
-    """(endpoint_mse, final_loss) of one seeded cell config, in a worker or
-    in the calling process alike, so both raise the same text."""
+def _stack_work(stack) -> int:
+    return len(stack) * stack[0].total_steps
+
+
+def _ablation_stack(shared, stack):
+    """Per unit of one stack, in a worker or in the calling process alike:
+    (endpoint_mse, final_loss), or the ArcFlowError its own run raises led
+    by its seed and names."""
     cfg, references, names = shared
+    started = time.perf_counter()
+    runs = [RunConfig(cfg.teacher, dcfg, cfg.run) for dcfg in stack]
+    teacher = build_teacher(cfg)
     try:
-        report, _, _ = run_distillation(RunConfig(cfg.teacher, dcfg, cfg.run),
-                                        reference=references[dcfg.seed])
+        # one check serves the stack: its runs share [run] and nfe
+        _checked_reference(runs[0], teacher, references[stack[0].seed])
+        nets = [build_student_net(dcfg, teacher.dim) for dcfg in stack]
+        outcomes = train_in_lockstep(teacher, nets, stack)
     except ArcFlowError as exc:
-        raise type(exc)(f"ablation seed {dcfg.seed} "
-                        f"{' = '.join(names[dcfg])}: {exc}") from exc
-    return report.endpoint_mse, report.final_loss
+        nets, outcomes = [None] * len(stack), [exc] * len(stack)
+    results = []
+    for run, net, outcome in zip(runs, nets, outcomes):
+        if not isinstance(outcome, ArcFlowError):
+            try:
+                report, _ = _evaluated(run, net, outcome,
+                                       references[run.distill.seed], started)
+                outcome = (report.endpoint_mse, report.final_loss)
+            except ArcFlowError as exc:
+                outcome = exc
+        if isinstance(outcome, ArcFlowError):
+            unit = run.distill
+            outcome = type(outcome)(f"ablation seed {unit.seed} "
+                                    f"{' = '.join(names[unit])}: {outcome}")
+        results.append(outcome)
+    return results
 
 
 # -- artifact writers -------------------------------------------------------------

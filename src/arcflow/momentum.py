@@ -65,6 +65,15 @@ def _pairwise_sum(a) -> np.ndarray:
     return s
 
 
+def bundle_error(gating, base_velocities, log_gammas):
+    """The InvalidParameterError a bundle of these arrays raises for a
+    non-finite entry, or None when all are finite."""
+    if (np.isfinite(gating).all() and np.isfinite(base_velocities).all()
+            and np.isfinite(log_gammas).all()):
+        return None
+    return InvalidParameterError("momentum parameters must be finite")
+
+
 @dataclass(frozen=True)
 class MomentumParams:
     """Parameters of a momentum mixture, optionally batched.
@@ -84,25 +93,27 @@ class MomentumParams:
     log_gammas: np.ndarray
 
     @classmethod
-    def _trusted(cls, gating, base_velocities, log_gammas):
+    def _trusted(cls, gating, base_velocities, log_gammas, check=True):
         """Bundle over float64 arrays the caller has just built and owns, as
         StudentNet.forward does.  Shapes and the simplex hold by
-        construction there, so only finiteness is checked; the arrays are
-        frozen in place instead of copied."""
+        construction there, so only finiteness is checked, unless check is
+        False (a stack's rows, which its trainer checks one by one); the
+        arrays are frozen in place instead of copied."""
         bundle = object.__new__(cls)
         for name, arr in (("gating", gating), ("base_velocities",
                                                 base_velocities),
                           ("log_gammas", log_gammas)):
             arr.flags.writeable = False
             object.__setattr__(bundle, name, arr)
-        bundle._check_finite()
+        if check:
+            bundle._check_finite()
         return bundle
 
     def _check_finite(self):
-        if not (np.isfinite(self.gating).all()
-                and np.isfinite(self.base_velocities).all()
-                and np.isfinite(self.log_gammas).all()):
-            raise InvalidParameterError("momentum parameters must be finite")
+        error = bundle_error(self.gating, self.base_velocities,
+                             self.log_gammas)
+        if error is not None:
+            raise error
 
     def __post_init__(self):
         gating = _as_readonly(self.gating)

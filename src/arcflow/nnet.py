@@ -39,10 +39,22 @@ StudentNet.seeded is the one place that draws, in order: each body weight
 matrix, then the velocity head weight matrix, all scaled by 1/sqrt(fan_in);
 biases and the gating and momentum heads start at zero (uniform gating,
 default momentum progression).
+
+StudentNet.stack(nets) is one net over several nets of one layout, for
+training them in lockstep: its parameters, gradients, frozen log gammas and
+offset masks carry a leading run axis, each member keeps its parameters and
+gradients as its row of the stack's, and each row keeps its own gamma mode
+(a row whose head does not learn runs it with a zero mask).
+Its forward and backward are the same code with stacked matmul, whose
+products, batch sums and transposed products have each row's bits alone.
+It checks no row for finiteness, and neither does adam_step on it: the
+lockstep trainer checks each row, so that one diverging run does not stop
+the others.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -170,9 +182,12 @@ class StudentNet:
         self._tape = None
         self.frozen_log_gammas = frozen.copy()
         self.anchor_index = pinned_mode(config, frozen)
-        self._anchor_mask = np.ones(config.gamma_dim)
+        # 1 where the momentum head moves a log gamma: every mode of a
+        # learnable head but the pinned one, and no mode of another head
+        self._learns = config.gamma_mode == "learnable"
+        self._offset_mask = np.full(config.gamma_dim, float(self._learns))
         if self.anchor_index is not None:
-            self._anchor_mask[self.anchor_index] = 0.0
+            self._offset_mask[self.anchor_index] = 0.0
 
     @classmethod
     def seeded(cls, config: NetConfig, seed=0) -> "StudentNet":
@@ -190,15 +205,42 @@ class StudentNet:
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), w.shape)
         return net
 
+    @classmethod
+    def stack(cls, nets) -> "StudentNet":
+        """One net over the rows of nets, whose configs may differ in
+        gamma_mode alone: each net's params and grads become its row of the
+        stack's (N, P) buffers, and the stack computes every row's forward
+        and backward at once, each row with its own gamma mode."""
+        config = nets[0].config
+        if any(dataclasses.replace(net.config, gamma_mode=config.gamma_mode)
+               != config for net in nets):
+            raise InvalidParameterError(
+                "stacked nets may differ in gamma_mode alone")
+        stack = cls.__new__(cls)
+        stack.config, stack._omegas, stack._tape = config, nets[0]._omegas, None
+        stack.params = np.stack([net.params for net in nets])
+        stack.grads = np.stack([net.grads for net in nets])
+        stack.frozen_log_gammas = np.stack([net.frozen_log_gammas
+                                            for net in nets])
+        # a row whose head does not learn runs the head masked to zero
+        stack._offset_mask = np.stack([net._offset_mask for net in nets])
+        stack._learns = any(net._learns for net in nets)
+        stack._bind_views()
+        for row, net in enumerate(nets):
+            net.params, net.grads = stack.params[row], stack.grads[row]
+            net._bind_views()
+        return stack
+
     # -- parameter bookkeeping ------------------------------------------------
 
     def _bind_views(self):
         # Named views into the two flat buffers, built once; the buffers are
         # only ever written in place, so the views stay valid.
         blocks = self.config.blocks
-        self._p = {name: self.params[sl].reshape(shape)
+        lead = self.params.shape[:-1]   # a stack's run axis
+        self._p = {name: self.params[..., sl].reshape(lead + shape)
                    for name, (sl, shape) in blocks.items()}
-        self._g = {name: self.grads[sl].reshape(shape)
+        self._g = {name: self.grads[..., sl].reshape(lead + shape)
                    for name, (sl, shape) in blocks.items()}
 
     def __getstate__(self):
@@ -222,34 +264,40 @@ class StudentNet:
 
     def features(self, x, t) -> np.ndarray:
         """Feature rows [x, t, sin/cos ladder]; x (B, D) or (D,), t scalar or
-        (B,)."""
+        (B,); on a stack, x (N, B, D) and t (N, 1), one time per run."""
         cfg = self.config
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        # [t, sin, cos, ...]: one row for a scalar t, or one per row of x
-        t = np.asarray(t, dtype=float).reshape(-1, 1)
-        block = np.empty((t.shape[0], cfg.feature_dim - cfg.dim))
-        block[:, :1] = t
+        # [t, sin, cos, ...]: one row for a scalar t, or one per row of t
+        t = np.asarray(t, dtype=float)[..., None]
+        block = np.empty(t.shape[:-1] + (cfg.feature_dim - cfg.dim,))
+        block[..., :1] = t
         ang = t * self._omegas
-        block[:, 1::2] = np.sin(ang)
-        block[:, 2::2] = np.cos(ang)
-        feat = np.empty((x.shape[0], cfg.feature_dim))
-        feat[:, :cfg.dim] = x
-        feat[:, cfg.dim:] = block
+        block[..., 1::2] = np.sin(ang)
+        block[..., 2::2] = np.cos(ang)
+        feat = np.empty(x.shape[:-1] + (cfg.feature_dim,))
+        feat[..., :cfg.dim] = x
+        feat[..., cfg.dim:] = block
         return feat
 
     def forward(self, x, t) -> MomentumParams:
         """Predict mixture parameters at (x, t); records the tape backward
-        consumes.  A 1-D x gives an unbatched parameter bundle back."""
+        consumes.  A 1-D x gives an unbatched parameter bundle back; a stack
+        takes x (N, B, D) and t (N, 1) and gives an (N, B) bundle whose rows
+        it does not check."""
         cfg = self.config
+        lead = self.params.shape[:-1]
         x_arr = np.asarray(x, dtype=float)
         squeeze = x_arr.ndim == 1
-        if x_arr.ndim not in (1, 2) or x_arr.shape[-1] != cfg.dim:
+        if (x_arr.ndim != len(lead) + 2 and (lead or not squeeze)
+                or x_arr.shape[:len(lead)] != lead
+                or x_arr.shape[-1] != cfg.dim):
+            runs = "".join(f"{n}, " for n in lead)
             raise InvalidParameterError(
                 f"input shape {x_arr.shape} is neither ({cfg.dim},) nor "
-                f"(B, {cfg.dim})"
+                f"({runs}B, {cfg.dim})"
             )
         feat = self.features(x_arr, t)
-        batch = feat.shape[0]
+        batch = feat.shape[-2]
         p = self._p
 
         # in place, in the operation order of np.tanh(h @ W + b)
@@ -257,45 +305,50 @@ class StudentNet:
         h = feat
         for i in range(len(cfg.hidden)):
             h = h @ p[f"body{i}_w"]
-            h += p[f"body{i}_b"]
+            h += p[f"body{i}_b"][..., None, :]
             np.tanh(h, out=h)
             acts.append(h)
         top = h
 
-        # mode-major, so every loop runs along the batch: the max is exact
-        # in any order, and _pairwise_sum keeps the row-wise sum's order
-        z = (top @ p["gate_w"]).T.copy()
-        z += p["gate_b"][:, None]
+        # mode-major, (K,) + lead + (B,), so every loop runs along the batch:
+        # the max is exact in any order, and _pairwise_sum keeps the
+        # row-wise sum's order
+        modes_first = (top.ndim - 1,) + tuple(range(top.ndim - 1))
+        z = (top @ p["gate_w"]).transpose(modes_first).copy()
+        z += p["gate_b"].T[..., None]
         z -= z.max(axis=0)
         np.exp(z, out=z)
         z /= _pairwise_sum(z)
-        gating = z.T   # displacement's mode-major copy of it is then free
+        # displacement's mode-major copy of it is then free
+        gating = z.transpose(tuple(range(1, z.ndim)) + (0,))
 
         vel = top @ p["vel_w"]
-        vel += p["vel_b"]
+        vel += p["vel_b"][..., None, :]
         if cfg.share_velocity:
-            base = np.repeat(vel[:, None, :], cfg.num_modes, axis=1)
+            base = np.repeat(vel[..., None, :], cfg.num_modes, axis=-2)
         else:
-            base = vel.reshape(batch, cfg.num_modes, cfg.dim)
+            base = vel.reshape(lead + (batch, cfg.num_modes, cfg.dim))
 
-        if cfg.gamma_mode == "learnable":
+        log_g = self.frozen_log_gammas[..., None, :]
+        if self._learns:
             # frozen + masked offset, added the other way round: IEEE
-            # addition commutes
-            log_g = top @ p["gam_w"]
-            log_g += p["gam_b"]
-            log_g *= self._anchor_mask
-            log_g += self.frozen_log_gammas
-        else:
-            log_g = self.frozen_log_gammas
-        if log_g.shape != (batch, cfg.num_modes):
+            # addition commutes, and a masked (zero) offset leaves the
+            # frozen log gamma's bits
+            off = top @ p["gam_w"]
+            off += p["gam_b"][..., None, :]
+            off *= self._offset_mask[..., None, :]
+            off += log_g
+            log_g = off
+        shape = lead + (batch, cfg.num_modes)
+        if log_g.shape != shape:
             # a shared gamma head's one column, or the frozen row
-            log_g = np.broadcast_to(log_g, (batch, cfg.num_modes)).copy()
+            log_g = np.broadcast_to(log_g, shape).copy()
 
         self._tape = {"acts": acts, "gating": gating, "squeeze": squeeze}
         if squeeze:
             gating, base, log_g = gating[0], base[0], log_g[0]
         # Every array here is new, so the bundle takes them without a copy.
-        return MomentumParams._trusted(gating, base, log_g)
+        return MomentumParams._trusted(gating, base, log_g, check=not lead)
 
     def backward(self, d_gating, d_base, d_logg) -> np.ndarray:
         """Parameter gradients for the most recent forward.
@@ -304,7 +357,8 @@ class StudentNet:
         that forward's gating, base velocities and log gammas, in their
         shapes; the loss has folded in the gamma powers it computed.  Returns
         the flat gradient buffer, overwritten block by block; the gamma
-        blocks of a head that does not learn them stay zero.
+        blocks of a head that does not learn them stay zero (a stack's row
+        gets zeros of either sign, which leave its Adam update at zero).
         """
         if self._tape is None:
             raise StateError("backward called before forward")
@@ -321,33 +375,34 @@ class StudentNet:
         d_logits = gating * (g_gate - inner)
 
         if cfg.share_velocity:
-            d_vel = g_vel.sum(axis=1)
+            d_vel = g_vel.sum(axis=-2)
         else:
-            d_vel = g_vel.reshape(g_vel.shape[0], cfg.velocity_dim)
+            d_vel = g_vel.reshape(g_vel.shape[:-2] + (cfg.velocity_dim,))
 
         p, g = self._p, self._g
         top = acts[-1]
-        d_top = d_logits @ p["gate_w"].T + d_vel @ p["vel_w"].T
-        np.matmul(top.T, d_logits, out=g["gate_w"])
-        np.sum(d_logits, axis=0, out=g["gate_b"])
-        np.matmul(top.T, d_vel, out=g["vel_w"])
-        np.sum(d_vel, axis=0, out=g["vel_b"])
+        top_t = top.swapaxes(-1, -2)
+        d_top = (d_logits @ p["gate_w"].swapaxes(-1, -2)
+                 + d_vel @ p["vel_w"].swapaxes(-1, -2))
+        np.matmul(top_t, d_logits, out=g["gate_w"])
+        np.sum(d_logits, axis=-2, out=g["gate_b"])
+        np.matmul(top_t, d_vel, out=g["vel_w"])
+        np.sum(d_vel, axis=-2, out=g["vel_b"])
 
-        if cfg.gamma_mode == "learnable":
+        if self._learns:
             if cfg.share_gamma:
-                d_off = g_logg.sum(axis=-1, keepdims=True)
-            else:
-                d_off = g_logg * self._anchor_mask
-            d_top = d_top + d_off @ p["gam_w"].T
-            np.matmul(top.T, d_off, out=g["gam_w"])
-            np.sum(d_off, axis=0, out=g["gam_b"])
+                g_logg = g_logg.sum(axis=-1, keepdims=True)
+            d_off = g_logg * self._offset_mask[..., None, :]
+            d_top = d_top + d_off @ p["gam_w"].swapaxes(-1, -2)
+            np.matmul(top_t, d_off, out=g["gam_w"])
+            np.sum(d_off, axis=-2, out=g["gam_b"])
 
         d_h = d_top
         for i in range(len(cfg.hidden) - 1, -1, -1):
             d_z = d_h * (1.0 - acts[i + 1] ** 2)
-            np.matmul(acts[i].T, d_z, out=g[f"body{i}_w"])
-            np.sum(d_z, axis=0, out=g[f"body{i}_b"])
-            d_h = d_z @ p[f"body{i}_w"].T
+            np.matmul(acts[i].swapaxes(-1, -2), d_z, out=g[f"body{i}_w"])
+            np.sum(d_z, axis=-2, out=g[f"body{i}_b"])
+            d_h = d_z @ p[f"body{i}_w"].swapaxes(-1, -2)
         return self.grads
 
     # -- checkpointing ---------------------------------------------------------
@@ -447,34 +502,55 @@ class OptimState:
     v: np.ndarray
     step_count: int
     lr: np.ndarray
+    # two buffers the size of m for the update's temporaries: a stack's
+    # are past malloc's mmap threshold, so fresh ones fault in pages every
+    # step
+    work: np.ndarray
 
 
 def init_optim_state(net: StudentNet, base_lr: float) -> OptimState:
     """Fresh Adam moments plus the per-parameter rates: base_lr, and
     GAMMA_LR_SCALE times it for the momentum head."""
-    scale = np.ones_like(net.params)
+    scale = np.ones(net.params.shape[-1])   # one row serves every run
     scale[net.slice_of("gam_w")] = GAMMA_LR_SCALE
     scale[net.slice_of("gam_b")] = GAMMA_LR_SCALE
     return OptimState(np.zeros_like(net.params), np.zeros_like(net.params),
-                      0, base_lr * scale)
+                      0, base_lr * scale, np.empty((2,) + net.params.shape))
+
+
+def gradient_error(grads):
+    """The NumericError an update from one net's grads raises, or None
+    when they are all finite."""
+    finite = np.isfinite(grads)
+    if finite.all():
+        return None
+    bad = int(np.count_nonzero(~finite))
+    return NumericError(f"{bad} non-finite gradient entries in update")
 
 
 def adam_step(net: StudentNet, state: OptimState):
     """One Adam update from net.grads at the state's per-parameter rates,
-    decoupled weight decay zero.
+    decoupled weight decay zero; on a stack, every row at once, with no
+    check (its trainer checks each row's gradient first).
 
     Bias-corrected first and second moments with betas (0.9, 0.95).
     """
     g = net.grads
-    if not np.isfinite(g).all():
-        bad = int(np.count_nonzero(~np.isfinite(g)))
-        raise NumericError(f"{bad} non-finite gradient entries in update")
+    error = gradient_error(g) if g.ndim == 1 else None
+    if error is not None:
+        raise error
     state.step_count += 1
-    # In place, in the operation order of m = b1 m + (1 - b1) g.
+    # In place, in the operation order of m = b1 m + (1 - b1) g, v = b2 v +
+    # (1 - b2) g g and params -= lr mhat / (sqrt(vhat) + eps).
+    a, b = state.work
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
+    state.m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
-    mhat = state.m / (1.0 - ADAM_BETA1 ** state.step_count)
-    vhat = state.v / (1.0 - ADAM_BETA2 ** state.step_count)
-    net.params -= state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, g, out=a)
+    state.v += np.multiply(a, g, out=a)
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step_count, out=a)
+    a *= state.lr
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step_count, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    net.params -= np.divide(a, b, out=a)

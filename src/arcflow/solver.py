@@ -45,7 +45,10 @@ from .momentum import LatentState, MomentumParams
 # 2-core Xeon, at budgets 2**13, 2**14, 2**15 and 2**16: B = 2048 (16,384
 # elements a row, so one row a block at both of the first two) 2.25, 2.12,
 # 2.92 and 3.41 ms; B = 512 0.88, 0.84, 0.93 and 1.29 ms.  A stack the size
-# of the training rollout (4 rows, B = 64) is one block at any of them.
+# of the training rollout (4 rows, B = 64) is one block at any of them.  A
+# row past the budget is cut into parts along the batch: a 16-row shelf at
+# B = 8192 in four parts took 28-34% less time than as whole rows (medians
+# of 30 interleaved rounds, three batches, on the same VM).
 BLOCK_ELEMENTS = 2**14
 
 
@@ -55,12 +58,29 @@ def _interval_factor(lg, flat, elapsed):
                     np.expm1(elapsed * lg) / np.where(flat, 1.0, lg))
 
 
-def _mode_sums(gate, base, lg, t_start, t_end):
-    # sum_k gate_k C_k base_k for n stacked intervals, (D, n) + batch, from
-    # mode-major gate (K, 1) + batch, base (K, D, 1) + batch and lg (K,) +
-    # batch.  The rows run in blocks whose (K, rows) + batch arrays stay
-    # within BLOCK_ELEMENTS.  The modes sum as a running sum over the
-    # leading axis from mode 0, which is the order of einsum's
+def _mode_major_sums(gating, base_velocities, log_gammas, t_start, t_end,
+                     out=None):
+    # _mode_sums of a bundle's arrays, from mode-major copies, (K,) + batch
+    # and (K, D) + batch, so that every elementwise loop runs along the
+    # samples.  Overflow shows as a non-finite displacement and no numpy
+    # warning: the callers that build states from it check them.
+    nb = log_gammas.ndim - 1
+    lead = (nb,) + tuple(range(nb))
+    lg = np.ascontiguousarray(log_gammas.transpose(lead))
+    gate = np.ascontiguousarray(gating.transpose(lead))
+    base = np.ascontiguousarray(base_velocities.transpose(
+        (nb, nb + 1) + lead[1:]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _mode_sums(gate[:, None], base[:, :, None], lg, t_start,
+                          t_end, out)
+
+
+def _mode_sums(gate, base, lg, t_start, t_end, out=None):
+    # sum_k gate_k C_k base_k for n stacked intervals, (D, n) + batch, into
+    # out when given, from mode-major gate (K, 1) + batch, base (K, D, 1) +
+    # batch and lg (K,) + batch.  The rows run in blocks whose (K, rows) +
+    # batch arrays stay within BLOCK_ELEMENTS.  The modes sum as a running
+    # sum over the leading axis from mode 0, which is the order of einsum's
     # "...k,...kd->...d" for D >= 2.
     elapsed = t_start - t_end
     rows = elapsed.shape[0]
@@ -73,7 +93,8 @@ def _mode_sums(gate, base, lg, t_start, t_end):
         # one interval length: its factor serves every block
         factor = _interval_factor(lg, flat, elapsed.flat[0])[:, None]
     lg, flat = lg[:, None], flat[:, None]
-    out = np.empty((base.shape[1], rows) + base.shape[3:])
+    if out is None:
+        out = np.empty((base.shape[1], rows) + base.shape[3:])
     # one set of block buffers for every block: fresh temporaries of this
     # size cost more than the arithmetic
     weights = np.empty((lg.shape[0], per) + lg.shape[2:])
@@ -94,11 +115,15 @@ def _mode_sums(gate, base, lg, t_start, t_end):
 
 def _is_stacked(t, batch):
     # Scalars and batch-shaped times give one interval per sample.  A time
-    # array may also put one row axis ahead of the batch shape, (n,) +
-    # batch_shape or (n,) + (1,) * ndim, to stack n intervals.
+    # array may also put one row axis ahead of batch_ndim axes, each 1 or
+    # the batch's own, to stack n intervals: (n,) + batch_shape, (n,) +
+    # (1,) * ndim, or a time per run of a stack, (n, N, 1).
     if t.ndim == 0 or t.shape == batch:
         return False
-    if t.shape[1:] not in (batch, (1,) * len(batch)):
+    rest = t.shape[1:]
+    if rest not in (batch, (1,) * len(batch)) and (
+            len(rest) != len(batch)
+            or any(size not in (1, own) for size, own in zip(rest, batch))):
         raise InvalidParameterError(
             f"time array shape {t.shape} does not match batch shape "
             f"{batch}, with or without one leading row axis"
@@ -116,7 +141,9 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
     own call (an unbatched bundle with 1-D times gives one (D,) row per
     time).  A stack runs in blocks of rows, each within BLOCK_ELEMENTS, and
     when all its intervals have one length their expm1 factor is computed
-    once.  The result may be a transposed view.  InvalidIntervalError unless
+    once; a row larger than BLOCK_ELEMENTS is summed in parts along the
+    batch's last axis, each part a block of its own, with the bits of the
+    whole.  The result may be a transposed view.  InvalidIntervalError unless
     every interval has 0 <= t_end <= t_start <= 1 (NaN fails).
     """
     t_start = np.asarray(t_start, dtype=float)
@@ -134,18 +161,25 @@ def displacement(theta: MomentumParams, t_start, t_end) -> np.ndarray:
     stacked = _is_stacked(t_start, batch) | _is_stacked(t_end, batch)
     if not stacked:   # one interval per sample: a stack of one row
         t_start, t_end = t_start[None], t_end[None]
-    # mode-major copies, (K,) + batch and (K, D) + batch, so that every
-    # elementwise loop runs along the samples
-    nb = len(batch)
-    lead = (nb,) + tuple(range(nb))
-    lg = np.ascontiguousarray(theta.log_gammas.transpose(lead))
-    gate = np.ascontiguousarray(theta.gating.transpose(lead))
-    base = np.ascontiguousarray(theta.base_velocities.transpose(
-        (nb, nb + 1) + lead[1:]))
-    # Overflow shows as a non-finite displacement and no numpy warning: the
-    # callers that build states from it check them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _mode_sums(gate[:, None], base[:, :, None], lg, t_start, t_end)
+    if batch and theta.gating.size > BLOCK_ELEMENTS:
+        # a row past the budget is summed in parts along the batch's last
+        # axis, each within it; rows is the length of the axis ahead of the
+        # batch axes, 1 where neither time has one
+        rows = max((len(t) for t in (t_start, t_end) if t.ndim > len(batch)),
+                   default=1)
+        out = np.empty((theta.dim, rows) + batch)
+        width = max(1, BLOCK_ELEMENTS * batch[-1] // theta.gating.size)
+        for first in range(0, batch[-1], width):
+            part = (..., slice(first, first + width))
+            modes = part + (slice(None),)
+            _mode_major_sums(
+                theta.gating[modes], theta.base_velocities[modes + modes[-1:]],
+                theta.log_gammas[modes],
+                *(t[part] if t.ndim and t.shape[-1] > 1 else t
+                  for t in (t_start, t_end)), out=out[part])
+    else:
+        out = _mode_major_sums(theta.gating, theta.base_velocities,
+                               theta.log_gammas, t_start, t_end)
     out = out.transpose((1,) + tuple(range(2, out.ndim)) + (0,))
     return out if stacked else out[0]
 

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from arcflow import (
+    ArcFlowError,
     GmmTeacherSpec,
     InvalidIntervalError,
     InvalidParameterError,
@@ -29,6 +30,7 @@ from arcflow.distill import (
     mixed_integration,
     sample_anchor_times,
     sample_shelf,
+    train_in_lockstep,
     training_streams,
     velocity_matching_loss,
 )
@@ -727,6 +729,102 @@ def test_distill_train_reproducible():
         distill_train(ring_teacher(), net, cfg)
         nets.append(net.params.copy())
     assert (nets[0] == nets[1]).all()
+
+
+# -- lockstep training -----------------------------------------------------------------------
+
+
+def lockstep_configs(seeds, modes=("frozen_one", "fixed", "learnable"),
+                     **overrides):
+    fields = dict(total_steps=12, guidance_steps=4, batch=8, num_modes=2)
+    fields.update(overrides)
+    return [DistillConfig(seed=seed, gamma_mode=mode, **fields)
+            for seed in seeds for mode in modes]
+
+
+def solo_outcome(cfg, poison=False):
+    """The loss log or the ArcFlowError of cfg's own distill_train, and the
+    net's parameter bytes."""
+    net = build_student_net(cfg, dim=2)
+    if poison:
+        net.params[0] = np.nan
+    try:
+        return distill_train(ring_teacher(), net, cfg), net.params.tobytes()
+    except ArcFlowError as exc:
+        return exc, None
+
+
+def assert_same_outcome(got, solo):
+    if isinstance(solo, ArcFlowError):
+        assert type(got) is type(solo) and str(got) == str(solo)
+    else:
+        assert [tuple(float(v).hex() for v in row) for row in got] == \
+            [tuple(float(v).hex() for v in row) for row in solo]
+
+
+def test_lockstep_runs_equal_their_solo_runs_and_keep_row_views():
+    # the learnable rows: 2 and 5, row 2 alone, and every row
+    for cfgs in (lockstep_configs((0, 1)), lockstep_configs((1,)),
+                 lockstep_configs((0, 1, 2), modes=("learnable",))):
+        nets = [build_student_net(cfg, dim=2) for cfg in cfgs]
+        outcomes = train_in_lockstep(ring_teacher(), nets, cfgs)
+        stack = nets[0].params.base
+        for row, (cfg, net, got) in enumerate(zip(cfgs, nets, outcomes)):
+            log, params = solo_outcome(cfg)
+            assert_same_outcome(got, log)
+            assert net.params.tobytes() == params
+            assert net.params.base is stack and stack.shape[0] == len(cfgs)
+            if cfg.gamma_mode != "learnable":
+                for name in ("gam_w", "gam_b"):
+                    assert not net.view(name).any()
+
+
+def test_lockstep_divergence_records_each_runs_solo_error():
+    # lr 1e300 diverges every run, each at its own step and in its own way
+    cfgs = lockstep_configs((0, 1), base_lr=1e300)
+    nets = [build_student_net(cfg, dim=2) for cfg in cfgs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = train_in_lockstep(ring_teacher(), nets, cfgs)
+    texts = set()
+    for cfg, got in zip(cfgs, outcomes):
+        solo, _ = solo_outcome(cfg)
+        assert isinstance(solo, ArcFlowError)
+        assert_same_outcome(got, solo)
+        assert isinstance(got.__cause__, type(got))
+        texts.add(str(got))
+    assert len(texts) > 1
+
+
+def test_lockstep_run_with_a_non_finite_weight_leaves_the_others_alone():
+    cfgs = lockstep_configs((0, 1))
+    nets = [build_student_net(cfg, dim=2) for cfg in cfgs]
+    nets[1].params[0] = np.nan
+    outcomes = train_in_lockstep(ring_teacher(), nets, cfgs)
+    assert str(outcomes[1]) == ("training step 0: momentum parameters must "
+                                "be finite")
+    for row, (cfg, net, got) in enumerate(zip(cfgs, nets, outcomes)):
+        log, params = solo_outcome(cfg, poison=row == 1)
+        assert_same_outcome(got, log)
+        if row != 1:
+            assert net.params.tobytes() == params
+
+
+def test_lockstep_takes_configs_that_differ_in_seed_and_gamma_mode_alone():
+    cfgs = lockstep_configs((0,))
+    for other in (dict(batch=16), dict(base_lr=1e-3), dict(num_modes=4),
+                  dict(share_velocity=True)):
+        bad = cfgs[:2] + lockstep_configs((0,), modes=("fixed",), **other)
+        nets = [build_student_net(cfg, dim=2) for cfg in bad]
+        with pytest.raises(InvalidParameterError):
+            train_in_lockstep(ring_teacher(), nets, bad)
+    nets = [build_student_net(cfg, dim=2) for cfg in cfgs]
+    with pytest.raises(InvalidParameterError):
+        train_in_lockstep(ring_teacher(), nets, cfgs[:2])
+    # nets of two layouts cannot share one stack
+    with pytest.raises(InvalidParameterError):
+        StudentNet.stack([nets[0], build_student_net(
+            DistillConfig(num_modes=2, share_gamma=True), dim=2)])
 
 
 # -- few-step sampling -----------------------------------------------------------------------

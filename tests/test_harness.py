@@ -27,7 +27,14 @@ from arcflow import (
     TrajectoryRecord,
     euler_sample,
 )
-from arcflow.distill import MAX_COUNT, DistillConfig, training_streams
+from arcflow.distill import (
+    MAX_COUNT,
+    DistillConfig,
+    build_student_net,
+    lockstep_key,
+    train_in_lockstep,
+    training_streams,
+)
 from arcflow.harness import (
     RunConfig,
     RunOptions,
@@ -1011,6 +1018,65 @@ def test_run_ablation_rows_equal_standalone_runs():
             by_cell[("sharing", "all_per_mode", seed)]
 
 
+def test_lockstep_stacks_equal_their_solo_run_distillation():
+    # the stacks of the gamma_mode and sharing cells at seeds {0, 1}, as
+    # run_ablation forms them, and a 9-run stack of three modes at three
+    # seeds: each run's loss log, parameters and report are its solo run's
+    cfg = tiny_run_config()
+    budget = ablation_budget("gamma_mode", cfg.distill)
+
+    def units(study, seeds):
+        return [dataclasses.replace(dcfg, seed=seed, total_steps=budget)
+                for seed in seeds
+                for _, dcfg in ablation_cells(study, cfg.distill)]
+
+    stacks = {}
+    for unit in dict.fromkeys(units("gamma_mode", (0, 1))
+                              + units("sharing", (0, 1))):
+        stacks.setdefault(lockstep_key(unit), []).append(unit)
+    stacks = [*stacks.values(), units("gamma_mode", (0, 1, 2))]
+    assert sorted(map(len, stacks)) == [2, 2, 6, 9]
+    teacher = build_teacher(cfg)
+    for stack in stacks:
+        nets = [build_student_net(unit, teacher.dim) for unit in stack]
+        logs = train_in_lockstep(teacher, nets, stack)
+        for unit, net, log in zip(stack, nets, logs):
+            run = RunConfig(cfg.teacher, unit, cfg.run)
+            report, _ = harness_module._evaluated(
+                run, net, log, euler_reference(run), 0.0)
+            solo_report, solo_net, solo_log = run_distillation(run)
+            assert [tuple(float(v).hex() for v in row) for row in log] == \
+                [tuple(float(v).hex() for v in row) for row in solo_log]
+            assert net.params.tobytes() == solo_net.params.tobytes()
+            assert dataclasses.replace(report, wall_time_s=0.0) == \
+                dataclasses.replace(solo_report, wall_time_s=0.0)
+
+
+def test_ablation_stacks_follow_the_cpu_count(monkeypatch, count_pools):
+    # the benchmark's grid: the three gamma_mode cells share a layout, the
+    # two other sharing cells have their own.  One CPU trains 3 stacks in
+    # the caller, two CPUs 3 stacks in a pool of 2, and eight CPUs 5 solo
+    # units in a pool of 5, all with the same rows.
+    stacks = []
+    real = harness_module.map_forked
+
+    def spy(work, shared, units, priority=None):
+        stacks.append([len(unit) for unit in units])
+        return real(work, shared, units, priority)
+
+    monkeypatch.setattr(harness_module, "map_forked", spy)
+    rows = []
+    for cpus, sizes, pools in ((1, [3, 1, 1], []), (2, [3, 1, 1], [2]),
+                               (8, [1] * 5, [5])):
+        started = count_pools(cpus)
+        stacks.clear()
+        rows.append(_hex_rows(run_ablation(
+            tiny_run_config(), ("gamma_mode", "sharing"), (0,))))
+        assert stacks == [sizes] and started == pools
+        assert multiprocessing.active_children() == []
+    assert rows[0] == rows[1] == rows[2]
+
+
 class _CallCounts(Mapping):
     """Call counts by name, kept in shared memory that forked ablation
     workers inherit, so calls made in a worker count as well."""
@@ -1018,10 +1084,10 @@ class _CallCounts(Mapping):
     def __init__(self, names):
         self._values = {name: multiprocessing.Value("q", 0) for name in names}
 
-    def add(self, name):
+    def add(self, name, count=1):
         value = self._values[name]
         with value.get_lock():
-            value.value += 1
+            value.value += count
 
     def __getitem__(self, name):
         return self._values[name].value
@@ -1050,6 +1116,14 @@ def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
     cfg = tiny_run_config()
     counts = _count_calls(monkeypatch, "distill_train", "ring_spec",
                           "euler_sample")
+    runs = _CallCounts(("trained",))
+    real_train = harness_module.train_in_lockstep
+
+    def counted_train(teacher, nets, cfgs):
+        runs.add("trained", len(nets))
+        return real_train(teacher, nets, cfgs)
+
+    monkeypatch.setattr(harness_module, "train_in_lockstep", counted_train)
     specs = _CallCounts(("GmmTeacherSpec",))
     real_init = GmmTeacherSpec.__post_init__
 
@@ -1060,8 +1134,9 @@ def test_run_ablation_trains_each_distinct_cell_once_per_seed(monkeypatch):
     monkeypatch.setattr(GmmTeacherSpec, "__post_init__", counted_init)
     rows = run_ablation(cfg, studies=("gamma_mode", "sharing"), seeds=(0, 1))
     assert len(rows) == 12
-    # six cells, of which learnable and all_per_mode are one config
-    assert counts["distill_train"] == 5 * 2
+    # six cells, of which learnable and all_per_mode are one config, all
+    # trained in lockstep stacks
+    assert runs["trained"] == 5 * 2 and counts["distill_train"] == 0
     # the mixture was built with the config; the grid builds none
     assert counts["ring_spec"] == 0 and specs["GmmTeacherSpec"] == 0
     # the teacher_steps reference and its doubled-step floor, per seed
@@ -1240,13 +1315,14 @@ def test_diverging_evaluation_raises_one_error_and_no_warning(monkeypatch,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_twin_unit_names_both_cells(monkeypatch, workers):
-    def failing(cfg, **kwargs):
+    # evaluate_student is the one call made per unit, in a stack or alone
+    def failing(net, cfg, reference):
         if cfg.distill.gamma_mode == "learnable":
             raise NumericError("diverged")
-        return real(cfg, **kwargs)
+        return real(net, cfg, reference)
 
-    real = harness_module.run_distillation
-    monkeypatch.setattr(harness_module, "run_distillation", failing)
+    real = harness_module.evaluate_student
+    monkeypatch.setattr(harness_module, "evaluate_student", failing)
     with pytest.raises(NumericError) as err:
         _grid_with_workers(monkeypatch, workers, tiny_run_config(),
                            studies=("gamma_mode", "sharing"))
@@ -1258,12 +1334,12 @@ def test_failing_twin_unit_names_both_cells(monkeypatch, workers):
 def test_pooled_ablation_raises_the_first_failure_in_serial_order(
         monkeypatch):
     # Every unit fails, and the first unit in serial order fails last.
-    def failing(cfg, **_):
+    def failing(net, cfg, reference):
         if cfg.distill.gamma_mode == "frozen_one":
             time.sleep(0.5)
         raise NumericError(f"{cfg.distill.gamma_mode} {cfg.distill.seed}")
 
-    monkeypatch.setattr(harness_module, "run_distillation", failing)
+    monkeypatch.setattr(harness_module, "evaluate_student", failing)
     with pytest.raises(NumericError, match="^ablation seed 0 "
                        "gamma_mode/frozen_one: frozen_one 0$"):
         _grid_with_workers(monkeypatch, 2, tiny_run_config())
@@ -1280,10 +1356,12 @@ def test_pooled_ablation_raises_the_first_failure_in_serial_order(
 ])
 def test_run_ablation_rejects_bad_grid_before_training(monkeypatch, studies,
                                                        seeds):
-    counts = _count_calls(monkeypatch, "distill_train", "build_teacher")
+    counts = _count_calls(monkeypatch, "distill_train", "train_in_lockstep",
+                          "build_teacher")
     with pytest.raises(InvalidParameterError):
         run_ablation(tiny_run_config(), studies=studies, seeds=seeds)
-    assert counts == {"distill_train": 0, "build_teacher": 0}
+    assert counts == {"distill_train": 0, "train_in_lockstep": 0,
+                      "build_teacher": 0}
 
 
 def test_run_distillation_rejects_reference_of_another_seed():

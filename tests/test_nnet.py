@@ -215,7 +215,7 @@ def rowwise_forward(net, x, t):
     log_g = net.frozen_log_gammas
     if cfg.gamma_mode == "learnable":
         off = h @ view("gam_w") + view("gam_b")
-        log_g = log_g + off * net._anchor_mask
+        log_g = log_g + off * net._offset_mask
     return gating, base, np.broadcast_to(log_g, shape[:2])
 
 
@@ -539,15 +539,17 @@ def test_pin_comes_from_the_frozen_progression(cfg, num_modes, tmp_path):
     pin = _old_pin(cfg)
     assert net.anchor_index == pin
     assert pinned_mode(cfg, net.frozen_log_gammas) == pin
-    mask = np.ones(cfg.gamma_dim)
+    # the offsets the momentum head moves: none of a head that does not
+    # learn, and never the pinned mode's
+    mask = np.full(cfg.gamma_dim, float(cfg.gamma_mode == "learnable"))
     if pin is not None:
         mask[pin] = 0.0
-    assert (net._anchor_mask == mask).all()
+    assert (net._offset_mask == mask).all()
     path = tmp_path / "net.ckpt"
     net.save(path)
     loaded = StudentNet.load(path)
     assert loaded.anchor_index == pin
-    assert (loaded._anchor_mask == mask).all()
+    assert (loaded._offset_mask == mask).all()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

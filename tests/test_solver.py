@@ -525,3 +525,36 @@ def test_quadrature_gap_above_tolerance_is_a_convergence_error():
     theta = MomentumParams([1.0], [[1.0, 0.0]], [200.0])
     with pytest.raises(ConvergenceError, match="coordinate 0"):
         quadrature_displacement(theta, 1.0, 0.0)
+
+
+def test_oversized_row_is_split_along_the_batch_with_unsplit_bits(
+        monkeypatch):
+    # At B = 8192 and K = 8 one row holds 65,536 elements, four times
+    # BLOCK_ELEMENTS: the rows are summed in four parts along the batch, and
+    # the output bytes equal those of a one-part sum.  At B = 2048 a row
+    # fits, and the stack is summed in one part, as it always was.
+    import arcflow.solver as solver_module
+
+    real = solver_module._mode_sums
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_mode_sums", counted)
+    rng = np.random.default_rng(61)
+    for batch, parts in ((8192, 4), (2048, 1)):
+        log_g = rng.normal(0.0, 1.0, (batch, 8))
+        log_g[::7, 3] = 0.0   # linear modes take the other branch
+        theta = MomentumParams(rng.dirichlet(np.ones(8), size=batch),
+                               rng.normal(size=(batch, 8, 2)), log_g)
+        t_hi = 1.0 - np.arange(16)[:, None] / 32
+        for t_lo in (t_hi - 1 / 32, t_hi * rng.uniform(0.5, 0.9, (16, 1))):
+            calls.clear()
+            split = displacement(theta, t_hi, t_lo)
+            assert len(calls) == parts
+            monkeypatch.setattr(solver_module, "BLOCK_ELEMENTS", 2**40)
+            whole = displacement(theta, t_hi, t_lo)
+            monkeypatch.setattr(solver_module, "BLOCK_ELEMENTS", BLOCK_ELEMENTS)
+            assert split.tobytes() == whole.tobytes()
